@@ -17,16 +17,15 @@
 // p50/p99 ns/scan come from a separate single-threaded per-block-timed
 // sampling pass so no timer overhead pollutes the throughput numbers.
 //
-// Batch size 1 means what it means in the driver (route_batch_size <= 1
-// disables the batched path): the shard consumer pops one scan per ring
-// transaction and routes it through the PR 5 per-scan scalar kernel —
-// RequestsForInto + WaitView + RouteInto + per-read enqueue. Batch > 1
-// engages the batched kernel: bulk ring drains, block-level SoA resolve
-// with O(1) table-span lookup, RouteBatchInto's specialized cores. The
-// headline comparison is 4 shards/batch 256 against the 1-shard/batch-1
-// baseline; on the 1-core target container the win is the cheaper
-// batched kernel and block amortization, not parallelism. Writes
-// BENCH_data_plane.json for the CI artifact.
+// Batch size 1 is the driver at route_batch_size 1: the shard consumer
+// pops one scan per ring transaction and routes it as a one-scan block —
+// ResolveBatchInto + WaitView + RouteBatchInto + per-read enqueue. Batch
+// > 1 adds bulk ring drains and amortizes the block-level SoA resolve
+// (O(1) table-span lookup) and RouteBatchInto's scratch bind and virtual
+// dispatch over the block. The headline comparison is 4 shards/batch 256
+// against the 1-shard/batch-1 baseline; on the 1-core target container
+// the win is the cheaper batched kernel and block amortization, not
+// parallelism. Writes BENCH_data_plane.json for the CI artifact.
 //
 // Flags: --smoke (tiny scan count for CI), --out=PATH (JSON path,
 // default BENCH_data_plane.json).
@@ -162,36 +161,10 @@ struct ShardLane {
   MaxOfMinsRouter router;
   EnqueueSink sink;
   ScanBatch block;
-  ScanScratch scan_scratch;  // batch-1 scalar kernel
   RouterScratch scratch;
   std::vector<RoutedRead> out;
   std::uint64_t scans_routed = 0;
 };
-
-/// The per-scan scalar kernel, exactly as the serial driver runs it when
-/// the batched path is disabled: resolve into the reusable scratch, view
-/// the live busy-until array, RouteInto, enqueue each read.
-void RouteScalar(const ConfigIndex& index, const Scan& scan, double spt,
-                 ShardLane* lane) {
-  index.RequestsForInto(scan, &lane->scan_scratch);
-  ++lane->scans_routed;
-  if (lane->scan_scratch.requests.empty()) return;
-  const WaitView waits(lane->sim.BusyUntil().data(), lane->sim.node_count(),
-                       /*at=*/0.0);
-  const Status st =
-      lane->router.RouteInto(lane->scan_scratch.Batch(), waits, spt, kPhi,
-                             &lane->scratch, &lane->out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "RouteInto failed: %s\n",
-                 std::string(st.message()).c_str());
-    std::exit(1);
-  }
-  for (const RoutedRead& r : lane->out) {
-    (void)lane->sim.EnqueueRead(
-        r.node, lane->scan_scratch.requests[r.request_index].tuples,
-        /*now=*/0.0, /*first_use_by_query=*/true);
-  }
-}
 
 void FlushBlock(const ConfigIndex& index, double spt, ShardLane* lane) {
   if (lane->block.empty()) return;
@@ -242,8 +215,8 @@ void ShardLoopBatched(SpscQueue<std::uint32_t>* ring,
 }
 
 /// Shard consumer, per-scan (batch_cap == 1): one scan per ring
-/// transaction through the scalar kernel — the data plane exactly as it
-/// behaves with the batched path disabled.
+/// transaction, routed as a one-scan block — the data plane exactly as
+/// the serial driver runs it at route_batch_size 1.
 void ShardLoopScalar(SpscQueue<std::uint32_t>* ring,
                      const std::atomic<bool>* done, const ConfigIndex& index,
                      const std::vector<Scan>& scans, double spt,
@@ -258,7 +231,8 @@ void ShardLoopScalar(SpscQueue<std::uint32_t>* ring,
         continue;
       }
     }
-    RouteScalar(index, scans[id], spt, lane);
+    lane->block.AddScan(id, scans[id]);
+    FlushBlock(index, spt, lane);
   }
 }
 
@@ -274,10 +248,10 @@ void ShardLoop(SpscQueue<std::uint32_t>* ring, const std::atomic<bool>* done,
 
 // ------------------------------------------------------ identity check
 
-/// Routes one shard partition per-scan through RouteInto (the PR 5
-/// scalar flat path) and batched through fixed blocks of `batch_cap`,
-/// both from fresh sims, and requires identical read streams and
-/// bit-identical final busy-until state. Guards the bench itself: both
+/// Routes one shard partition per-scan through RouteInto (the reference
+/// the batch equivalence suite pins) and batched through fixed blocks of
+/// `batch_cap`, both from fresh sims, and requires identical read streams
+/// and bit-identical final busy-until state. Guards the bench itself: both
 /// pipelines must measure the same computation.
 void VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
                     const std::vector<Scan>& scans,
@@ -287,26 +261,28 @@ void VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
   ClusterSim ref_sim((ClusterSimOptions()));
   ref_sim.ApplyConfig(config, 0.0, nullptr);
   MaxOfMinsRouter ref_router;
-  ScanScratch scan_scratch;
+  ScanBatch one;
   RouterScratch router_scratch;
   std::vector<RoutedRead> ref_out;
   std::vector<NodeId> ref_nodes;
   for (const std::uint32_t id : partition) {
-    index.RequestsForInto(scans[id], &scan_scratch);
-    if (scan_scratch.requests.empty()) continue;
+    one.Clear();
+    one.AddScan(id, scans[id]);
+    index.ResolveBatchInto(&one);
+    const RequestBatch reqs = one.ScanRequests(0);
+    if (reqs.count == 0) continue;
     const WaitView waits(ref_sim.BusyUntil().data(), ref_sim.node_count(),
                          0.0);
-    const Status st =
-        ref_router.RouteInto(scan_scratch.Batch(), waits, spt, kPhi,
-                             &router_scratch, &ref_out);
+    const Status st = ref_router.RouteInto(reqs, waits, spt, kPhi,
+                                           &router_scratch, &ref_out);
     if (!st.ok()) {
       std::fprintf(stderr, "identity: RouteInto failed\n");
       std::exit(1);
     }
     for (const RoutedRead& r : ref_out) {
       ref_nodes.push_back(r.node);
-      (void)ref_sim.EnqueueRead(
-          r.node, scan_scratch.requests[r.request_index].tuples, 0.0, true);
+      (void)ref_sim.EnqueueRead(r.node, reqs.requests[r.request_index].tuples,
+                                0.0, true);
     }
   }
 
@@ -400,12 +376,8 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
     const std::size_t warm = std::min<std::size_t>(part.size(), 4096);
     ShardLane* lane = lanes[s].get();
     for (std::size_t i = 0; i < warm; ++i) {
-      if (batch_cap <= 1) {
-        RouteScalar(index, scans[part[i]], spt, lane);
-      } else {
-        lane->block.AddScan(part[i], scans[part[i]]);
-        if (lane->block.size() >= batch_cap) FlushBlock(index, spt, lane);
-      }
+      lane->block.AddScan(part[i], scans[part[i]]);
+      if (lane->block.size() >= batch_cap) FlushBlock(index, spt, lane);
     }
     FlushBlock(index, spt, lane);
     lane->scans_routed = 0;
@@ -504,14 +476,6 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
             static_cast<double>(n));
       };
       for (const std::uint32_t id : part) {
-        if (batch_cap <= 1) {
-          const auto b0 = Clock::now();
-          RouteScalar(index, scans[id], spt, &lane);
-          const auto b1 = Clock::now();
-          samples_ns.push_back(
-              std::chrono::duration<double, std::nano>(b1 - b0).count());
-          continue;
-        }
         lane.block.AddScan(id, scans[id]);
         if (lane.block.size() >= batch_cap) flush_timed();
       }

@@ -1,7 +1,7 @@
 // Before/after microbenchmark for the steady-state query path (DESIGN.md
 // §10): per-scan routing overhead of the seed allocating pipeline
 // (RequestsFor -> full request copy -> O(node_count) WaitSeconds rebuild ->
-// Route) versus the flat pipeline (RequestsForInto scratch spans ->
+// Route) versus the flat pipeline (one-scan ResolveBatchInto spans ->
 // WaitView over ClusterSim::BusyUntil -> RouteInto) at node_count in
 // {4, 16, 64}, single-threaded.
 //
@@ -36,6 +36,7 @@
 #include "engine/config_index.h"
 #include "replication/cluster_config.h"
 #include "routing/router.h"
+#include "routing/scan_batch.h"
 #include "workload/workload.h"
 
 namespace nashdb {
@@ -136,17 +137,25 @@ inline std::uint64_t SeedAttempt(const ConfigIndex& index, const Scan& scan,
 // --------------------------------------------------------- flat pipeline
 
 struct FlatState {
-  ScanScratch scratch;
+  ScanBatch one;  // one-scan block, capacity reused across scans
   RouterScratch router_scratch;
   std::vector<RoutedRead> out;
 };
 
+/// Resolves `scan` alone into the reusable one-scan block.
+inline RequestBatch ResolveOne(const ConfigIndex& index, const Scan& scan,
+                               FlatState* state) {
+  state->one.Clear();
+  state->one.AddScan(0, scan);
+  index.ResolveBatchInto(&state->one);
+  return state->one.ScanRequests(0);
+}
+
 inline std::uint64_t FlatAttempt(const ConfigIndex& index, const Scan& scan,
                                  const ClusterSim& sim, ScanRouter* router,
                                  double spt, FlatState* state) {
-  index.RequestsForInto(scan, &state->scratch);
-  if (state->scratch.requests.empty()) return 0;
-  const RequestBatch batch = state->scratch.Batch();
+  const RequestBatch batch = ResolveOne(index, scan, state);
+  if (batch.count == 0) return 0;
   const WaitView waits(sim.BusyUntil().data(), sim.node_count(), 0.0);
   const Status st = router->RouteInto(batch, waits, spt, kPhi,
                                       &state->router_scratch, &state->out);
@@ -206,11 +215,10 @@ void VerifyIdentity(const ConfigIndex& index, const std::vector<Scan>& scans,
     }
     const Result<std::vector<RoutedRead>> ref =
         router->Route(requests, std::move(waits), spt, kPhi);
-    index.RequestsForInto(scan, &state.scratch);
+    const RequestBatch batch = ResolveOne(index, scan, &state);
     const WaitView view(sim.BusyUntil().data(), sim.node_count(), 0.0);
-    const Status st =
-        router->RouteInto(state.scratch.Batch(), view, spt, kPhi,
-                          &state.router_scratch, &state.out);
+    const Status st = router->RouteInto(batch, view, spt, kPhi,
+                                        &state.router_scratch, &state.out);
     if (!ref.ok() || !st.ok() || state.out.size() != ref->size()) {
       std::fprintf(stderr, "route identity violated (status/size)\n");
       std::exit(1);

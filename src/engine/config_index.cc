@@ -98,39 +98,6 @@ const ConfigIndex::TableSpan& ConfigIndex::SpanFor(TableId table) const {
   return *it;
 }
 
-NASHDB_HOT void ConfigIndex::AppendRequests(
-    TableId table, TupleIndex start, TupleIndex end,
-    std::vector<FlatRequest>* out) const {
-  const TableSpan& span = SpanFor(table);
-  const Entry* first = entries_.data() + span.begin;
-  const Entry* last = entries_.data() + span.end;
-
-  // First fragment whose end is beyond the scan start.
-  const Entry* e = std::lower_bound(
-      first, last, start,
-      [](const Entry& entry, TupleIndex v) { return entry.end <= v; });
-  for (; e != last && e->start < end; ++e) {
-    NASHDB_CHECK(e->cand_count > 0)
-        << "fragment " << e->frag << " has no replicas";
-    FlatRequest req;
-    req.frag = e->frag;
-    req.tuples = e->tuples;
-    req.cand_begin = e->cand_begin;
-    req.cand_count = e->cand_count;
-    // NASHDB_LINT_ALLOW(hot-alloc): append into scratch-reused capacity
-    out->push_back(req);
-  }
-}
-
-NASHDB_HOT void ConfigIndex::RequestsForInto(const Scan& scan,
-                                             ScanScratch* scratch) const {
-  scratch->Clear();
-  if (scan.range.empty()) return;
-  AppendRequests(scan.table, scan.range.start, scan.range.end,
-                 &scratch->requests);
-  scratch->external_pool = cand_pool_.data();
-}
-
 NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
   const std::size_t n = batch->size();
   batch->req_off.clear();
@@ -139,9 +106,9 @@ NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
   batch->req_off.reserve(n + 1);
   // NASHDB_LINT_ALLOW(hot-alloc): offsets reuse the batch's capacity
   batch->req_off.push_back(0);
-  // Tight SoA streaming loop: dense O(1) table-span lookup, then the same
-  // lower_bound + overlap walk as AppendRequests, inlined so the block
-  // pass touches only the parallel scan arrays and the entry table.
+  // Tight SoA streaming loop: dense O(1) table-span lookup, then a
+  // bucket jump and an overlap walk, so the block pass touches only the
+  // parallel scan arrays and the entry table.
   const TupleIndex* starts = batch->starts.data();
   const TupleIndex* ends = batch->ends.data();
   const TableId* scan_tables = batch->tables.data();
@@ -159,7 +126,7 @@ NASHDB_HOT void ConfigIndex::ResolveBatchInto(ScanBatch* batch) const {
       // Bucket lookup: the bucket holding `start` points at the first
       // entry whose end reaches past the bucket's start; at most a few
       // forward steps land on the first entry overlapping the scan —
-      // the same entry AppendRequests' binary search finds.
+      // the same entry RequestsFor's binary search finds.
       std::uint64_t b =
           start >= span.base ? (start - span.base) >> span.bucket_shift : 0;
       if (b >= span.bucket_count) b = span.bucket_count - 1;

@@ -11,42 +11,13 @@
 
 namespace nashdb {
 
-/// Caller-owned reusable buffers for the allocation-free request-resolve
-/// path (DESIGN.md §10). A scratch grows to the largest scan it has seen
-/// and keeps its capacity across scans, so the steady state allocates
-/// nothing.
-///
-/// Two backing modes for the candidate pool: ConfigIndex::RequestsForInto
-/// leaves `cands` empty and points the batch at the index's own pool
-/// (zero copy); LivenessOverlay::FilterLive materializes the filtered
-/// candidates into `cands`.
-struct ScanScratch {
-  std::vector<FlatRequest> requests;
-  std::vector<NodeId> cands;
-  /// When non-null, the candidate pool the requests' spans index into;
-  /// otherwise the spans index into `cands`.
-  const NodeId* external_pool = nullptr;
-
-  void Clear() {
-    requests.clear();
-    cands.clear();
-    external_pool = nullptr;
-  }
-
-  RequestBatch Batch() const {
-    return RequestBatch{requests.data(), requests.size(),
-                        external_pool != nullptr ? external_pool
-                                                 : cands.data()};
-  }
-};
-
 /// Lookup structure over one ClusterConfig: maps a range scan to the
 /// fragment read requests it induces (the scan router's F(s) with
 /// candidate nodes E(s) — §8). Built once per configuration as flat
 /// contiguous storage: one entry record per fragment, grouped per table
 /// and sorted by range start, with each entry's candidate nodes a span
-/// into a single flat NodeId pool. Scans resolve in
-/// O(log F + |F(s)|) with no allocation (RequestsForInto).
+/// into a single flat NodeId pool. A block of scans resolves in one pass
+/// with no allocation once its buffers have grown (ResolveBatchInto).
 ///
 /// Epoch contract (DESIGN.md §12): an index may carry the epoch number of
 /// the configuration it was built from. The index is immutable after
@@ -63,24 +34,18 @@ class ConfigIndex {
   /// tuple count (a fragment is the minimum read granularity, like a disk
   /// block — §5.1) and the nodes holding a replica.
   ///
-  /// Seed (reference) API: materializes fresh vectors per call. Kept for
-  /// tests and the legacy query path; the driver's steady state uses
-  /// RequestsForInto.
+  /// Seed (reference) API: materializes fresh vectors per call. Kept as
+  /// the oracle the resolve tests compare ResolveBatchInto against.
   std::vector<FragmentRequest> RequestsFor(const Scan& scan) const;
 
-  /// Allocation-free variant: resolves `scan` into `*scratch` (cleared
-  /// first), with candidate spans pointing directly into the index's
-  /// pool. Identical requests, in identical order, as RequestsFor.
-  void RequestsForInto(const Scan& scan, ScanScratch* scratch) const;
-
-  /// Batched variant (DESIGN.md §11): resolves every scan of `*batch`
-  /// (its SoA scan arrays must be filled) into the batch's prefix-offset
-  /// request table, candidate spans pointing at the index's pool. Scan i
-  /// produces exactly the requests RequestsForInto would, in the same
-  /// order, at requests[req_off[i] .. req_off[i+1]). One pass over the
-  /// block amortizes the per-scan scratch churn of the scalar path, and
-  /// the inner loop streams the SoA arrays with O(1) dense table-span
-  /// lookup instead of the scalar path's per-scan binary search.
+  /// Resolves every scan of `*batch` (its SoA scan arrays must be filled)
+  /// into the batch's prefix-offset request table, candidate spans
+  /// pointing at the index's pool (DESIGN.md §11). Scan i produces
+  /// exactly the requests RequestsFor would, in the same order, at
+  /// requests[req_off[i] .. req_off[i+1]). The inner loop streams the SoA
+  /// arrays with an O(1) dense table-span lookup and a bucket index
+  /// instead of a per-scan binary search. A one-scan batch is the
+  /// per-scan resolve.
   void ResolveBatchInto(ScanBatch* batch) const;
 
   const ClusterConfig& config() const { return *config_; }
@@ -120,12 +85,6 @@ class ConfigIndex {
   /// The table's entry span; CHECK-fails on an unknown table (a scan over
   /// a table the configuration does not cover is a caller bug).
   const TableSpan& SpanFor(TableId table) const;
-
-  /// Shared fragment walk behind RequestsForInto and ResolveBatchInto:
-  /// appends to `*out` one FlatRequest per fragment of `table` overlapping
-  /// [start, end), in range order, spans into `cand_pool_`.
-  void AppendRequests(TableId table, TupleIndex start, TupleIndex end,
-                      std::vector<FlatRequest>* out) const;
 
   const ClusterConfig* config_;
   std::uint64_t epoch_ = 0;

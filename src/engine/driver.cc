@@ -38,13 +38,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One in-flight online reconfiguration round (DESIGN.md §12): kicked at
+/// One in-flight reconfiguration round (DESIGN.md §12): kicked at
 /// `boundary` (simulated time), published at the first admission at or
 /// after `publish_at`. The future carries the configuration being built
-/// in the background; `dead` is the planning-time dead bitmap captured at
-/// the kick. Transition planning runs inline at publish (it is a sliver
-/// of the build and honestly charged to the stall), so the kick costs the
-/// admission loop exactly one estimator snapshot plus one thread spawn.
+/// (in the background when the system supports it); `dead` is the
+/// planning-time dead bitmap captured at the kick. Transition planning
+/// runs inline at publish and is charged to the stall.
 struct PendingBuild {
   std::future<ClusterConfig> future;
   SimTime boundary = 0.0;
@@ -84,39 +83,52 @@ void AnnotateTransition(SimTime sim_time_s, bool applied,
 }
 
 /// Per-query routing state accumulated while its scans sit in the
-/// batched path's pending block, finalized into a QueryRecord at flush.
+/// pending block, finalized into a QueryRecord at flush.
 struct PendingQuery {
   QueryRecord record;
   std::set<NodeId> nodes_used;
   SimTime completion = 0.0;
 };
 
-/// BatchSink of the driver's batched fast path (DESIGN.md §11): commits
-/// each scan's reads into the sim the moment the router reports them —
-/// before the next scan's waits are first read — then advances the
-/// shared WaitView to the next scan's arrival. Together with
-/// RouterScratch's per-scan lazy re-init this makes a block of any size
-/// bit-identical to routing the same scans one at a time (enforced by
-/// the batch golden tests).
+/// Appends scans [first, last) of `src` to `dst` (ids included).
+void AppendScans(const ScanBatch& src, std::size_t first, std::size_t last,
+                 ScanBatch* dst) {
+  for (std::size_t i = first; i < last; ++i) {
+    dst->AddScan(src.ids[i],
+                 Scan{src.tables[i], TupleRange{src.starts[i], src.ends[i]},
+                      src.prices[i]});
+  }
+}
+
+/// BatchSink of the driver's query path (DESIGN.md §11): commits each
+/// scan's reads into the sim the moment the router reports them — before
+/// the next scan's waits are first read — then advances the shared
+/// WaitView to the next scan's arrival. Together with RouterScratch's
+/// per-scan lazy re-init this makes a block of any size bit-identical to
+/// routing the same scans one at a time (enforced by the batch golden
+/// tests). A block's `ids` are the pending-query slots of its scans; each
+/// scan's reads are enqueued at the view's time, which is the arrival of
+/// its query (or a retry's attempt time, for a one-scan retry block).
 class DriverBatchSink : public BatchSink {
  public:
-  DriverBatchSink(ClusterSim* sim, bool collect)
-      : sim_(sim), collect_(collect) {}
+  DriverBatchSink(ClusterSim* sim, std::vector<PendingQuery>* pending,
+                  bool collect)
+      : sim_(sim), pending_(pending), collect_(collect) {}
 
-  void Bind(const ScanBatch* block, const std::vector<std::size_t>* slots,
-            const std::vector<SimTime>* arrivals,
-            std::vector<PendingQuery>* pending, WaitView* view) {
+  void Bind(const ScanBatch* block, WaitView* view) {
     block_ = block;
-    slots_ = slots;
-    arrivals_ = arrivals;
-    pending_ = pending;
     view_ = view;
+    routed_ = 0;
   }
+
+  /// Scans of the bound block reported so far: after a failed
+  /// RouteBatchInto, the index of the scan that failed.
+  std::size_t routed() const { return routed_; }
 
   void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
                     std::size_t count) override {
-    PendingQuery& pq = (*pending_)[(*slots_)[scan_index]];
-    const SimTime at = (*arrivals_)[scan_index];
+    PendingQuery& pq = (*pending_)[block_->ids[scan_index]];
+    const SimTime at = view_->at();
     const FlatRequest* reqs =
         block_->requests.data() + block_->req_off[scan_index];
     for (std::size_t k = 0; k < count; ++k) {
@@ -132,19 +144,19 @@ class DriverBatchSink : public BatchSink {
       pq.completion = std::max(pq.completion, done);
       pq.record.tuples_read += tuples;
     }
-    if (scan_index + 1 < arrivals_->size()) {
-      view_->set_at((*arrivals_)[scan_index + 1]);
+    routed_ = scan_index + 1;
+    if (routed_ < block_->size()) {
+      view_->set_at((*pending_)[block_->ids[routed_]].record.arrival);
     }
   }
 
  private:
   ClusterSim* sim_;
+  std::vector<PendingQuery>* pending_;
   const bool collect_;
   const ScanBatch* block_ = nullptr;
-  const std::vector<std::size_t>* slots_ = nullptr;
-  const std::vector<SimTime>* arrivals_ = nullptr;
-  std::vector<PendingQuery>* pending_ = nullptr;
   WaitView* view_ = nullptr;
+  std::size_t routed_ = 0;
 };
 
 }  // namespace
@@ -243,6 +255,20 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   NASHDB_CHECK(stream != nullptr);
   NASHDB_CHECK(system != nullptr);
   NASHDB_CHECK(router != nullptr);
+  const SimTime check_interval = options.adaptive_reconfigure
+                                     ? options.adaptive_check_interval_s
+                                     : options.reconfigure_interval_s;
+  // A non-positive interval would never advance the next boundary (the
+  // round loop below would spin forever); a NaN window would never
+  // publish.
+  NASHDB_CHECK(!options.periodic_reconfigure ||
+               (std::isfinite(check_interval) && check_interval > 0.0))
+      << "reconfiguration interval must be positive and finite, got "
+      << check_interval;
+  NASHDB_CHECK(std::isfinite(options.online_build_window_s) &&
+               options.online_build_window_s >= 0.0)
+      << "online_build_window_s must be finite and >= 0, got "
+      << options.online_build_window_s;
 
   RunResult result;
   ClusterSim sim(options.sim);
@@ -280,8 +306,8 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // Initial provisioning: build the first configuration and pay for the
   // initial data load (every replica is a fresh copy). The active
   // configuration lives in an epoch bundle (engine/config_epoch.h):
-  // bootstrap is epoch 0, every applied transition — periodic, online
-  // publish, or emergency repair — replaces `cur` with the next epoch.
+  // bootstrap is epoch 0, every applied transition — periodic publish or
+  // emergency repair — replaces `cur` with the next epoch.
   const auto bootstrap_start = std::chrono::steady_clock::now();
   std::unique_ptr<ConfigEpoch> cur;
   {
@@ -306,24 +332,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     cur = std::make_unique<ConfigEpoch>(0, std::move(config));
   }
 
-  // --- Steady-state query-path state (DESIGN.md §10). All per-scan
-  // buffers live here and are reused for the whole run: the flat path
-  // resolves requests into `scan_scratch` (candidate spans pointing into
-  // the index's pool), filters liveness into `live_scratch` only when a
-  // node is actually down at the attempt time, evaluates waits lazily
-  // through a WaitView over the sim's busy-until array, and routes into
-  // `routed_buf` via the routers' scratch-state entry point — no per-scan
-  // allocation and no per-scan work proportional to the cluster size.
-  ScanScratch scan_scratch;
-  ScanScratch live_scratch;
-  RouterScratch router_scratch;
-  std::vector<RoutedRead> routed_buf;
-  LivenessOverlay liveness;
-  liveness.SyncFrom(sim);
-
-  const SimTime check_interval = options.adaptive_reconfigure
-                                     ? options.adaptive_check_interval_s
-                                     : options.reconfigure_interval_s;
   SimTime next_reconfigure = check_interval;
   const double spt = 1.0 / options.sim.tuples_per_second;
 
@@ -336,6 +344,9 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     fault_sched = std::make_unique<FaultScheduler>(options.faults.spec,
                                                    options.faults.seed);
   }
+  // Event-driven mirror of per-node routability (DESIGN.md §10).
+  LivenessOverlay liveness;
+  liveness.SyncFrom(sim);
   // Crash delivery times not yet resolved by a repair/transition, for the
   // faults.time_to_repair_s histogram.
   std::vector<SimTime> pending_crashes;
@@ -344,10 +355,9 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // machine stays partitioned); the flag only arms the repair check.
   bool pending_partition = false;
   // High-water mark of delivered fault time. The admission loop is
-  // monotonic, but an online round kicked at a boundary the workload
-  // skipped past (boundary < the admitting query's arrival, which already
-  // had its faults delivered) must clamp rather than rewind the
-  // scheduler's clock.
+  // monotonic, but a round kicked at a boundary the workload skipped past
+  // (boundary < the admitting query's arrival, which already had its
+  // faults delivered) must clamp rather than rewind the scheduler's clock.
   SimTime fault_clock = 0.0;
 
   // Delivers every fault due by `at` into the sim.
@@ -409,10 +419,10 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // An applied transition replaces machines dead at its time with fresh
   // ones (the failure-aware plan prices the re-copy), so it doubles as a
   // repair — but only for crashes delivered at or before the transition's
-  // simulated time. An online publish applies retroactively at its
-  // boundary: crashes from inside the build window were not planned dead
-  // (they ride the matching, see ClusterSim::ApplyConfig) and stay
-  // pending until a later transition or repair settles them.
+  // simulated time. A publish applies retroactively at its boundary:
+  // crashes from inside the build window were not planned dead (they ride
+  // the matching, see ClusterSim::ApplyConfig) and stay pending until a
+  // later transition or repair settles them.
   const auto settle_repairs = [&](SimTime at) {
     if (pending_crashes.empty()) return;
     std::size_t kept = 0;
@@ -434,10 +444,10 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     for (std::size_t i : fault_sched->InterruptedMoves(plan, at)) {
       const NodeTransition& move = plan.moves[i];
       if (move.new_node == kInvalidNode) continue;
-      // A receiver that crashed inside an online build window is dead at
-      // the (retroactive) apply time; the crash wiped its queue, so the
-      // re-sent copy is lost with it — nothing to charge. Never taken in
-      // the stop-the-world path (its plans replace all dead machines).
+      // A receiver that crashed inside the build window is dead at the
+      // (retroactive) apply time; the crash wiped its queue, so the
+      // re-sent copy is lost with it — nothing to charge. Never taken at
+      // a zero window (its plans replace all dead machines).
       if (!sim.NodeAlive(move.new_node, at)) continue;
       sim.ChargeTransfer(move.new_node, move.transfer_tuples, at);
       if (collect) {
@@ -446,75 +456,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
                        move.transfer_tuples);
       }
     }
-  };
-
-  // Set in online mode once the publish machinery below exists; forces
-  // the pending epoch to publish (emergency repair and the legacy round
-  // both mutate `cur` and the system — neither may run with a build in
-  // flight against the old epoch).
-  std::function<void()> force_publish;
-
-  // Emergency re-replication (tentpole): when a delivered crash left some
-  // fragment under-covered, rebuild the placement without the dead nodes
-  // and apply the minimal-transfer repair immediately.
-  const auto maybe_repair = [&](SimTime at) {
-    if (!faults_on || !options.faults.emergency_repair) return;
-    if (pending_crashes.empty() && !pending_partition) return;
-    if (!coverage_at_risk(at)) {
-      // Recoveries/heals (or a scheduled transition) already restored
-      // coverage.
-      settle_repairs(at);
-      pending_partition = false;
-      return;
-    }
-    // A pending online epoch must land first: the repair replaces `cur`
-    // and calls NoteAppliedConfig, both of which the in-flight build
-    // still reads. The publish itself may restore coverage.
-    if (force_publish) {
-      force_publish();
-      if (!coverage_at_risk(at)) {
-        settle_repairs(at);
-        pending_partition = false;
-        return;
-      }
-    }
-    if (collect) metrics::Count("faults.coverage_lost_events");
-    const std::vector<bool> dead = dead_bitmap(at);
-    const std::vector<bool> partitioned = partitioned_bitmap(at);
-    Result<ClusterConfig> repaired =
-        PlanEmergencyRepair(cur->config(), dead, partitioned);
-    if (!repaired.ok()) {
-      // Degrade: keep running on the surviving replicas; retries and
-      // aborts absorb the gap.
-      if (collect) metrics::Count("faults.repair_failures");
-      pending_crashes.clear();
-      pending_partition = false;
-      return;
-    }
-    const TransitionPlan plan =
-        PlanTransition(cur->config(), *repaired, &dead);
-    NASHDB_VALIDATE_OR_DIE(ValidateConfig(*repaired));
-    NASHDB_VALIDATE_OR_DIE(
-        ValidatePlan(plan, cur->config(), *repaired, &dead));
-    sim.ApplyConfig(*repaired, at, &plan);
-    liveness.SyncFrom(sim);
-    charge_interruptions(plan, at);
-    cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
-                                        std::move(*repaired));
-    system->NoteAppliedConfig(cur->config());
-    ++result.transitions;
-    ++result.emergency_repairs;
-    result.repair_transfer_tuples += plan.total_transfer_tuples;
-    if (collect) {
-      metrics::Count("sim.transitions");
-      metrics::Count("faults.emergency_repairs");
-      metrics::Count("faults.repair_transfer_tuples",
-                     plan.total_transfer_tuples);
-      metrics::Observe("sim.transfer_window_s",
-                       sim.LastTransferWindowSeconds());
-    }
-    settle_repairs(at);
-    pending_partition = false;
   };
 
   // Final accounting for one admitted query: the streaming aggregates are
@@ -538,69 +479,136 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     if (options.keep_records) result.records.push_back(record);
   };
 
-  // --- Batched fast path (DESIGN.md §11). Fault-free flat-path runs
-  // gather scans across consecutive queries into a SoA block and route it
-  // with one RouteBatchInto call — one scratch bind, one resolve pass,
-  // one virtual dispatch per block instead of per scan. The block flushes
-  // when full and at every reconfiguration boundary, so it never spans a
-  // configuration change; the sink commits each scan's reads between
-  // scans, keeping the record stream bit-identical to the per-scan path.
+  // In-flight completion times for admission control: popped at each
+  // arrival, so the pending count is exact and purely simulated-time
+  // driven (deterministic at any thread count).
   const bool overload_on = options.overload.Active();
-  const bool batched = !options.legacy_query_path && !faults_on &&
-                       !overload_on && options.route_batch_size > 1;
-  ScanBatch block;
-  std::vector<std::size_t> scan_slot;  // block scan -> pending slot
-  std::vector<SimTime> scan_arrival;   // block scan -> arrival time
+  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
+      inflight;
+  const std::size_t hard_cap =
+      overload_on ? static_cast<std::size_t>(
+                        options.overload.hard_cap_factor *
+                        static_cast<double>(
+                            options.overload.max_pending_queries))
+                  : 0;
+
+  // --- The query path (DESIGN.md §10–§11). Every admitted scan joins a
+  // SoA block routed with one RouteBatchInto call: one resolve pass, one
+  // scratch bind and one virtual dispatch per block. The block flushes
+  // when full and before every reconfiguration round, so it never spans a
+  // configuration change; the sink commits each scan's reads between
+  // scans, so the record stream is the same at any block size. Fault and
+  // overload runs flush one block per query at its admission, so fault
+  // delivery, repairs and the shed decision see exactly the state that
+  // query's routing leaves behind. All buffers are reused for the whole
+  // run: the steady state allocates only the per-query span set.
+  const bool per_query_blocks = faults_on || overload_on;
+  ScanBatch block;  // ids are pending-query slots
+  ScanBatch spare;  // one-scan retry block, then the resumed remainder
   std::vector<PendingQuery> pending;
-  DriverBatchSink sink(&sim, collect);
+  std::vector<NodeId> live_cands;  // FilterLive's candidate pool
+  RouterScratch router_scratch;
+  std::vector<RoutedRead> routed_buf;
+  DriverBatchSink sink(&sim, &pending, collect);
+
+  // Resolves `batch` against the current epoch and routes it, its first
+  // scan at simulated time `at`. With faults on, a block holds one query
+  // whose scans all route at `at`; when some node is down then, the
+  // resolved spans are filtered to the routable candidates first.
+  const auto route = [&](ScanBatch* batch, SimTime at) {
+    cur->index().ResolveBatchInto(batch);
+    if (faults_on && liveness.AnyDeadAt(at)) {
+      liveness.FilterLive(at, batch, &live_cands);
+    }
+    WaitView waits(sim.BusyUntil().data(), sim.node_count(), at);
+    sink.Bind(batch, &waits);
+    return router->RouteBatchInto(*batch, waits, spt, options.phi_s,
+                                  &router_scratch, &routed_buf, &sink);
+  };
+
+  // Coverage gap on scan `failed` of the (one-query) block: back off and
+  // retry it alone at later simulated times — scheduled recoveries are
+  // visible to future-time liveness, so waiting can succeed without any
+  // new event delivery. Returns false once the query aborts (retry
+  // budget or timeout exhausted).
+  const auto retry_scan = [&](std::size_t failed) {
+    PendingQuery& pq = pending[block.ids[failed]];
+    const SimTime now = pq.record.arrival;
+    spare.Clear();
+    AppendScans(block, failed, failed + 1, &spare);
+    SimTime attempt_time = now;
+    for (std::size_t attempts = 1;; ++attempts) {
+      if (attempts > options.faults.max_scan_retries) break;
+      // Shared per-query pool (when configured): the retry about to be
+      // consumed must still fit, so the budget is exhausted exactly at
+      // the documented bound (record.retries == budget on abort).
+      if (options.faults.query_retry_budget > 0 &&
+          pq.record.retries >= options.faults.query_retry_budget) {
+        break;
+      }
+      attempt_time += RetryBackoffSeconds(options.faults, attempts);
+      ++pq.record.retries;
+      ++result.scan_retries;
+      if (collect) metrics::Count("faults.scan_retries");
+      if (attempt_time - now > options.faults.query_timeout_s) break;
+      if (route(&spare, attempt_time).ok()) return true;
+    }
+    pq.record.aborted = true;
+    return false;
+  };
 
   // Routes the pending block and finalizes its query records in
-  // admission order. Routing cannot fail here — the batched path only
-  // runs fault-free, where every candidate span is non-empty
-  // (ResolveBatchInto CHECKs replica coverage) — so a failure is a bug,
-  // not a condition to retry.
+  // admission order. A coverage gap resumes through RouteBatchInto's
+  // partial commit: the scans before the failing one stay committed, the
+  // failing scan retries alone, and the query's remaining scans resume
+  // as a new block at its arrival. Without faults every candidate span is
+  // non-empty (ResolveBatchInto CHECKs replica coverage), so a failure
+  // there is a bug, not a condition to retry.
   const auto flush_block = [&]() {
     if (pending.empty()) return;
-    if (!block.empty()) {
-      cur->index().ResolveBatchInto(&block);
-      WaitView waits(sim.BusyUntil().data(), sim.node_count(),
-                     scan_arrival.front());
-      sink.Bind(&block, &scan_slot, &scan_arrival, &pending, &waits);
+    while (!block.empty()) {
       const Status status =
-          router->RouteBatchInto(block, waits, spt, options.phi_s,
-                                 &router_scratch, &routed_buf, &sink);
-      NASHDB_CHECK(status.ok()) << status.message();
+          route(&block, pending[block.ids[0]].record.arrival);
+      if (status.ok()) break;
+      NASHDB_CHECK(faults_on) << status.message();
+      const std::size_t failed = sink.routed();
+      if (!retry_scan(failed)) break;
+      spare.Clear();
+      AppendScans(block, failed + 1, block.size(), &spare);
+      std::swap(block, spare);
     }
     for (PendingQuery& pq : pending) {
       pq.record.completion = pq.completion;
       pq.record.latency_s = pq.completion - pq.record.arrival;
       pq.record.span = pq.nodes_used.size();
-      if (collect) {
+      if (pq.record.aborted) {
+        if (collect) metrics::Count("faults.query_aborts");
+      } else if (collect) {
         metrics::Count("routing.queries");
         metrics::Observe("routing.span",
                          static_cast<double>(pq.record.span));
         metrics::Observe("routing.latency_s", pq.record.latency_s);
       }
+      // Reads enqueued before an abort still occupy their nodes, so the
+      // makespan advances either way — and the query held an admission
+      // slot until its last enqueued read finished.
       result.makespan_s = std::max(result.makespan_s, pq.completion);
+      if (overload_on) inflight.push(pq.completion);
       commit_record(pq.record);
     }
     pending.clear();
     block.Clear();
-    scan_slot.clear();
-    scan_arrival.clear();
   };
 
-  // --- Online reconfiguration (tentpole, DESIGN.md §12). Instead of
-  // stalling the admission loop for BuildConfig + PlanTransition at every
-  // boundary, the round is split in two admission-driven halves: a *kick*
-  // at the boundary snapshots the estimator and starts the build + plan
-  // on a background thread, and a *publish* at the first admission
-  // online_build_window_s later swaps in the finished ConfigEpoch,
-  // applying the transition retroactively at the boundary's simulated
+  // --- Reconfiguration rounds (paper §6–§7, DESIGN.md §12). Each round is
+  // a *kick* at the boundary — flush, deliver faults, snapshot the
+  // estimator and start the build (on a background thread when the
+  // system supports it) — and a *publish* at the first admission
+  // online_build_window_s later, which swaps in the finished ConfigEpoch
+  // and applies the transition retroactively at the boundary's simulated
   // time. Both halves run at fixed simulated times, so the record stream
-  // never depends on build wall-clock; with a zero window the publish
-  // immediately follows its kick — exactly the stop-the-world ordering.
-  const bool online = options.online_reconfig;
+  // never depends on build wall-clock. A zero window publishes right
+  // after the kick: the stop-the-world round.
   std::unique_ptr<PendingBuild> pending_build;
 
   // Kicks the next epoch's build at simulated-time `boundary`. Everything
@@ -609,7 +617,9 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // reads the heap-pinned PendingBuild and the current (immutable) epoch.
   const auto kick_build = [&](SimTime boundary) {
     NASHDB_DCHECK(pending_build == nullptr);
-    if (batched) flush_block();
+    // Everything admitted before the boundary routes against the
+    // outgoing configuration and its pre-transition queue state.
+    flush_block();
     // The transition must see the cluster's true liveness at its time.
     deliver_faults(boundary);
     auto pb = std::make_unique<PendingBuild>();
@@ -617,18 +627,18 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     pb->publish_at = boundary + options.online_build_window_s;
     pb->round_start = std::chrono::steady_clock::now();
     if (faults_on) pb->dead = dead_bitmap(boundary);
-    // The only inline work is the estimator snapshot (plus the thread
-    // spawn) inside the async kick; the build itself overlaps with
+    // The only inline work of an asynchronous build is the estimator
+    // snapshot (plus the thread spawn); the build itself overlaps with
     // routing.
     pb->future = system->BuildConfigAsync();
     pb->kick_stall_s = SecondsSince(pb->round_start);
     pending_build = std::move(pb);
   };
 
-  // Publishes the pending epoch: waits out any residual build time (the
-  // online path's only stall), flushes scans admitted inside the window
-  // (they route against the outgoing epoch), then applies the transition
-  // at the kicking boundary's simulated time.
+  // Publishes the pending epoch: waits out any residual build time,
+  // flushes scans admitted inside the window (they route against the
+  // outgoing epoch), then applies the transition at the kicking
+  // boundary's simulated time.
   const auto publish_epoch = [&]() {
     NASHDB_DCHECK(pending_build != nullptr);
     PendingBuild& pb = *pending_build;
@@ -649,7 +659,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, cur->config(), next, dead));
     const double plan_ms = collect ? MsSince(plan_start) : 0.0;
     stall_s += SecondsSince(plan_start);
-    if (batched) flush_block();
+    flush_block();
     const SimTime at = pb.boundary;
     bool apply = true;
     if (options.adaptive_reconfigure) {
@@ -697,113 +707,77 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     pending_build.reset();
   };
 
-  if (online) {
-    force_publish = [&]() {
-      if (pending_build) publish_epoch();
-    };
-  }
-
-  // In-flight completion times for admission control: popped at each
-  // arrival, so the pending count is exact and purely simulated-time
-  // driven (deterministic at any thread count).
-  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
-      inflight;
-  const std::size_t hard_cap =
-      overload_on ? static_cast<std::size_t>(
-                        options.overload.hard_cap_factor *
-                        static_cast<double>(
-                            options.overload.max_pending_queries))
-                  : 0;
+  // Emergency re-replication: when a delivered crash left some fragment
+  // under-covered, rebuild the placement without the dead nodes and apply
+  // the minimal-transfer repair immediately.
+  const auto maybe_repair = [&](SimTime at) {
+    if (!faults_on || !options.faults.emergency_repair) return;
+    if (pending_crashes.empty() && !pending_partition) return;
+    // A pending epoch must land first: the repair replaces `cur` and
+    // calls NoteAppliedConfig, both of which the in-flight build still
+    // reads. The publish itself may restore coverage.
+    if (pending_build && coverage_at_risk(at)) publish_epoch();
+    if (!coverage_at_risk(at)) {
+      // Recoveries/heals (or a scheduled transition) already restored
+      // coverage.
+      settle_repairs(at);
+      pending_partition = false;
+      return;
+    }
+    if (collect) metrics::Count("faults.coverage_lost_events");
+    const std::vector<bool> dead = dead_bitmap(at);
+    const std::vector<bool> partitioned = partitioned_bitmap(at);
+    Result<ClusterConfig> repaired =
+        PlanEmergencyRepair(cur->config(), dead, partitioned);
+    if (!repaired.ok()) {
+      // Degrade: keep running on the surviving replicas; retries and
+      // aborts absorb the gap.
+      if (collect) metrics::Count("faults.repair_failures");
+      pending_crashes.clear();
+      pending_partition = false;
+      return;
+    }
+    const TransitionPlan plan =
+        PlanTransition(cur->config(), *repaired, &dead);
+    NASHDB_VALIDATE_OR_DIE(ValidateConfig(*repaired));
+    NASHDB_VALIDATE_OR_DIE(
+        ValidatePlan(plan, cur->config(), *repaired, &dead));
+    sim.ApplyConfig(*repaired, at, &plan);
+    liveness.SyncFrom(sim);
+    charge_interruptions(plan, at);
+    cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
+                                        std::move(*repaired));
+    system->NoteAppliedConfig(cur->config());
+    ++result.transitions;
+    ++result.emergency_repairs;
+    result.repair_transfer_tuples += plan.total_transfer_tuples;
+    if (collect) {
+      metrics::Count("sim.transitions");
+      metrics::Count("faults.emergency_repairs");
+      metrics::Count("faults.repair_transfer_tuples",
+                     plan.total_transfer_tuples);
+      metrics::Observe("sim.transfer_window_s",
+                       sim.LastTransferWindowSeconds());
+    }
+    settle_repairs(at);
+    pending_partition = false;
+  };
 
   for (TimedQuery tq; next_query(&tq);) {
     const SimTime now = tq.arrival;
 
-    if (online) {
-      // Publishes and kicks interleave at fixed simulated times; the
-      // publish check runs first so a window never swallows the next
-      // boundary, and at most one build is ever in flight.
-      for (;;) {
-        if (pending_build && now >= pending_build->publish_at) {
-          publish_epoch();
-        } else if (!pending_build && options.periodic_reconfigure &&
-                   now >= next_reconfigure) {
-          kick_build(next_reconfigure);
-          next_reconfigure += check_interval;
-        } else {
-          break;
-        }
-      }
-    } else {
-      // Stop-the-world reconfiguration (periodic or adaptive,
-      // §7-extension): build + plan run inline at every boundary with the
-      // admission loop stalled the whole time — reconfig_stall_s (S2).
-      while (options.periodic_reconfigure && now >= next_reconfigure) {
-        // Everything admitted before the boundary must be routed against
-        // the outgoing configuration and its pre-transition queue state.
-        if (batched) flush_block();
-        // The transition must see the cluster's true liveness at its
-        // time.
-        deliver_faults(next_reconfigure);
-        const auto round_start = std::chrono::steady_clock::now();
-        ClusterConfig next = system->BuildConfig();
-        const auto plan_start = std::chrono::steady_clock::now();
-        std::vector<bool> dead;
-        if (faults_on) dead = dead_bitmap(next_reconfigure);
-        const TransitionPlan plan = PlanTransition(
-            cur->config(), next, faults_on ? &dead : nullptr);
-        NASHDB_VALIDATE_OR_DIE(ValidateConfig(next));
-        NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, cur->config(), next,
-                                            faults_on ? &dead : nullptr));
-        const double plan_ms = collect ? MsSince(plan_start) : 0.0;
-        // The whole build + plan ran with the admission loop stopped:
-        // that wall-clock is the stall this round charged.
-        const double stall_s = SecondsSince(round_start);
-        result.reconfig_stall_s += stall_s;
-        if (collect) metrics::Observe("sim.reconfig_stall_s", stall_s);
-        bool apply = true;
-        if (options.adaptive_reconfigure) {
-          const double stored =
-              static_cast<double>(cur->config().TotalStoredTuples());
-          const double change =
-              stored <= 0.0
-                  ? 1.0
-                  : static_cast<double>(plan.total_transfer_tuples) /
-                        stored;
-          // Never skip while a matched machine is dead (see the online
-          // publish above for why).
-          const bool any_dead =
-              std::find(dead.begin(), dead.end(), true) != dead.end();
-          apply = change >= options.adaptive_min_change ||
-                  next.node_count() != cur->config().node_count() ||
-                  any_dead;
-        }
-        if (apply) {
-          sim.ApplyConfig(next, next_reconfigure, &plan,
-                          faults_on ? &dead : nullptr);
-          liveness.SyncFrom(sim);
-          charge_interruptions(plan, next_reconfigure);
-          cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
-                                              std::move(next));
-          ++result.transitions;
-          metrics::Count("sim.transitions");
-          if (collect) {
-            metrics::Observe("sim.transfer_window_s",
-                             sim.LastTransferWindowSeconds());
-          }
-          // All machines are live right after an applied transition (dead
-          // ones were replaced), so pending crashes are repaired.
-          settle_repairs(next_reconfigure);
-        } else {
-          ++result.transitions_skipped;
-          metrics::Count("sim.transitions_skipped");
-        }
-        if (collect) {
-          const double round_ms = MsSince(round_start);
-          metrics::Observe("sim.reconfig_round_ms", round_ms);
-          AnnotateTransition(next_reconfigure, apply, plan, plan_ms,
-                             round_ms);
-        }
+    // Publishes and kicks interleave at fixed simulated times; the
+    // publish check runs first so a window never swallows the next
+    // boundary, and at most one build is ever in flight.
+    for (;;) {
+      if (pending_build && now >= pending_build->publish_at) {
+        publish_epoch();
+      } else if (!pending_build && options.periodic_reconfigure &&
+                 now >= next_reconfigure) {
+        kick_build(next_reconfigure);
         next_reconfigure += check_interval;
+      } else {
+        break;
       }
     }
 
@@ -834,172 +808,25 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
 
     if (!options.warmup_observe) system->Observe(tq.query);
 
-    if (batched) {
-      // Admit into the pending block instead of routing inline; the
-      // block flushes when full (and at every boundary above).
-      PendingQuery pq;
-      pq.record.id = tq.query.id;
-      pq.record.price = tq.query.price;
-      pq.record.arrival = now;
-      pq.record.epoch = cur->epoch();
-      pq.completion = now;
-      pending.push_back(std::move(pq));
-      const std::size_t slot = pending.size() - 1;
-      for (const Scan& scan : tq.query.scans) {
-        block.AddScan(tq.query.id, scan);
-        scan_slot.push_back(slot);
-        scan_arrival.push_back(now);
-      }
-      if (block.size() >= options.route_batch_size) flush_block();
-      continue;
+    PendingQuery pq;
+    pq.record.id = tq.query.id;
+    pq.record.price = tq.query.price;
+    pq.record.arrival = now;
+    pq.record.epoch = cur->epoch();
+    pq.completion = now;
+    pending.push_back(std::move(pq));
+    const std::size_t slot = pending.size() - 1;
+    for (const Scan& scan : tq.query.scans) block.AddScan(slot, scan);
+    if (per_query_blocks || block.size() >= options.route_batch_size) {
+      flush_block();
     }
-
-    QueryRecord record;
-    record.id = tq.query.id;
-    record.price = tq.query.price;
-    record.arrival = now;
-    record.epoch = cur->epoch();
-
-    std::set<NodeId> nodes_used;
-    SimTime completion = now;
-    for (const Scan& scan : tq.query.scans) {
-      // Resolve F(s) once per scan; retries only re-filter liveness. The
-      // flat path resolves into the reusable scratch (candidate spans
-      // pointing into the index's pool — nothing is copied); the legacy
-      // path materializes fresh vectors like the seed code did.
-      std::vector<FragmentRequest> legacy_requests;
-      if (options.legacy_query_path) {
-        legacy_requests = cur->index().RequestsFor(scan);
-        if (legacy_requests.empty()) continue;
-      } else {
-        cur->index().RequestsForInto(scan, &scan_scratch);
-        if (scan_scratch.requests.empty()) continue;
-      }
-
-      // Retry loop: a scan whose live candidate set has a hole backs off
-      // and re-attempts at a later simulated time — scheduled recoveries
-      // are visible to future-time liveness queries, so waiting can
-      // succeed without any new event delivery.
-      SimTime attempt_time = now;
-      std::size_t attempts = 0;
-      for (;;) {
-        // Enqueues one successful routing; `tuples_of` maps a request
-        // index to its tuple count in whichever representation routed.
-        const auto enqueue_all = [&](const std::vector<RoutedRead>& routed,
-                                     const auto& tuples_of) {
-          for (const RoutedRead& rr : routed) {
-            const bool first_use = nodes_used.insert(rr.node).second;
-            const TupleCount tuples = tuples_of(rr.request_index);
-            if (collect) {
-              metrics::Count("routing.requests");
-              metrics::Observe("routing.queue_wait_s",
-                               sim.WaitSeconds(rr.node, attempt_time));
-            }
-            const SimTime done =
-                sim.EnqueueRead(rr.node, tuples, attempt_time, first_use);
-            completion = std::max(completion, done);
-            record.tuples_read += tuples;
-          }
-        };
-
-        bool routed_ok = false;
-        if (options.legacy_query_path) {
-          std::vector<FragmentRequest> live = legacy_requests;
-          if (faults_on) {
-            for (FragmentRequest& req : live) {
-              req.candidates.erase(
-                  std::remove_if(req.candidates.begin(), req.candidates.end(),
-                                 [&](NodeId m) {
-                                   return !sim.NodeRoutable(m, attempt_time);
-                                 }),
-                  req.candidates.end());
-            }
-          }
-          std::vector<double> waits(cur->config().node_count(), 0.0);
-          for (NodeId m = 0; m < cur->config().node_count(); ++m) {
-            waits[m] = sim.WaitSeconds(m, attempt_time);
-          }
-          Result<std::vector<RoutedRead>> routed =
-              router->Route(live, std::move(waits), spt, options.phi_s);
-          routed_ok = routed.ok();
-          if (routed_ok) {
-            NASHDB_CHECK_EQ(routed->size(), live.size());
-            enqueue_all(*routed,
-                        [&](std::size_t i) { return live[i].tuples; });
-          }
-        } else {
-          // Steady-state fast path: when every node is alive at the
-          // attempt time (the overlay answers in O(1)), the unfiltered
-          // resolve is routed as-is — no copy of any kind. Filtering
-          // rewrites only the candidate spans, and only for attempts
-          // where some node is actually down.
-          RequestBatch batch = scan_scratch.Batch();
-          if (faults_on && liveness.AnyDeadAt(attempt_time)) {
-            liveness.FilterLive(scan_scratch, attempt_time, &live_scratch);
-            batch = live_scratch.Batch();
-          }
-          const WaitView waits(sim.BusyUntil().data(), sim.node_count(),
-                               attempt_time);
-          const Status status = router->RouteInto(
-              batch, waits, spt, options.phi_s, &router_scratch, &routed_buf);
-          routed_ok = status.ok();
-          if (routed_ok) {
-            NASHDB_CHECK_EQ(routed_buf.size(), batch.count);
-            enqueue_all(routed_buf, [&](std::size_t i) {
-              return batch.requests[i].tuples;
-            });
-          }
-        }
-        if (routed_ok) break;
-        // Coverage gap. Back off and retry, abort once out of budget.
-        ++attempts;
-        if (attempts > options.faults.max_scan_retries) {
-          record.aborted = true;
-          break;
-        }
-        // Shared per-query pool (when configured): the retry about to be
-        // consumed must still fit, so the budget is exhausted exactly at
-        // the documented bound (record.retries == budget on abort).
-        if (options.faults.query_retry_budget > 0 &&
-            record.retries >= options.faults.query_retry_budget) {
-          record.aborted = true;
-          break;
-        }
-        attempt_time += RetryBackoffSeconds(options.faults, attempts);
-        ++record.retries;
-        ++result.scan_retries;
-        if (collect) metrics::Count("faults.scan_retries");
-        if (attempt_time - now > options.faults.query_timeout_s) {
-          record.aborted = true;
-          break;
-        }
-      }
-      if (record.aborted) break;
-    }
-
-    record.completion = completion;
-    record.latency_s = completion - now;
-    record.span = nodes_used.size();
-    if (record.aborted) {
-      if (collect) metrics::Count("faults.query_aborts");
-    } else if (collect) {
-      metrics::Count("routing.queries");
-      metrics::Observe("routing.span", static_cast<double>(record.span));
-      metrics::Observe("routing.latency_s", record.latency_s);
-    }
-    // Reads enqueued before an abort still occupy their nodes, so the
-    // makespan advances either way — and the query held an admission slot
-    // until its last enqueued read finished.
-    result.makespan_s = std::max(result.makespan_s, completion);
-    if (overload_on) inflight.push(completion);
-    commit_record(record);
   }
   // A build still in flight when the workload ends is published so its
-  // transition lands (the stop-the-world path applied every boundary it
-  // reached); the publish flushes the pending block against the outgoing
-  // epoch first.
+  // transition lands (every boundary the workload reached is applied);
+  // the publish flushes the pending block against the outgoing epoch
+  // first.
   if (pending_build) publish_epoch();
-  if (batched) flush_block();
+  flush_block();
 
   result.total_cost = sim.AccruedCost(result.makespan_s);
   result.transferred_tuples = sim.TotalTransferredTuples();

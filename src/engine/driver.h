@@ -91,7 +91,8 @@ struct OverloadOptions {
 struct DriverOptions {
   ClusterSimOptions sim;
   /// Interval between reconfiguration + cluster transition rounds (paper
-  /// §10 "System Parameters": hourly). Ignored for batch workloads when
+  /// §10 "System Parameters": hourly). Must be positive and finite when
+  /// periodic_reconfigure is on. Ignored for batch workloads when
   /// warmup_observe is set (one configuration is built up front).
   SimTime reconfigure_interval_s = 3600.0;
   /// φ passed to the scan router (seconds).
@@ -134,10 +135,10 @@ struct DriverOptions {
   /// Fault injection + failure handling; inactive by default.
   FaultOptions faults;
 
-  /// Admission control + load shedding; inactive by default. An active
-  /// overload policy forces the per-scan query path (like faults do): the
-  /// batched path doesn't know completion times until it flushes, and the
-  /// shed decision needs the exact in-flight count at each arrival.
+  /// Admission control + load shedding; inactive by default. Like
+  /// faults, an active overload policy makes every query its own routed
+  /// block, flushed at admission: the shed decision needs the exact
+  /// completion time of every query admitted before it.
   OverloadOptions overload;
 
   /// Keep the per-query records on RunResult::records. Disable for
@@ -147,43 +148,25 @@ struct DriverOptions {
   /// RunResult accessors fall back to them when records are empty.
   bool keep_records = true;
 
-  /// Route scans through the seed (allocating) query path — fresh request
-  /// vectors per scan, an unconditional filtered copy per retry, a full
-  /// O(node_count) wait-vector rebuild per attempt, and the routers'
-  /// allocating Route entry point — instead of the flat scratch-buffer
-  /// path (DESIGN.md §10). The two paths produce bit-identical
-  /// QueryRecord streams on identical inputs (enforced by the
-  /// golden-equivalence test); this switch exists for that test and for
-  /// bench_query_path's before/after measurement.
-  bool legacy_query_path = false;
-
-  /// Scans per routed block on the batched fast path (DESIGN.md §11).
-  /// Fault-free flat-path runs gather up to this many scans across
-  /// consecutive queries and route them with one RouteBatchInto call
-  /// (flushing at every reconfiguration boundary, so a block never spans
-  /// a configuration change); 1 keeps the per-scan path, as do legacy
-  /// and fault-injected runs. Block size never changes results: both
-  /// paths produce bit-identical QueryRecord streams (golden test).
+  /// Scans per routed block (DESIGN.md §11). The driver gathers up to
+  /// this many scans across consecutive queries and routes them with one
+  /// RouteBatchInto call, flushing early before every reconfiguration
+  /// round so a block never spans a configuration change. Fault and
+  /// overload runs route one block per query regardless. Block size never
+  /// changes results (golden digests at 64 and 1).
   std::size_t route_batch_size = 64;
 
-  /// Online reconfiguration (DESIGN.md §12): at each boundary, kick the
-  /// next epoch's build (BuildConfigAsync + transition planning) onto a
-  /// background thread and keep routing against the current epoch; the
-  /// built epoch is published — applied at the boundary's simulated time
-  /// — at the first admission online_build_window_s after the boundary
-  /// (blocking on the build only if it is still running, which is the
-  /// residual stall RunResult::reconfig_stall_s reports). When no
-  /// queries arrive inside the build window (in particular whenever
-  /// online_build_window_s is 0), the record stream is bit-identical to
-  /// the stop-the-world path (golden test); when they do, those queries
-  /// route against the outgoing epoch — every record still names nodes
-  /// holding its fragments in the epoch it was routed against.
-  bool online_reconfig = false;
-
-  /// Simulated seconds between a reconfiguration boundary and the
-  /// publish of the epoch built there. 0 publishes at the boundary
-  /// itself (legacy-identical records); an occupied window is what
-  /// actually overlaps build wall-clock with routing work.
+  /// Simulated seconds between a reconfiguration boundary and the publish
+  /// of the configuration built there (DESIGN.md §12). Every round kicks
+  /// the next epoch's build at its boundary (BuildConfigAsync: a
+  /// background build where the system supports one) and publishes it —
+  /// planned, then applied retroactively at the boundary's simulated
+  /// time — at the first admission at or after boundary + this window.
+  /// 0, the default, publishes right after the kick: the stop-the-world
+  /// round. A positive window lets the queries admitted inside it route
+  /// against the outgoing epoch while the build runs, which is what hides
+  /// build wall-clock from RunResult::reconfig_stall_s; the records stay
+  /// a pure function of the workload either way. Must be finite and >= 0.
   SimTime online_build_window_s = 0.0;
 };
 
@@ -199,9 +182,8 @@ struct QueryRecord {
   /// Coverage-gap retries this query's scans went through.
   std::size_t retries = 0;
   /// Configuration epoch the query was routed against (0 = bootstrap;
-  /// +1 per applied transition, periodic or emergency repair). Stamped
-  /// identically by the stop-the-world and online paths, so it
-  /// participates in the golden bit-identity contract.
+  /// +1 per applied transition, periodic or emergency repair). Part of
+  /// the golden digest.
   std::uint64_t epoch = 0;
   /// True if the query gave up (retry budget or timeout exhausted under
   /// node failures). Aborted records are excluded from the latency/span
@@ -237,11 +219,10 @@ struct RunResult {
   std::size_t final_nodes = 0;
   /// Wall-clock seconds the admission loop spent stopped for
   /// reconfiguration (also the sim.reconfig_stall_s histogram, one entry
-  /// per round). Stop-the-world path: the full BuildConfig +
-  /// PlanTransition time of every round — previously charged to no one,
-  /// making reported latencies silently optimistic. Online path: the
-  /// async kick plus any residual blocking at publish; ~0 once the build
-  /// window overlaps enough routing work.
+  /// per round): the kick, any residual wait for the build at publish,
+  /// and transition planning. At a zero build window that is the full
+  /// build + plan of every round; a window that overlaps enough routing
+  /// work hides the build, leaving the kick and the plan.
   double reconfig_stall_s = 0.0;
   /// Fault-run outcomes (all zero when FaultOptions is inactive).
   std::size_t crashes = 0;
@@ -294,9 +275,11 @@ struct RunResult {
 };
 
 /// Executes `workload` against `system`, routing scans with `router` on a
-/// simulated cluster. Queries are admitted in arrival order; the system is
-/// rebuilt and the cluster transitioned (minimal-transfer matching, §7)
-/// every reconfigure_interval_s of simulated time.
+/// simulated cluster. Queries are admitted in arrival order and routed in
+/// blocks through ScanRouter::RouteBatchInto; the system is rebuilt and
+/// the cluster transitioned (minimal-transfer matching, §7) every
+/// reconfigure_interval_s of simulated time, each round a kick at the
+/// boundary and a publish online_build_window_s later.
 ///
 /// Concurrency contract (thread-safety audit, DESIGN.md §9): the driver
 /// loop is serial — it owns the ClusterSim, FaultScheduler, and config
@@ -306,6 +289,8 @@ struct RunResult {
 /// Clang's -Wthread-safety. In NASHDB_VALIDATE builds the loop
 /// additionally CHECKs ValidateConfig/ValidatePlan (engine/validate.h)
 /// after the bootstrap, every periodic round, and every emergency repair.
+/// The background build of a round (BuildConfigAsync) reads only its own
+/// estimator snapshot and the immutable current epoch.
 RunResult RunWorkload(const Workload& workload, DistributionSystem* system,
                       ScanRouter* router, const DriverOptions& options);
 

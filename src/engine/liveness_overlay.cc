@@ -1,6 +1,9 @@
 #include "engine/liveness_overlay.h"
 
 #include <algorithm>
+#include <cstdint>
+
+#include "common/logging.h"
 
 namespace nashdb {
 
@@ -14,23 +17,21 @@ void LivenessOverlay::SyncFrom(const ClusterSim& sim) {
   }
 }
 
-void LivenessOverlay::FilterLive(const ScanScratch& src, SimTime at,
-                                 ScanScratch* dst) const {
-  dst->Clear();
-  const RequestBatch batch = src.Batch();
-  dst->requests.reserve(batch.count);
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    const FlatRequest& req = batch.requests[i];
-    const NodeId* cand = batch.cands(req);
-    FlatRequest out = req;
-    out.cand_begin = static_cast<std::uint32_t>(dst->cands.size());
+void LivenessOverlay::FilterLive(SimTime at, ScanBatch* batch,
+                                 std::vector<NodeId>* pool) const {
+  NASHDB_DCHECK(batch->cand_pool != pool->data() || pool->empty());
+  pool->clear();
+  const NodeId* src = batch->cand_pool;
+  for (FlatRequest& req : batch->requests) {
+    const NodeId* cand = src + req.cand_begin;
+    const std::size_t begin = pool->size();
     for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-      if (AliveAt(cand[k], at)) dst->cands.push_back(cand[k]);
+      if (AliveAt(cand[k], at)) pool->push_back(cand[k]);
     }
-    out.cand_count =
-        static_cast<std::uint32_t>(dst->cands.size()) - out.cand_begin;
-    dst->requests.push_back(out);
+    req.cand_begin = static_cast<std::uint32_t>(begin);
+    req.cand_count = static_cast<std::uint32_t>(pool->size() - begin);
   }
+  batch->cand_pool = pool->data();
 }
 
 }  // namespace nashdb

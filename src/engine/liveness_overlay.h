@@ -5,7 +5,7 @@
 
 #include "cluster/sim.h"
 #include "common/types.h"
-#include "engine/config_index.h"
+#include "routing/scan_batch.h"
 
 namespace nashdb {
 
@@ -17,12 +17,13 @@ namespace nashdb {
 ///
 /// The payoff is the O(1) AnyDeadAt fast path: in the common case where
 /// every node is routable at the attempt time, the driver routes directly
-/// on the unfiltered candidate spans and no per-scan filtering (or
-/// copying) happens at all. Only when some node is dead or partitioned at
-/// the attempt time does FilterLive materialize a routable-candidates
-/// view. Partitioned nodes are filtered exactly like dead ones here
-/// (observer-relative liveness, DESIGN.md §13): a router must not send a
-/// read behind a partition even though the node is alive for billing.
+/// on the unfiltered candidate spans and no filtering (or copying)
+/// happens at all. Only when some node is dead or partitioned at the
+/// attempt time does FilterLive rewrite the resolved block to its
+/// routable candidates. Partitioned nodes are filtered exactly like dead
+/// ones here (observer-relative liveness, DESIGN.md §13): a router must
+/// not send a read behind a partition even though the node is alive for
+/// billing.
 ///
 /// Routability is time-indexed exactly like ClusterSim: node m is
 /// unroutable at `at` while at < routable_until[m], so scheduled
@@ -42,13 +43,17 @@ class LivenessOverlay {
     return at >= routable_until_[m];
   }
 
-  /// Rewrites `src` into `dst`, keeping only candidates routable at `at`.
-  /// The request list itself (order, frag, tuples, request indices) is
-  /// preserved; a request whose replicas are all dead or partitioned
-  /// keeps an empty candidate span, which routers report as
-  /// FailedPrecondition.
-  void FilterLive(const ScanScratch& src, SimTime at,
-                  ScanScratch* dst) const;
+  /// Rewrites the freshly resolved `*batch` (ConfigIndex::
+  /// ResolveBatchInto: spans into the index's pool) in place so each
+  /// request keeps only its candidates routable at `at`, in their
+  /// original order. The kept candidates are copied into `*pool`
+  /// (cleared first, capacity reused), which becomes the batch's
+  /// candidate pool and must outlive routing it. The request table
+  /// itself (offsets, order, frag, tuples) is unchanged; a request whose
+  /// replicas are all dead or partitioned keeps an empty candidate span,
+  /// which routers report as FailedPrecondition.
+  void FilterLive(SimTime at, ScanBatch* batch,
+                  std::vector<NodeId>* pool) const;
 
  private:
   std::vector<SimTime> routable_until_;

@@ -31,12 +31,13 @@ struct RoutedRead {
 };
 
 // ---------------------------------------------------------------------------
-// Allocation-free hot path (steady-state query path, DESIGN.md §10). The
-// driver resolves each scan into flat request records whose candidate lists
-// are spans into a shared NodeId pool, evaluates per-node waits lazily
-// through a WaitView over the sim's incrementally-maintained busy-until
-// array, and routes through RouteInto with a reusable RouterScratch — no
-// per-scan vector allocations and no work proportional to the cluster size.
+// Allocation-free hot path (steady-state query path, DESIGN.md §10–§11).
+// The driver resolves blocks of scans into flat request records whose
+// candidate lists are spans into a shared NodeId pool, evaluates per-node
+// waits lazily through a WaitView over the sim's incrementally-maintained
+// busy-until array, and routes through RouteBatchInto with a reusable
+// RouterScratch — no per-scan vector allocations and no work proportional
+// to the cluster size.
 // ---------------------------------------------------------------------------
 
 /// Flat form of one FragmentRequest: candidates are `cand_count` entries
@@ -76,6 +77,7 @@ class WaitView {
     return std::max<SimTime>(0.0, busy_until_[m] - at_);
   }
   std::size_t node_count() const { return node_count_; }
+  SimTime at() const { return at_; }
 
   /// Moves the scheduling time (batched routing: a BatchSink advances the
   /// view to the next scan's arrival between scans; RouterScratch's lazy
@@ -230,7 +232,7 @@ class ScanRouter {
   ///
   /// This is the seed (reference) implementation, kept as the routing
   /// oracle for the equivalence suite and the before/after benchmark; the
-  /// driver's steady-state path uses RouteInto.
+  /// driver routes through RouteBatchInto.
   virtual Result<std::vector<RoutedRead>> Route(
       const std::vector<FragmentRequest>& requests, std::vector<double> waits,
       double read_seconds_per_tuple, double phi_s) = 0;
@@ -259,8 +261,9 @@ class ScanRouter {
   /// On a scan with an empty candidate span, returns FailedPrecondition
   /// with a partial-commit guarantee: every scan before the failing one is
   /// fully routed and reported to the sink; the failing scan and all later
-  /// scans are untouched. The caller resumes per-scan from the first
-  /// unreported scan (the driver's retry path does exactly this).
+  /// scans are untouched. The driver's retry path resumes from there: it
+  /// retries the first unreported scan alone and routes the rest as a new
+  /// block.
   virtual Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
                                 double read_seconds_per_tuple, double phi_s,
                                 RouterScratch* scratch,

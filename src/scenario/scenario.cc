@@ -214,7 +214,14 @@ Status ApplyOverloadKey(const LineContext& c, ScenarioSpec* spec) {
 }
 
 Status ApplyDriverKey(const LineContext& c, ScenarioSpec* spec) {
-  if (c.key == "interval_s") NASHDB_SCN_DOUBLE(spec->interval_s);
+  if (c.key == "interval_s") {
+    // A non-positive interval would never advance the driver's next
+    // reconfiguration boundary.
+    if (!ParseDouble(c.value, &spec->interval_s) || spec->interval_s <= 0.0) {
+      return BadValue(c, "a positive number of seconds for key 'interval_s'");
+    }
+    return Status::OK();
+  }
   if (c.key == "window") NASHDB_SCN_UINT(spec->window);
   if (c.key == "node_cost") NASHDB_SCN_DOUBLE(spec->node_cost);
   if (c.key == "node_disk") NASHDB_SCN_UINT(spec->node_disk);

@@ -87,7 +87,7 @@ struct ScenarioSpec {
   OverloadOptions overload;
 
   // Driver + system knobs ([driver]).
-  double interval_s = 3600.0;
+  double interval_s = 3600.0;  // reconfiguration interval, > 0
   std::size_t window = 250;
   Money node_cost = 3.0;
   TupleCount node_disk = 120'000;

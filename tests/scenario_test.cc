@@ -142,6 +142,8 @@ TEST(ScenarioParseTest, MalformedSpecsNameTheBadTokenAndGrammar) {
       {"[driver]\nkeep_records = sometimes\n", "sometimes",
        "true or false"},
       {"[driver]\nrouter = magic\n", "magic", "router maxofmins"},
+      {"[driver]\ninterval_s = 0\n", "0", "a positive number of seconds"},
+      {"[driver]\ninterval_s = -1\n", "-1", "a positive number of seconds"},
       {"[phase]\nrate_x = 2\n", "rate_x", "'kind = ...' as the first key"},
       {"[phase]\nkind = sideways\n", "sideways", "phase kind diurnal"},
       {"[assert]\nmax_qps = 10\n", "max_qps", "[assert] key"},

@@ -246,8 +246,8 @@ TEST(ShardedDriverTest, PartitionerIsDeterministicAndCoversAllShards) {
 
 TEST(ShardedDriverTest, ResolveBatchMatchesPerScanResolution) {
   // ConfigIndex::ResolveBatchInto must produce, per scan, exactly the
-  // requests RequestsForInto resolves — same fragments, same order, same
-  // candidate spans into the same pool.
+  // requests the seed RequestsFor resolves — same fragments, same order,
+  // same candidate nodes (spans into the index's one pool).
   const Workload workload = ShardedWorkload();
   const ClusterConfig config = BuildEpoch(workload);
   const ConfigIndex index(config);
@@ -263,18 +263,18 @@ TEST(ShardedDriverTest, ResolveBatchMatchesPerScanResolution) {
   index.ResolveBatchInto(&batch);
   ASSERT_EQ(batch.req_off.size(), scans.size() + 1);
 
-  ScanScratch scratch;
   for (std::size_t i = 0; i < scans.size(); ++i) {
-    index.RequestsForInto(*scans[i], &scratch);
+    const std::vector<FragmentRequest> want = index.RequestsFor(*scans[i]);
     const RequestBatch got = batch.ScanRequests(i);
-    const RequestBatch want = scratch.Batch();
-    ASSERT_EQ(got.count, want.count) << "scan " << i;
-    EXPECT_EQ(got.cand_pool, want.cand_pool) << "scan " << i;
+    ASSERT_EQ(got.count, want.size()) << "scan " << i;
     for (std::size_t r = 0; r < got.count; ++r) {
-      EXPECT_EQ(got.requests[r].frag, want.requests[r].frag);
-      EXPECT_EQ(got.requests[r].tuples, want.requests[r].tuples);
-      EXPECT_EQ(got.requests[r].cand_begin, want.requests[r].cand_begin);
-      EXPECT_EQ(got.requests[r].cand_count, want.requests[r].cand_count);
+      const FlatRequest& req = got.requests[r];
+      EXPECT_EQ(req.frag, want[r].frag);
+      EXPECT_EQ(req.tuples, want[r].tuples);
+      const NodeId* cand = got.cands(req);
+      EXPECT_EQ(std::vector<NodeId>(cand, cand + req.cand_count),
+                want[r].candidates)
+          << "scan " << i << " request " << r;
     }
   }
 }

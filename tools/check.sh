@@ -37,12 +37,18 @@
 #              --smoke in the plain Release tree and validate the
 #              BENCH_query_path.json / BENCH_data_plane.json /
 #              BENCH_transition.json they write (CI runs this and
-#              uploads the JSONs as artifacts). Smoke iteration counts
-#              keep it to seconds; the numbers are noise-level, the
-#              point is that the benches run, the identity checks
-#              inside them pass (route identity for the query path,
-#              sparse-vs-dense plan-cost identity for the transition
-#              sweep), and the JSON is well-formed.
+#              uploads the JSONs as artifacts); then build and run one
+#              second of the end-to-end benchmark's chaos workload
+#              (e2ebench/run.py, its own Release tree under
+#              $CARGO_TARGET_DIR or .bench_build), which fails unless
+#              its result line reports "correct": true. Smoke iteration
+#              counts keep it to seconds plus the benchmark's build;
+#              the numbers are noise-level, the point is that the
+#              benches build against the current interfaces and run,
+#              the identity checks inside them pass (route identity for
+#              the query path, sparse-vs-dense plan-cost identity for
+#              the transition sweep, output checks for the end-to-end
+#              run), and the JSON is well-formed.
 #
 # Unknown flags are an error — a typo like --qick silently running the
 # slow full suite (or worse, skipping it) is exactly the failure mode a
@@ -173,7 +179,26 @@ EOF
     echo "bench artifact OK (grep fallback)"
   fi
   echo
-  echo "check.sh: bench smoke green (${out}, ${dp_out}, ${tr_out})"
+  echo "== end-to-end benchmark (chaos smoke) =="
+  # The benchmark subclasses ScanRouter and DistributionSystem, so an
+  # interface change that breaks it fails here rather than at the next
+  # benchmark run.
+  e2e_log="$(mktemp)"
+  trap 'rm -f "${e2e_log}"' EXIT
+  python3 e2ebench/run.py --workload chaos --seed 0 --seconds 1 --trace 0 \
+    | tee "${e2e_log}"
+  python3 - "${e2e_log}" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    lines = [line for line in f if line.startswith("{")]
+assert lines, "e2ebench printed no result line"
+result = json.loads(lines[-1])
+assert result.get("correct") is True, result
+print("e2e chaos smoke OK: correct, failed =", result["failed"])
+EOF
+  echo
+  echo "check.sh: bench smoke green (${out}, ${dp_out}, ${tr_out}," \
+       "e2e chaos)"
   exit 0
 fi
 

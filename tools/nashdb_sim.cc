@@ -10,6 +10,7 @@
 //
 // Run with --help for the full flag list.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,8 +47,8 @@ struct Flags {
   bool no_repair = false;           // disable emergency re-replication
   std::size_t shards = 1;           // driver shards (1 = serial driver)
   std::size_t batch = 64;           // scans per routed block
-  bool online = false;              // online (zero-stall) reconfiguration
-  double build_window_s = 0.0;      // online publish delay (sim seconds)
+  bool online = false;              // sharded online epoch replay
+  double build_window_s = 0.0;      // kick-to-publish delay (sim seconds)
   bool help = false;
 };
 
@@ -66,7 +67,8 @@ void PrintHelp() {
       "  --node-disk=N      tuples per node (default 120000)\n"
       "  --block=N          average fragment tuples (default 4000)\n"
       "  --max-replicas=N   replica cap (default 128)\n"
-      "  --interval=SECONDS reconfiguration interval (default 3600)\n"
+      "  --interval=SECONDS reconfiguration interval (default 3600;\n"
+      "                     must be > 0)\n"
       "  --adaptive         adaptive transition detection\n"
       "  --metrics=PATH     write the end-to-end metrics/trace snapshot\n"
       "                     (JSON; see DESIGN.md \"Observability\")\n"
@@ -85,24 +87,23 @@ void PrintHelp() {
       "                     incompatible with --faults, --adaptive, and\n"
       "                     --metrics\n"
       "\n"
-      "Online reconfiguration (DESIGN.md 12):\n"
-      "  --online-reconfig  build each new configuration on a background\n"
-      "                     thread while routing continues against the\n"
-      "                     current epoch, publishing at the boundary's\n"
-      "                     simulated time (zero-stall; the summary's\n"
+      "Reconfiguration rounds (DESIGN.md 12):\n"
+      "  --build-window=S   simulated seconds between a boundary, where\n"
+      "                     the serial driver kicks the next\n"
+      "                     configuration's build onto a background\n"
+      "                     thread, and its publish, applied at the\n"
+      "                     boundary's simulated time; queries inside the\n"
+      "                     window route against the current epoch.\n"
+      "                     Default 0 = publish right after the kick (the\n"
+      "                     stop-the-world round). The summary's\n"
       "                     'reconfig stall' line shows the wall-clock the\n"
-      "                     admission loop actually lost in each mode).\n"
-      "                     With --shards=N>1 the sharded data plane\n"
-      "                     replays a prefix-derived epoch schedule,\n"
-      "                     publishing epochs while the shards route; if\n"
-      "                     --faults is also given, the serial elastic\n"
-      "                     control plane runs first under the faults and\n"
-      "                     the fault-free sharded replay follows\n"
-      "  --build-window=S   simulated seconds between a boundary and its\n"
-      "                     epoch's publish (serial online path only;\n"
-      "                     default 0 = publish at the boundary, which\n"
-      "                     keeps records bit-identical to the\n"
-      "                     stop-the-world path)\n"
+      "                     admission loop lost. Must be >= 0\n"
+      "  --online-reconfig  with --shards=N>1, replay a prefix-derived\n"
+      "                     epoch schedule, publishing epochs while the\n"
+      "                     shards route; if --faults is also given, the\n"
+      "                     serial elastic control plane runs first under\n"
+      "                     the faults and the fault-free sharded replay\n"
+      "                     follows. No effect on the serial driver\n"
       "\n"
       "Fault injection (DESIGN.md 8):\n"
       "  --faults=SPEC      semicolon-separated clauses:\n"
@@ -322,8 +323,8 @@ void PrintSerialSummary(const Flags& f, const Workload& wl,
   std::printf("workload           : %s (%zu queries, %lu tuples)\n",
               wl.name.c_str(), wl.queries.size(),
               static_cast<unsigned long>(wl.dataset.TotalTuples()));
-  std::printf("system / router    : %s / %s%s\n", f.system.c_str(),
-              f.router.c_str(), f.online ? " (online reconfig)" : "");
+  std::printf("system / router    : %s / %s\n", f.system.c_str(),
+              f.router.c_str());
   std::printf("mean latency       : %10.1f s\n", r.MeanLatency());
   std::printf("p50 / p95 / p99    : %10.1f / %.1f / %.1f s\n",
               r.TailLatency(50), r.TailLatency(95), r.TailLatency(99));
@@ -332,10 +333,9 @@ void PrintSerialSummary(const Flags& f, const Workload& wl,
   std::printf("final cluster size : %10zu nodes\n", r.final_nodes);
   std::printf("transitions        : %10zu (+%zu skipped)\n", r.transitions,
               r.transitions_skipped);
-  std::printf("reconfig stall     : %10.4f s wall-clock (%s)\n",
-              r.reconfig_stall_s,
-              f.online ? "online: kick + residual publish wait"
-                       : "stop-the-world: build + plan, every round");
+  std::printf("reconfig stall     : %10.4f s wall-clock (build window "
+              "%g s: kick + residual build wait + plan)\n",
+              r.reconfig_stall_s, f.build_window_s);
   std::printf("data moved         : %10.1f GB (bootstrap %.1f GB)\n",
               static_cast<double>(r.transferred_tuples) / 1000.0,
               static_cast<double>(r.bootstrap_transfer_tuples) / 1000.0);
@@ -444,6 +444,17 @@ int main(int argc, char** argv) {
     PrintHelp();
     return 0;
   }
+  // A non-positive interval never advances the next boundary, and a NaN
+  // window never publishes: reject both before any work.
+  if (!std::isfinite(flags.interval_s) || flags.interval_s <= 0.0) {
+    std::fprintf(stderr, "--interval must be a positive number of seconds\n");
+    return 2;
+  }
+  if (!std::isfinite(flags.build_window_s) || flags.build_window_s < 0.0) {
+    std::fprintf(stderr,
+                 "--build-window must be a finite number of seconds >= 0\n");
+    return 2;
+  }
   if (!flags.scenario.empty()) {
     return RunScenarioMode(flags);
   }
@@ -502,16 +513,15 @@ int main(int argc, char** argv) {
     d.faults.emergency_repair = !f.no_repair;
   }
 
-  d.online_reconfig = f.online;
   d.online_build_window_s = f.build_window_s;
   d.route_batch_size = f.batch;
 
   if (f.shards > 1) {
     if (!f.faults.empty()) {
       // Control plane first: the serial elastic loop runs the whole
-      // workload online under the fault scenario (the sharded data plane
-      // below is fault-free by construction).
-      std::printf("== control plane: serial online run under faults ==\n");
+      // workload under the fault scenario (the sharded data plane below
+      // is fault-free by construction).
+      std::printf("== control plane: serial run under faults ==\n");
       const RunResult r = RunWorkload(wl, system.get(), router.get(), d);
       PrintSerialSummary(f, wl, r);
       std::printf(
