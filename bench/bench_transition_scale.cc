@@ -11,8 +11,15 @@
 // infeasible regime the sparse solver exists for; the full sweep asserts
 // the 4096-node instance plans in under five seconds.
 //
-// Flags: --smoke (64/256-node sizes only, for CI), --out=PATH (JSON
-// path, default BENCH_transition.json).
+// Besides the synthetic sweep (1-2 replicas per fragment, ~30-40 overlap
+// edges per node) every run, smoke included, plans one real2-sized
+// instance: ~130 nodes and ~190 fragments at 60-70 replicas each, the
+// regime nashdb_sim's real2 workload reconfigures in, where almost every
+// old/new node pair overlaps. It is small enough for the dense
+// cost-identity check.
+//
+// Flags: --smoke (64/256-node sizes plus the real2 instance, for CI),
+// --out=PATH (JSON path, default BENCH_transition.json).
 
 #include <chrono>
 #include <cstdio>
@@ -40,6 +47,7 @@ constexpr std::size_t kDenseCap = 512;
 constexpr TupleCount kDisk = 1'000;
 
 struct SizeResult {
+  std::string instance;             // "sweep" or "real2"
   std::size_t target_nodes = 0;
   std::size_t nodes_old = 0;
   std::size_t nodes_new = 0;
@@ -48,7 +56,7 @@ struct SizeResult {
   std::uint64_t iterations = 0;     // sparse Dijkstra settles
   TupleCount transfer_tuples = 0;
   double pack_ms = 0.0;             // BFFD pack of the new epoch
-  double graph_ms = 0.0;            // overlap plane sweep
+  double graph_ms = 0.0;            // overlap graph build
   double solve_ms = 0.0;            // sparse matcher alone
   double plan_ms = 0.0;             // end-to-end PlanTransition (sparse)
   double validate_ms = 0.0;         // ValidateConfig + ValidatePlan
@@ -63,26 +71,52 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// A synthetic epoch sized to pack onto roughly `target_nodes` nodes:
-// fragment tilings over target_nodes/64 tables, replica counts in {1, 2},
-// total replica volume ~90% of the target cluster's disk.
-std::vector<FragmentInfo> EpochFragments(Rng* rng, std::size_t target_nodes) {
+// One bench instance: fragment tilings over `tables` tables of
+// `table_size` tuples, fragment lengths uniform in [min_len, max_len],
+// replica counts uniform in [min_replicas, max_replicas].
+struct Instance {
+  std::string name;
+  std::size_t target_nodes = 0;
+  std::size_t tables = 0;
+  TupleCount table_size = 0;
+  TupleCount min_len = 0;
+  TupleCount max_len = 0;
+  std::size_t min_replicas = 0;
+  std::size_t max_replicas = 0;
+};
+
+// The sweep point sized to pack onto roughly `target_nodes` nodes:
+// target_nodes/64 tables, replica counts in {1, 2}, total replica volume
+// ~90% of the target cluster's disk.
+Instance SweepInstance(std::size_t target_nodes) {
   const std::size_t tables = target_nodes < 64 ? 1 : target_nodes / 64;
   const TupleCount table_size =
       target_nodes * 600 / tables;  // * ~1.5 replicas / kDisk ~= target
+  return {"sweep", target_nodes, tables, table_size, 20, 120, 1, 2};
+}
+
+// real2's regime: 3 tables of 620 tuples cut into ~190 fragments of 5-15
+// tuples, 60-70 replicas each, packing onto ~130 nodes.
+Instance Real2Instance() {
+  return {"real2", 130, 3, 620, 5, 15, 60, 70};
+}
+
+std::vector<FragmentInfo> EpochFragments(Rng* rng, const Instance& inst) {
   std::vector<FragmentInfo> frags;
-  for (std::size_t t = 0; t < tables; ++t) {
+  for (std::size_t t = 0; t < inst.tables; ++t) {
     TupleCount start = 0;
     FragmentId index = 0;
-    while (start < table_size) {
+    while (start < inst.table_size) {
       const TupleCount len = std::min<TupleCount>(
-          table_size - start, 20 + rng->Uniform(101));
+          inst.table_size - start,
+          inst.min_len + rng->Uniform(inst.max_len - inst.min_len + 1));
       FragmentInfo f;
       f.table = static_cast<TableId>(t);
       f.index_in_table = index++;
       f.range = TupleRange{start, start + len};
       f.value = 1.0;
-      f.replicas = 1 + rng->Uniform(2);
+      f.replicas = inst.min_replicas +
+                   rng->Uniform(inst.max_replicas - inst.min_replicas + 1);
       frags.push_back(f);
       start += len;
     }
@@ -98,19 +132,20 @@ ReplicationParams Params() {
   return p;
 }
 
-SizeResult RunSize(std::size_t target_nodes, ThreadPool* pool) {
-  Rng rng(0xC0FFEE + target_nodes);
+SizeResult RunInstance(const Instance& inst, ThreadPool* pool) {
+  Rng rng(0xC0FFEE + inst.target_nodes);
   SizeResult r;
-  r.target_nodes = target_nodes;
+  r.instance = inst.name;
+  r.target_nodes = inst.target_nodes;
 
   // Old epoch (pack untimed: the timed pack below covers the same code).
-  auto old_frags = EpochFragments(&rng, target_nodes);
+  auto old_frags = EpochFragments(&rng, inst);
   auto old_config = PackReplicasBffd(Params(), std::move(old_frags), pool);
   NASHDB_CHECK(old_config.ok()) << old_config.status().ToString();
 
   // New epoch: re-tiled boundaries and re-rolled replica counts over the
   // same tables — the overlap-rich "reconfiguration step" regime.
-  auto new_frags = EpochFragments(&rng, target_nodes);
+  auto new_frags = EpochFragments(&rng, inst);
   r.fragments = new_frags.size();
   const auto t_pack = std::chrono::steady_clock::now();
   auto new_config = PackReplicasBffd(Params(), std::move(new_frags), pool);
@@ -161,7 +196,8 @@ SizeResult RunSize(std::size_t target_nodes, ThreadPool* pool) {
     r.dense_ms = MsSince(t_dense);
     NASHDB_CHECK_EQ(dense.total_transfer_tuples,
                     sparse.total_transfer_tuples)
-        << "plan-cost identity broken at " << target_nodes << " nodes";
+        << "plan-cost identity broken on " << inst.name << " at "
+        << inst.target_nodes << " nodes";
     r.identity_checked = true;
   }
   return r;
@@ -185,14 +221,15 @@ void WriteJson(const std::string& out_path,
     const SizeResult& r = results[i];
     std::fprintf(
         f,
-        "    {\"target_nodes\": %zu, \"nodes_old\": %zu, "
-        "\"nodes_new\": %zu, \"fragments\": %zu, \"edges\": %zu, "
+        "    {\"instance\": \"%s\", \"target_nodes\": %zu, "
+        "\"nodes_old\": %zu, \"nodes_new\": %zu, \"fragments\": %zu, "
+        "\"edges\": %zu, "
         "\"iterations\": %llu, \"transfer_tuples\": %llu,\n"
         "     \"pack_ms\": %.3f, \"graph_ms\": %.3f, \"solve_ms\": %.3f, "
         "\"plan_ms\": %.3f, \"validate_ms\": %.3f, \"dense_ms\": %.3f, "
         "\"cost_identity_checked\": %s}%s\n",
-        r.target_nodes, r.nodes_old, r.nodes_new, r.fragments, r.edges,
-        static_cast<unsigned long long>(r.iterations),
+        r.instance.c_str(), r.target_nodes, r.nodes_old, r.nodes_new,
+        r.fragments, r.edges, static_cast<unsigned long long>(r.iterations),
         static_cast<unsigned long long>(r.transfer_tuples), r.pack_ms,
         r.graph_ms, r.solve_ms, r.plan_ms, r.validate_ms, r.dense_ms,
         r.identity_checked ? "true" : "false",
@@ -200,25 +237,31 @@ void WriteJson(const std::string& out_path,
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-  std::printf("wrote %s (%zu sizes)\n", out_path.c_str(), results.size());
+  std::printf("wrote %s (%zu instances)\n", out_path.c_str(),
+              results.size());
 }
 
 int Run(bool smoke, const std::string& out_path) {
-  std::vector<std::size_t> sweep = {64, 256, 512, 1024, 4096, 8192};
-  if (smoke) sweep = {64, 256};
+  std::vector<Instance> instances;
+  for (const std::size_t n : smoke ? std::vector<std::size_t>{64, 256}
+                                   : std::vector<std::size_t>{
+                                         64, 256, 512, 1024, 4096, 8192}) {
+    instances.push_back(SweepInstance(n));
+  }
+  instances.push_back(Real2Instance());
 
   ThreadPool pool(ThreadPool::DefaultThreads());
 
   PrintTitle("Transition scale: sparse SSP matcher vs dense Hungarian");
-  PrintRow({"nodes", "frags", "edges", "pack ms", "graph ms", "solve ms",
-            "plan ms", "dense ms"});
+  PrintRow({"instance", "nodes", "frags", "edges", "pack ms", "graph ms",
+            "solve ms", "plan ms", "dense ms"});
 
   std::vector<SizeResult> results;
-  for (const std::size_t n : sweep) {
-    const SizeResult r = RunSize(n, &pool);
-    PrintRow({std::to_string(r.nodes_new), std::to_string(r.fragments),
-              std::to_string(r.edges), Fmt(r.pack_ms), Fmt(r.graph_ms),
-              Fmt(r.solve_ms), Fmt(r.plan_ms),
+  for (const Instance& inst : instances) {
+    const SizeResult r = RunInstance(inst, &pool);
+    PrintRow({r.instance, std::to_string(r.nodes_new),
+              std::to_string(r.fragments), std::to_string(r.edges),
+              Fmt(r.pack_ms), Fmt(r.graph_ms), Fmt(r.solve_ms), Fmt(r.plan_ms),
               r.dense_ms < 0.0 ? std::string("(skipped)") : Fmt(r.dense_ms)});
     if (r.dense_ms < 0.0) {
       std::printf("  (dense Hungarian skipped at %zu nodes: O(n^3) "
@@ -227,7 +270,7 @@ int Run(bool smoke, const std::string& out_path) {
     }
     // The headline SLO of the sweep: planning a 4096-node transition
     // stays interactive even though dense would take minutes.
-    if (!smoke && n == 4096) {
+    if (!smoke && inst.name == "sweep" && inst.target_nodes == 4096) {
       NASHDB_CHECK_LE(r.plan_ms, 5'000.0)
           << "4096-node sparse plan exceeded the 5 s budget";
     }

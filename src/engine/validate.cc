@@ -165,26 +165,9 @@ Status ValidateConfig(const ClusterConfig& config, ThreadPool* pool) {
       }));
 
   // -- replica placement cardinality & index consistency ------------------
-  // The fragment->node index is only allocated by the first Place call, so
-  // reach for it via FragmentNodes only once at least one placement
-  // exists; a fully unplaced config is judged from the (always-sized)
-  // node-side index alone.
   std::size_t placements = 0;
   for (NodeId m = 0; m < n_nodes; ++m) {
     placements += config.NodeFragments(m).size();
-  }
-  if (placements == 0) {
-    for (FlatFragmentId fid = 0; fid < frags.size(); ++fid) {
-      if (frags[fid].replicas != 0) {
-        std::ostringstream os;
-        os << "replica placement: fragment #" << fid << " (table "
-           << frags[fid].table << " " << RangeStr(frags[fid].range)
-           << ") wants " << frags[fid].replicas
-           << " replicas but nothing is placed anywhere";
-        return Status::FailedPrecondition(os.str());
-      }
-    }
-    return Status::OK();
   }
 
   // Streaming index-agreement argument (no node_holdings cross-product is

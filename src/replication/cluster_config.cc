@@ -38,9 +38,6 @@ void ClusterConfig::Place(NodeId node, FlatFragmentId frag) {
       << "node " << node;
   node_fragments_[node].push_back(frag);
   node_usage_[node] += size;
-  if (fragment_nodes_.size() < fragments_.size()) {
-    fragment_nodes_.resize(fragments_.size());
-  }
   fragment_nodes_[frag].push_back(node);
 }
 

@@ -31,9 +31,17 @@ struct NashReport {
 ///      verified via the most profitable candidate replica).
 ///
 /// Fragments with replicas forced above the economic ideal by
-/// ReplicationParams::min_replicas are exempt from condition 1 when
-/// `exempt_min_replicas` is true (a pure Eq. 9 configuration needs no
-/// exemptions).
+/// ReplicationParams::min_replicas are exempt from conditions 1 and 3
+/// when `exempt_min_replicas` is true (a pure Eq. 9 configuration needs
+/// no exemptions).
+///
+/// The conditions are checked in order and the report names the first
+/// violation: the lowest fragment id for conditions 1, 2 and 4, and for
+/// condition 3 the first (node, held, other) in node order, holding
+/// order and ascending other id. Cost O(R + F log F) for R replicas and
+/// F fragments: each margin is computed once, condition 3 compares every
+/// held margin with the node's best added margin among fragments it does
+/// not hold, and the audit returns at the first violation.
 NashReport CheckNashEquilibrium(const ClusterConfig& config,
                                 bool exempt_min_replicas = false);
 

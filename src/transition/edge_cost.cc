@@ -4,61 +4,75 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "transition/planner.h"
 
 namespace nashdb {
 namespace {
 
-/// One coalesced per-node interval tagged with its owning node, flattened
-/// across the whole configuration and sorted by (table, start) so a single
-/// forward sweep covers every table.
-struct TaggedInterval {
-  TableId table = 0;
-  TupleRange range;
-  NodeId node = kInvalidNode;
+/// Flat fragment ids of `config` sorted by (table, start): each table's
+/// fragments form one contiguous run, in tiling order.
+std::vector<FlatFragmentId> ByTableStart(const ClusterConfig& config) {
+  const std::vector<FragmentInfo>& frags = config.fragments();
+  std::vector<FlatFragmentId> order(frags.size());
+  for (FlatFragmentId fid = 0; fid < order.size(); ++fid) order[fid] = fid;
+  std::sort(order.begin(), order.end(),
+            [&frags](FlatFragmentId a, FlatFragmentId b) {
+              if (frags[a].table != frags[b].table) {
+                return frags[a].table < frags[b].table;
+              }
+              if (frags[a].range.start != frags[b].range.start) {
+                return frags[a].range.start < frags[b].range.start;
+              }
+              return a < b;
+            });
+  return order;
+}
+
+/// One old fragment a new fragment overlaps, and by how many tuples.
+struct FragmentOverlap {
+  FlatFragmentId old_fid = 0;
+  TupleCount overlap = 0;
 };
 
-bool TaggedLess(const TaggedInterval& a, const TaggedInterval& b) {
-  if (a.table != b.table) return a.table < b.table;
-  if (a.range.start != b.range.start) return a.range.start < b.range.start;
-  return a.node < b.node;
-}
+/// Every positive (new fragment, old fragment) overlap. The pairs of new
+/// fragment f are pairs[span[f].first, span[f].second).
+struct FragmentOverlaps {
+  std::vector<std::pair<std::size_t, std::size_t>> span;
+  std::vector<FragmentOverlap> pairs;
+};
 
-/// Flattens the coalesced NodeData interval sets of every node of `config`
-/// into one (table, start)-sorted list. `skip_dead` marks nodes whose
-/// replicas must be ignored (crashed machines price as empty).
-std::vector<TaggedInterval> FlattenIntervals(
-    const ClusterConfig& config, const std::vector<bool>* skip_dead,
-    std::vector<TupleCount>* totals_out) {
-  const std::size_t n = config.node_count();
-  if (totals_out != nullptr) totals_out->assign(n, 0);
-  std::vector<TaggedInterval> flat;
-  for (NodeId m = 0; m < n; ++m) {
-    if (skip_dead != nullptr && m < skip_dead->size() && (*skip_dead)[m]) {
-      continue;
+/// One merge per table over both (table, start)-sorted fragment lists. It
+/// finds every positive overlap for any fragment lists, and when the old
+/// fragments tile their tables it is linear after the sorts.
+FragmentOverlaps OverlappingFragments(const ClusterConfig& old_config,
+                                      const ClusterConfig& new_config) {
+  const std::vector<FragmentInfo>& olds = old_config.fragments();
+  const std::vector<FragmentInfo>& news = new_config.fragments();
+  const std::vector<FlatFragmentId> old_order = ByTableStart(old_config);
+  FragmentOverlaps out;
+  out.span.resize(news.size());
+  std::size_t io = 0;
+  for (FlatFragmentId fid : ByTableStart(new_config)) {
+    const FragmentInfo& f = news[fid];
+    // Old fragments of earlier tables, or ending at or before f starts,
+    // overlap neither f nor any later new fragment of f's table.
+    while (io < old_order.size() &&
+           (olds[old_order[io]].table < f.table ||
+            (olds[old_order[io]].table == f.table &&
+             olds[old_order[io]].range.end <= f.range.start))) {
+      ++io;
     }
-    const NodeData data = NodeData::Of(config, m);
-    for (const NodeData::Interval& iv : data.intervals()) {
-      flat.push_back(TaggedInterval{iv.table, iv.range, m});
-      if (totals_out != nullptr) (*totals_out)[m] += iv.range.size();
+    const std::size_t first = out.pairs.size();
+    for (std::size_t k = io; k < old_order.size() &&
+                             olds[old_order[k]].table == f.table &&
+                             olds[old_order[k]].range.start < f.range.end;
+         ++k) {
+      const TupleCount overlap =
+          f.range.Intersect(olds[old_order[k]].range).size();
+      if (overlap > 0) out.pairs.push_back({old_order[k], overlap});
     }
+    out.span[fid] = {first, out.pairs.size()};
   }
-  std::sort(flat.begin(), flat.end(), TaggedLess);
-  return flat;
-}
-
-/// Drops intervals of `active` whose range ends at or before `start` (they
-/// can overlap nothing at or after it), compacting in place. Preserves
-/// relative order, so the active list stays deterministic.
-void PruneExpired(std::vector<const TaggedInterval*>* active,
-                  TableId table, TupleIndex start) {
-  std::size_t keep = 0;
-  for (const TaggedInterval* iv : *active) {
-    if (iv->table == table && iv->range.end > start) {
-      (*active)[keep++] = iv;
-    }
-  }
-  active->resize(keep);
+  return out;
 }
 
 }  // namespace
@@ -69,55 +83,45 @@ TransitionGraph BuildTransitionGraph(const ClusterConfig& old_config,
   TransitionGraph graph;
   graph.n_old = old_config.node_count();
   graph.n_new = new_config.node_count();
-
-  const std::vector<TaggedInterval> old_ivs =
-      FlattenIntervals(old_config, old_node_dead, nullptr);
-  const std::vector<TaggedInterval> new_ivs =
-      FlattenIntervals(new_config, nullptr, &graph.new_total);
-  if (old_ivs.empty() || new_ivs.empty()) return graph;
-
-  // Plane sweep over both lists interleaved by (table, start): when an
-  // interval arrives it is paired against every still-live interval of the
-  // other side, accumulating one (old, new, intersection) triple per
-  // overlapping pair. Intervals within one node are disjoint (coalesced),
-  // so a pair of nodes can meet once per pair of physical overlaps; the
-  // sort/merge below sums those into a single edge.
-  std::vector<const TaggedInterval*> active_old, active_new;
-  std::vector<TransitionEdge> raw;
-  std::size_t io = 0, in = 0;
-  while (io < old_ivs.size() || in < new_ivs.size()) {
-    const bool take_old =
-        in >= new_ivs.size() ||
-        (io < old_ivs.size() && TaggedLess(old_ivs[io], new_ivs[in]));
-    const TaggedInterval& cur = take_old ? old_ivs[io++] : new_ivs[in++];
-    std::vector<const TaggedInterval*>* other =
-        take_old ? &active_new : &active_old;
-    PruneExpired(other, cur.table, cur.range.start);
-    for (const TaggedInterval* iv : *other) {
-      const TupleCount overlap = cur.range.Intersect(iv->range).size();
-      if (overlap == 0) continue;
-      raw.push_back(take_old
-                        ? TransitionEdge{cur.node, iv->node, overlap}
-                        : TransitionEdge{iv->node, cur.node, overlap});
-    }
-    std::vector<const TaggedInterval*>* own =
-        take_old ? &active_old : &active_new;
-    PruneExpired(own, cur.table, cur.range.start);
-    own->push_back(&cur);
+  graph.new_total.resize(graph.n_new);
+  for (NodeId j = 0; j < graph.n_new; ++j) {
+    graph.new_total[j] = new_config.NodeUsage(j);
   }
 
-  std::sort(raw.begin(), raw.end(),
-            [](const TransitionEdge& a, const TransitionEdge& b) {
-              if (a.new_node != b.new_node) return a.new_node < b.new_node;
-              return a.old_node < b.old_node;
-            });
-  for (const TransitionEdge& e : raw) {
-    if (!graph.edges.empty() && graph.edges.back().new_node == e.new_node &&
-        graph.edges.back().old_node == e.old_node) {
-      graph.edges.back().overlap += e.overlap;
-    } else {
-      graph.edges.push_back(e);
+  const FragmentOverlaps overlaps =
+      OverlappingFragments(old_config, new_config);
+
+  // One dense row per new node j, indexed by old node: the row of j is
+  // valid where stamp[i] == j + 1, and `touched` lists those i. A node's
+  // fragments of one table are disjoint (each configuration tiles its
+  // tables), so summing fragment-pair overlaps over every (live old
+  // replica, new replica) pair gives |Data(i) ∩ Data(j)| exactly, and
+  // NodeUsage is |Data(j)|.
+  std::vector<TupleCount> row(graph.n_old, 0);
+  std::vector<std::size_t> stamp(graph.n_old, 0);
+  std::vector<NodeId> touched;
+  for (NodeId j = 0; j < graph.n_new; ++j) {
+    touched.clear();
+    for (FlatFragmentId fid : new_config.NodeFragments(j)) {
+      const auto [first, last] = overlaps.span[fid];
+      for (std::size_t p = first; p < last; ++p) {
+        const FragmentOverlap& pair = overlaps.pairs[p];
+        for (NodeId i : old_config.FragmentNodes(pair.old_fid)) {
+          if (old_node_dead != nullptr && i < old_node_dead->size() &&
+              (*old_node_dead)[i]) {
+            continue;  // unreadable replica: the edge stays trivial
+          }
+          if (stamp[i] != j + 1) {
+            stamp[i] = j + 1;
+            row[i] = 0;
+            touched.push_back(i);
+          }
+          row[i] += pair.overlap;
+        }
+      }
     }
+    std::sort(touched.begin(), touched.end());
+    for (NodeId i : touched) graph.edges.push_back({i, j, row[i]});
   }
   return graph;
 }

@@ -56,13 +56,20 @@ struct TransitionGraph {
 };
 
 /// Builds the sparse overlap graph for the transition old_config ->
-/// new_config with a per-table interval plane sweep over the coalesced
-/// per-node interval sets (NodeData::Of), O((I_old + I_new) log + E) where
-/// I is the interval count and E the number of emitted edges. Old nodes
-/// flagged in `old_node_dead` contribute no intervals: their replicas are
-/// unreadable, so every edge touching them is trivial (full copy), exactly
-/// like the failure-aware dense path. Pass nullptr when no node is dead.
-/// Deterministic: output depends only on the two configurations.
+/// new_config one new node at a time. A per-table merge of the two
+/// fragment tilings pairs each new fragment with the old fragments it
+/// overlaps; each new node then adds those overlaps into a stamped dense
+/// row indexed by old node and emits the touched old ids in ascending
+/// order. Cost: O(F log F) for the merge, one add per (live old replica,
+/// new replica) pair of every overlapping fragment pair, a sort of each
+/// node's touched ids, and O(n_old) scratch. Exact because a node's
+/// fragments of one table are disjoint (both configurations tile their
+/// tables, as ValidateConfig checks), so the summed pair overlaps equal
+/// |Data(i) ∩ Data(j)|. Old nodes flagged in `old_node_dead` contribute
+/// nothing: their replicas are unreadable, so every edge touching them is
+/// trivial (full copy), exactly like the failure-aware dense path. Pass
+/// nullptr when no node is dead. Deterministic: output depends only on
+/// the two configurations.
 TransitionGraph BuildTransitionGraph(const ClusterConfig& old_config,
                                      const ClusterConfig& new_config,
                                      const std::vector<bool>* old_node_dead);

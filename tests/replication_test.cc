@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "engine/config_index.h"
 #include "replication/cluster_config.h"
 #include "replication/nash.h"
 #include "replication/packer.h"
@@ -153,6 +154,22 @@ TEST(BffdTest, ZeroReplicaFragmentsUnplaced) {
   EXPECT_TRUE(config->Valid());
   EXPECT_TRUE(config->FragmentNodes(0).empty());
   EXPECT_EQ(config->FragmentNodes(1).size(), 2u);
+}
+
+TEST(BffdTest, AllZeroReplicaConfigIndexesEveryFragment) {
+  // With min_replicas = 0 and no income, no fragment gets a replica and
+  // the packer places nothing. The fragment->node index must still cover
+  // every fragment: ConfigIndex reads it for each one.
+  const auto p = Params(10.0, 1000, 50);
+  std::vector<FragmentInfo> frags = {Frag(0, 0, 0, 100, 0.0, 0),
+                                     Frag(0, 1, 100, 200, 0.0, 0)};
+  auto config = PackReplicasBffd(p, frags);
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config->node_count(), 0u);
+  EXPECT_TRUE(config->FragmentNodes(0).empty());
+  EXPECT_TRUE(config->FragmentNodes(1).empty());
+  const ConfigIndex index(*config);
+  EXPECT_EQ(index.config().fragments().size(), 2u);
 }
 
 TEST(BffdTest, NodeCountWithinTwiceLowerBound) {

@@ -139,6 +139,19 @@ TEST(PercentileTrackerTest, ConcurrentAddAndPercentileAreSafe) {
   constexpr int kReaders = 4;
   constexpr int kPerWriter = 5'000;
   std::atomic<bool> stop{false};
+  std::atomic<int> compared{0};
+
+  // Add only grows count(), so an unchanged count across both percentile
+  // reads means they saw one state and p95 >= p50 must hold. A write
+  // landing between the reads may legitimately invert them.
+  auto bracketed_read = [&tracker, &compared] {
+    const std::size_t before = tracker.count();
+    const double p95 = tracker.Percentile(95.0);
+    const double p50 = tracker.Percentile(50.0);
+    if (tracker.count() != before) return;
+    EXPECT_GE(p95, p50);
+    compared.fetch_add(1, std::memory_order_relaxed);
+  };
 
   std::vector<std::thread> threads;
   threads.reserve(kWriters + kReaders);
@@ -150,19 +163,21 @@ TEST(PercentileTrackerTest, ConcurrentAddAndPercentileAreSafe) {
     });
   }
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&tracker, &stop] {
+    threads.emplace_back([&tracker, &stop, &bracketed_read] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const double p95 = tracker.Percentile(95.0);
-        const double p50 = tracker.Percentile(50.0);
-        EXPECT_GE(p95, p50);
+        bracketed_read();
         (void)tracker.mean();
-        (void)tracker.count();
       }
     });
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();
   stop.store(true);
   for (std::size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+
+  // With every writer joined this read sees one state, so at least one
+  // pair is always compared.
+  bracketed_read();
+  EXPECT_GT(compared.load(), 0);
 
   EXPECT_EQ(tracker.count(),
             static_cast<std::size_t>(kWriters) * kPerWriter);

@@ -37,18 +37,21 @@
 #              --smoke in the plain Release tree and validate the
 #              BENCH_query_path.json / BENCH_data_plane.json /
 #              BENCH_transition.json they write (CI runs this and
-#              uploads the JSONs as artifacts); then build and run one
-#              second of the end-to-end benchmark's chaos workload
-#              (e2ebench/run.py, its own Release tree under
-#              $CARGO_TARGET_DIR or .bench_build), which fails unless
-#              its result line reports "correct": true. Smoke iteration
-#              counts keep it to seconds plus the benchmark's build;
-#              the numbers are noise-level, the point is that the
-#              benches build against the current interfaces and run,
-#              the identity checks inside them pass (route identity for
-#              the query path, sparse-vs-dense plan-cost identity for
-#              the transition sweep, output checks for the end-to-end
-#              run), and the JSON is well-formed.
+#              uploads the JSONs as artifacts); then build the
+#              end-to-end benchmark (e2ebench/run.py, its own Release
+#              tree under $CARGO_TARGET_DIR or .bench_build) and run one
+#              second of its chaos workload and one pass of real2, each
+#              of which fails unless its result line reports "correct":
+#              true. real2's output check pins nashdb_sim's cost, data
+#              moved, latency and span figures, so a wrong transition
+#              edge weight fails it. Smoke iteration counts keep it to
+#              seconds plus the benchmark's build; the numbers are
+#              noise-level, the point is that the benches build against
+#              the current interfaces and run, the identity checks
+#              inside them pass (route identity for the query path,
+#              sparse-vs-dense plan-cost identity for the transition
+#              sweep and its real2-sized instance, output checks for the
+#              end-to-end runs), and the JSON is well-formed.
 #
 # Unknown flags are an error — a typo like --qick silently running the
 # slow full suite (or worse, skipping it) is exactly the failure mode a
@@ -157,9 +160,9 @@ EOF
   cmake --build build -j "${JOBS}" --target bench_transition_scale
   tr_out="BENCH_transition.json"
   ./build/bench/bench_transition_scale --smoke --out="${tr_out}"
-  # Validate: parseable JSON; every size planned and validated, and the
-  # sparse-vs-dense plan-cost identity was exercised on at least one
-  # instance (the bench itself CHECK-fails on any mismatch).
+  # Validate: parseable JSON; every instance planned and validated, and
+  # the sparse-vs-dense plan-cost identity was exercised on the
+  # real2-sized instance (the bench itself CHECK-fails on any mismatch).
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${tr_out}" <<'EOF'
 import json, sys
@@ -170,35 +173,42 @@ assert doc["results"], doc
 for r in doc["results"]:
     assert r["nodes_new"] > 0 and r["fragments"] > 0, r
     assert r["plan_ms"] > 0 and r["validate_ms"] > 0, r
-assert any(r["cost_identity_checked"] for r in doc["results"]), doc
-print("bench artifact OK:", len(doc["results"]), "sizes")
+real2 = [r for r in doc["results"] if r["instance"] == "real2"]
+assert len(real2) == 1, doc
+assert real2[0]["nodes_new"] >= 100, real2
+assert real2[0]["cost_identity_checked"], real2
+print("bench artifact OK:", len(doc["results"]), "instances")
 EOF
   else
     grep -q '"bench": "transition_scale"' "${tr_out}"
+    grep -q '"instance": "real2"' "${tr_out}"
     grep -q '"cost_identity_checked": true' "${tr_out}"
     echo "bench artifact OK (grep fallback)"
   fi
   echo
-  echo "== end-to-end benchmark (chaos smoke) =="
   # The benchmark subclasses ScanRouter and DistributionSystem, so an
   # interface change that breaks it fails here rather than at the next
-  # benchmark run.
+  # benchmark run. real2 replays nashdb_sim's reference trace through
+  # every reconfiguration round and checks its figures.
   e2e_log="$(mktemp)"
   trap 'rm -f "${e2e_log}"' EXIT
-  python3 e2ebench/run.py --workload chaos --seed 0 --seconds 1 --trace 0 \
-    | tee "${e2e_log}"
-  python3 - "${e2e_log}" <<'EOF'
+  for workload in chaos real2; do
+    echo "== end-to-end benchmark (${workload} smoke) =="
+    python3 e2ebench/run.py --workload "${workload}" --seed 0 --seconds 1 \
+      --trace 0 | tee "${e2e_log}"
+    python3 - "${e2e_log}" "${workload}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     lines = [line for line in f if line.startswith("{")]
 assert lines, "e2ebench printed no result line"
 result = json.loads(lines[-1])
 assert result.get("correct") is True, result
-print("e2e chaos smoke OK: correct, failed =", result["failed"])
+print("e2e", sys.argv[2], "smoke OK: correct, failed =", result["failed"])
 EOF
-  echo
+    echo
+  done
   echo "check.sh: bench smoke green (${out}, ${dp_out}, ${tr_out}," \
-       "e2e chaos)"
+       "e2e chaos and real2)"
   exit 0
 fi
 
