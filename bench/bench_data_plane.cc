@@ -8,14 +8,20 @@
 //
 // The workload is 16 tables with the paper's skew (most scans read a
 // small hot range, a minority sweep many fragments), one shared immutable
-// ConfigIndex, MaxOfMins routing. Before any timing, every sweep point
-// verifies route identity: the batched pipeline (fixed blocks, fresh
-// sims) must schedule every read of every shard partition onto exactly
-// the node the per-scan RouteInto path picks, and leave bit-identical
-// busy-until state. Timing then measures the threaded pipeline with two
-// clock reads around the whole run (aggregate scans/s); per-shard
-// p50/p99 ns/scan come from a separate single-threaded per-block-timed
-// sampling pass so no timer overhead pollutes the throughput numbers.
+// ConfigIndex, MaxOfMins routing, 16 nodes with 1-3 replicas per fragment
+// and every scan arriving at time 0, so queues only grow. A second sweep
+// routes the same scans at 1 shard and batch 256 over 128 nodes with ~4,
+// ~32 and ~126 replicas per fragment (the streaming workload's regime),
+// once with arrivals a second apart, so nodes drain between scans and
+// candidates tie at phi, and once saturated. Before any timing, every
+// point verifies route identity: the batched pipeline (fixed blocks,
+// fresh sims) must schedule every read of every shard partition onto
+// exactly the node the per-scan RouteInto path picks, and leave
+// bit-identical busy-until state. Timing then measures the threaded
+// pipeline with two clock reads around the whole run (aggregate
+// scans/s); per-shard p50/p99 ns/scan come from a separate
+// single-threaded per-block-timed sampling pass so no timer overhead
+// pollutes the throughput numbers.
 //
 // Batch size 1 is the driver at route_batch_size 1: the shard consumer
 // pops one scan per ring transaction and routes it as a one-scan block —
@@ -25,7 +31,10 @@
 // dispatch over the block. The headline comparison is 4 shards/batch 256
 // against the 1-shard/batch-1 baseline; on the 1-core target container
 // the win is the cheaper batched kernel and block amortization, not
-// parallelism. Writes BENCH_data_plane.json for the CI artifact.
+// parallelism. The saturated ~126-replica point is the worst case for
+// the Max-of-mins sweep's early stop: no candidate ever reaches its lower
+// bound, so every sweep runs to the end. Writes BENCH_data_plane.json
+// for the CI artifact.
 //
 // Flags: --smoke (tiny scan count for CI), --out=PATH (JSON path,
 // default BENCH_data_plane.json).
@@ -61,6 +70,13 @@ constexpr std::size_t kTables = 16;
 constexpr std::size_t kFragsPerTable = 16;
 constexpr TupleCount kFragSize = 10'000;
 constexpr std::size_t kNodes = 16;
+constexpr std::size_t kWideNodes = 128;
+/// Mean replicas per fragment of the 128-node points (each fragment gets
+/// one of mean - 1, mean, mean + 1).
+constexpr std::size_t kWideReplicas[] = {4, 32, 126};
+/// Seconds between scan arrivals at the idle points: a read takes 5 ms at
+/// the default disk speed, so every queue drains before the next scan.
+constexpr double kIdleGapS = 1.0;
 constexpr double kPhi = 0.35;
 constexpr std::size_t kRingCapacity = 1024;
 constexpr std::size_t kPopChunk = 32;
@@ -71,7 +87,11 @@ constexpr std::size_t kThroughputReps = 3;
 
 using Clock = std::chrono::steady_clock;
 
-ClusterConfig MakeConfig(Rng* rng) {
+/// `node_count` nodes; each fragment gets `lo` to `hi` replicas (inclusive)
+/// on distinct random nodes, listed in ascending node order as BFFD's
+/// first fit places them, so candidate spans have the real order.
+ClusterConfig MakeConfig(Rng* rng, std::size_t node_count, std::size_t lo,
+                         std::size_t hi) {
   ReplicationParams params;
   params.node_cost = 1.0;
   params.node_disk = kTables * kFragsPerTable * kFragSize * 8;
@@ -84,20 +104,21 @@ ClusterConfig MakeConfig(Rng* rng) {
       f.table = static_cast<TableId>(t);
       f.index_in_table = static_cast<FragmentId>(i);
       f.range = TupleRange{i * kFragSize, (i + 1) * kFragSize};
-      f.replicas = std::min<std::size_t>(kNodes, 1 + rng->Uniform(3));
+      f.replicas = std::min(node_count, lo + rng->Uniform(hi - lo + 1));
       frags.push_back(f);
     }
   }
   ClusterConfig config(params, std::move(frags));
-  for (std::size_t m = 0; m < kNodes; ++m) config.AddNode();
-  std::vector<NodeId> nodes(kNodes);
+  for (std::size_t m = 0; m < node_count; ++m) config.AddNode();
+  std::vector<NodeId> nodes(node_count);
   std::iota(nodes.begin(), nodes.end(), NodeId{0});
   const std::size_t frag_count = config.fragments().size();
   for (FlatFragmentId f = 0; f < frag_count; ++f) {
     rng->Shuffle(&nodes);
-    for (std::size_t k = 0; k < config.fragment(f).replicas; ++k) {
-      config.Place(nodes[k], f);
-    }
+    const std::size_t replicas = config.fragment(f).replicas;
+    std::vector<NodeId> homes(nodes.begin(), nodes.begin() + replicas);
+    std::sort(homes.begin(), homes.end());
+    for (const NodeId m : homes) config.Place(m, f);
   }
   return config;
 }
@@ -124,36 +145,58 @@ std::vector<Scan> MakeScans(std::size_t count, Rng* rng) {
 
 // ------------------------------------------------------------- shard lane
 
-/// Enqueues every routed read into the shard's sim, exactly as the
-/// sharded driver's sink does — the WaitView aliases the sim's busy-until
-/// array, so the next scan of the block observes the reads of this one.
+/// Enqueues every routed read into the shard's sim at its scan's arrival,
+/// as the serial driver's sink does — the WaitView aliases the sim's
+/// busy-until array, so the next scan of the block observes the reads of
+/// this one — and advances the view to the next scan's arrival. Scan id i
+/// arrives at base + i * gap; a gap of 0 puts every scan at time 0.
 class EnqueueSink : public BatchSink {
  public:
-  explicit EnqueueSink(ClusterSim* sim) : sim_(sim) {}
+  EnqueueSink(ClusterSim* sim, double gap_s) : sim_(sim), gap_s_(gap_s) {}
 
-  void Bind(const ScanBatch* block) { block_ = block; }
+  SimTime ArrivalOf(std::uint64_t id) const {
+    return base_s_ + gap_s_ * static_cast<double>(id);
+  }
+
+  /// Starts a new pass over scan ids [0, n) after the one that just
+  /// ended, so the times the sim has seen never run backwards.
+  void NextPass(std::size_t n) {
+    base_s_ += gap_s_ * static_cast<double>(n);
+  }
+
+  void Bind(const ScanBatch* block, WaitView* view) {
+    block_ = block;
+    view_ = view;
+  }
 
   void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
                     std::size_t count) override {
     const FlatRequest* reqs =
         block_->requests.data() + block_->req_off[scan_index];
+    const SimTime at = view_->at();
     for (std::size_t k = 0; k < count; ++k) {
       (void)sim_->EnqueueRead(reads[k].node, reqs[reads[k].request_index].tuples,
-                              /*now=*/0.0, /*first_use_by_query=*/true);
+                              at, /*first_use_by_query=*/true);
+    }
+    if (scan_index + 1 < block_->size()) {
+      view_->set_at(ArrivalOf(block_->ids[scan_index + 1]));
     }
   }
 
  private:
   ClusterSim* sim_;
+  const double gap_s_;
+  SimTime base_s_ = 0.0;
   const ScanBatch* block_ = nullptr;
+  WaitView* view_ = nullptr;
 };
 
 /// One shard's private routing state: its own sim (wait state), router,
 /// block buffer, and scratch — nothing shared with other lanes except the
 /// read-only ConfigIndex.
 struct ShardLane {
-  explicit ShardLane(const ClusterConfig& config)
-      : sim((ClusterSimOptions())), router(), sink(&sim) {
+  ShardLane(const ClusterConfig& config, double gap_s)
+      : sim((ClusterSimOptions())), router(), sink(&sim, gap_s) {
     sim.ApplyConfig(config, 0.0, nullptr);
   }
 
@@ -169,9 +212,9 @@ struct ShardLane {
 void FlushBlock(const ConfigIndex& index, double spt, ShardLane* lane) {
   if (lane->block.empty()) return;
   index.ResolveBatchInto(&lane->block);
-  const WaitView waits(lane->sim.BusyUntil().data(), lane->sim.node_count(),
-                       /*at=*/0.0);
-  lane->sink.Bind(&lane->block);
+  WaitView waits(lane->sim.BusyUntil().data(), lane->sim.node_count(),
+                 lane->sink.ArrivalOf(lane->block.ids[0]));
+  lane->sink.Bind(&lane->block, &waits);
   const Status st =
       lane->router.RouteBatchInto(lane->block, waits, spt, kPhi,
                                   &lane->scratch, &lane->out, &lane->sink);
@@ -248,15 +291,23 @@ void ShardLoop(SpscQueue<std::uint32_t>* ring, const std::atomic<bool>* done,
 
 // ------------------------------------------------------ identity check
 
+/// What the reference pass of VerifyIdentity routed.
+struct Regime {
+  double candidates_per_request = 0.0;
+  /// Share of reads whose node was idle when their scan was routed.
+  double idle_read_frac = 0.0;
+};
+
 /// Routes one shard partition per-scan through RouteInto (the reference
-/// the batch equivalence suite pins) and batched through fixed blocks of
-/// `batch_cap`, both from fresh sims, and requires identical read streams
-/// and bit-identical final busy-until state. Guards the bench itself: both
+/// the batch equivalence suite pins, which sweeps every candidate) and
+/// batched through fixed blocks of `batch_cap`, both from fresh sims with
+/// scan arrivals `gap_s` apart, and requires identical read streams and
+/// bit-identical final busy-until state. Guards the bench itself: both
 /// pipelines must measure the same computation.
-void VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
-                    const std::vector<Scan>& scans,
-                    const std::vector<std::uint32_t>& partition,
-                    std::size_t batch_cap, double spt) {
+Regime VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
+                      const std::vector<Scan>& scans,
+                      const std::vector<std::uint32_t>& partition,
+                      std::size_t batch_cap, double spt, double gap_s) {
   // Scalar reference.
   ClusterSim ref_sim((ClusterSimOptions()));
   ref_sim.ApplyConfig(config, 0.0, nullptr);
@@ -265,52 +316,58 @@ void VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
   RouterScratch router_scratch;
   std::vector<RoutedRead> ref_out;
   std::vector<NodeId> ref_nodes;
+  std::size_t requests = 0, candidates = 0, idle_reads = 0;
   for (const std::uint32_t id : partition) {
     one.Clear();
     one.AddScan(id, scans[id]);
     index.ResolveBatchInto(&one);
     const RequestBatch reqs = one.ScanRequests(0);
     if (reqs.count == 0) continue;
+    const SimTime at = gap_s * static_cast<double>(id);
     const WaitView waits(ref_sim.BusyUntil().data(), ref_sim.node_count(),
-                         0.0);
+                         at);
     const Status st = ref_router.RouteInto(reqs, waits, spt, kPhi,
                                            &router_scratch, &ref_out);
     if (!st.ok()) {
       std::fprintf(stderr, "identity: RouteInto failed\n");
       std::exit(1);
     }
+    requests += reqs.count;
+    for (std::size_t i = 0; i < reqs.count; ++i) {
+      candidates += reqs.requests[i].cand_count;
+    }
+    // Waits as the scan saw them, before any of its reads enqueue.
+    for (const RoutedRead& r : ref_out) idle_reads += waits.At(r.node) == 0.0;
     for (const RoutedRead& r : ref_out) {
       ref_nodes.push_back(r.node);
       (void)ref_sim.EnqueueRead(r.node, reqs.requests[r.request_index].tuples,
-                                0.0, true);
+                                at, true);
     }
   }
 
   // Batched pipeline, deterministic fixed blocks.
-  ShardLane lane(config);
+  ShardLane lane(config, gap_s);
   std::vector<NodeId> got_nodes;
   class CollectSink : public BatchSink {
    public:
-    CollectSink(ClusterSim* sim, std::vector<NodeId>* nodes)
-        : inner_(sim), nodes_(nodes) {}
-    void Bind(const ScanBatch* block) { block_ = block; inner_.Bind(block); }
+    CollectSink(EnqueueSink* inner, std::vector<NodeId>* nodes)
+        : inner_(inner), nodes_(nodes) {}
     void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
                       std::size_t count) override {
       for (std::size_t k = 0; k < count; ++k) nodes_->push_back(reads[k].node);
-      inner_.OnScanRouted(scan_index, reads, count);
+      inner_->OnScanRouted(scan_index, reads, count);
     }
    private:
-    EnqueueSink inner_;
+    EnqueueSink* inner_;
     std::vector<NodeId>* nodes_;
-    const ScanBatch* block_ = nullptr;
   };
-  CollectSink sink(&lane.sim, &got_nodes);
+  CollectSink sink(&lane.sink, &got_nodes);
   const auto flush = [&] {
     if (lane.block.empty()) return;
     index.ResolveBatchInto(&lane.block);
-    const WaitView waits(lane.sim.BusyUntil().data(), lane.sim.node_count(),
-                         0.0);
-    sink.Bind(&lane.block);
+    WaitView waits(lane.sim.BusyUntil().data(), lane.sim.node_count(),
+                   lane.sink.ArrivalOf(lane.block.ids[0]));
+    lane.sink.Bind(&lane.block, &waits);
     const Status st =
         lane.router.RouteBatchInto(lane.block, waits, spt, kPhi,
                                    &lane.scratch, &lane.out, &sink);
@@ -334,6 +391,14 @@ void VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
     std::fprintf(stderr, "route identity violated (busy-until differs)\n");
     std::exit(1);
   }
+  Regime regime;
+  if (requests > 0) {
+    regime.candidates_per_request =
+        static_cast<double>(candidates) / static_cast<double>(requests);
+    regime.idle_read_frac =
+        static_cast<double>(idle_reads) / static_cast<double>(ref_nodes.size());
+  }
+  return regime;
 }
 
 // ------------------------------------------------------------ measurement
@@ -357,7 +422,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
                          const std::vector<std::vector<std::uint32_t>>&
                              partitions,
                          std::size_t shards, std::size_t batch_cap,
-                         double spt) {
+                         double spt, double gap_s) {
   PointResult point;
   point.shards = shards;
   point.batch = batch_cap;
@@ -365,7 +430,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
   std::vector<std::unique_ptr<ShardLane>> lanes;
   std::vector<std::unique_ptr<SpscQueue<std::uint32_t>>> rings;
   for (std::size_t s = 0; s < shards; ++s) {
-    lanes.push_back(std::make_unique<ShardLane>(config));
+    lanes.push_back(std::make_unique<ShardLane>(config, gap_s));
     rings.push_back(std::make_unique<SpscQueue<std::uint32_t>>(kRingCapacity));
   }
 
@@ -381,6 +446,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
     }
     FlushBlock(index, spt, lane);
     lane->scans_routed = 0;
+    lane->sink.NextPass(scans.size());
   }
 
   // Throughput: the real pipeline — producer partitioning into the rings,
@@ -441,6 +507,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
     for (std::thread& t : threads) t.join();
     const auto t1 = Clock::now();
     best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
+    for (const auto& lane : lanes) lane->sink.NextPass(scans.size());
   }
 
   std::uint64_t routed = 0;
@@ -463,7 +530,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
     stats.shard = s;
     stats.scans = part.size();
     if (!part.empty()) {
-      ShardLane lane(config);
+      ShardLane lane(config, gap_s);
       std::vector<double> samples_ns;
       const auto flush_timed = [&] {
         if (lane.block.empty()) return;
@@ -492,7 +559,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
 void Run(bool smoke, const std::string& out_path) {
   const std::size_t n_scans = smoke ? 8'000 : 200'000;
   Rng rng(0xda7a);
-  const ClusterConfig config = MakeConfig(&rng);
+  const ClusterConfig config = MakeConfig(&rng, kNodes, 1, 3);
   const ConfigIndex index(config);
   const std::vector<Scan> scans = MakeScans(n_scans, &rng);
   const ClusterSimOptions sim_opts;
@@ -516,10 +583,11 @@ void Run(bool smoke, const std::string& out_path) {
     }
     for (const std::size_t batch : {1u, 16u, 64u, 256u}) {
       for (std::size_t s = 0; s < shards; ++s) {
-        VerifyIdentity(config, index, scans, partitions[s], batch, spt);
+        VerifyIdentity(config, index, scans, partitions[s], batch, spt,
+                       /*gap_s=*/0.0);
       }
-      PointResult point =
-          MeasurePoint(config, index, scans, partitions, shards, batch, spt);
+      PointResult point = MeasurePoint(config, index, scans, partitions,
+                                       shards, batch, spt, /*gap_s=*/0.0);
       if (shards == 1 && batch == 1) baseline = point.scans_per_sec;
       std::printf("%-8zu %-8zu %15.0f %11.2fx ", point.shards, point.batch,
                   point.scans_per_sec, point.scans_per_sec / baseline);
@@ -537,6 +605,44 @@ void Run(bool smoke, const std::string& out_path) {
   }
   std::printf("\n4-shard/batch-256 vs 1-shard/batch-1 baseline: %.2fx\n",
               best4 / baseline);
+
+  // Replication x load: the same scans over 128 nodes, 1 shard, batch 256.
+  struct WidePoint {
+    std::size_t replicas = 0;
+    bool idle = false;
+    Regime regime;
+    PointResult point;
+  };
+  std::vector<WidePoint> wide;
+  std::printf("\nreplication x load: 1 shard, batch 256, %zu nodes\n",
+              kWideNodes);
+  std::printf("%-9s %-10s %9s %11s %15s  p50/p99 ns\n", "replicas", "load",
+              "cand/req", "idle reads", "scans/s");
+  Rng wide_rng(0x3ade);
+  std::vector<std::vector<std::uint32_t>> one_shard(
+      1, std::vector<std::uint32_t>(scans.size()));
+  std::iota(one_shard[0].begin(), one_shard[0].end(), std::uint32_t{0});
+  for (const std::size_t replicas : kWideReplicas) {
+    const ClusterConfig wide_config =
+        MakeConfig(&wide_rng, kWideNodes, replicas - 1, replicas + 1);
+    const ConfigIndex wide_index(wide_config);
+    for (const bool idle : {true, false}) {
+      const double gap_s = idle ? kIdleGapS : 0.0;
+      WidePoint wp;
+      wp.replicas = replicas;
+      wp.idle = idle;
+      wp.regime = VerifyIdentity(wide_config, wide_index, scans, one_shard[0],
+                                 256, spt, gap_s);
+      wp.point = MeasurePoint(wide_config, wide_index, scans, one_shard, 1,
+                              256, spt, gap_s);
+      std::printf("~%-8zu %-10s %9.1f %11.3f %15.0f  %.0f/%.0f\n", replicas,
+                  idle ? "idle" : "saturated",
+                  wp.regime.candidates_per_request, wp.regime.idle_read_frac,
+                  wp.point.scans_per_sec, wp.point.per_shard[0].p50_ns,
+                  wp.point.per_shard[0].p99_ns);
+      wide.push_back(std::move(wp));
+    }
+  }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -575,6 +681,28 @@ void Run(bool smoke, const std::string& out_path) {
                    st.p99_ns);
     }
     std::fprintf(f, "]}%s\n", i + 1 < sweep.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"replication_load_note\": \"1 shard, batch 256, the same "
+               "scans over %zu nodes; idle: scan arrivals %.0f s apart, so "
+               "every queue drains in between; saturated: every scan at time "
+               "0\",\n",
+               kWideNodes, kIdleGapS);
+  std::fprintf(f, "  \"replication_load\": [\n");
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    const WidePoint& w = wide[i];
+    const ShardStats& st = w.point.per_shard[0];
+    std::fprintf(f,
+                 "    {\"nodes\": %zu, \"replicas_mean\": %zu, "
+                 "\"load\": \"%s\", \"candidates_per_request\": %.1f, "
+                 "\"idle_read_frac\": %.3f,\n     \"shards\": 1, "
+                 "\"batch\": 256, \"scans_per_sec\": %.1f, "
+                 "\"p50_ns\": %.1f, \"p99_ns\": %.1f}%s\n",
+                 kWideNodes, w.replicas, w.idle ? "idle" : "saturated",
+                 w.regime.candidates_per_request, w.regime.idle_read_frac,
+                 w.point.scans_per_sec, st.p50_ns, st.p99_ns,
+                 i + 1 < wide.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

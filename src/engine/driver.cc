@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "cluster/faults.h"
@@ -83,10 +83,13 @@ void AnnotateTransition(SimTime sim_time_s, bool applied,
 }
 
 /// Per-query routing state accumulated while its scans sit in the
-/// pending block, finalized into a QueryRecord at flush.
+/// pending block, finalized into a QueryRecord at flush. The sink counts
+/// `record.span` as the query's reads commit.
 struct PendingQuery {
   QueryRecord record;
-  std::set<NodeId> nodes_used;
+  /// Run-unique and nonzero: the stamp the sink marks a node with when
+  /// this query reads from it.
+  std::uint64_t seq = 0;
   SimTime completion = 0.0;
 };
 
@@ -109,16 +112,29 @@ void AppendScans(const ScanBatch& src, std::size_t first, std::size_t last,
 /// tests). A block's `ids` are the pending-query slots of its scans; each
 /// scan's reads are enqueued at the view's time, which is the arrival of
 /// its query (or a retry's attempt time, for a one-scan retry block).
+///
+/// A query's span is counted with a per-node stamp array instead of a
+/// per-query node set: a read opens a new span node exactly when its
+/// node's stamp is not the query's `seq`. This is exact because a query's
+/// reads reach the sink back to back — a block holds each query's scans
+/// contiguously, and a retry block holds one query.
 class DriverBatchSink : public BatchSink {
  public:
   DriverBatchSink(ClusterSim* sim, std::vector<PendingQuery>* pending,
                   bool collect)
-      : sim_(sim), pending_(pending), collect_(collect) {}
+      : sim_(sim),
+        pending_(pending),
+        collect_(collect),
+        span_stamp_(sim->node_count(), 0) {}
 
   void Bind(const ScanBatch* block, WaitView* view) {
     block_ = block;
     view_ = view;
     routed_ = 0;
+    // A transition may have added nodes since the last block.
+    if (span_stamp_.size() < view->node_count()) {
+      span_stamp_.resize(view->node_count(), 0);
+    }
   }
 
   /// Scans of the bound block reported so far: after a failed
@@ -127,18 +143,26 @@ class DriverBatchSink : public BatchSink {
 
   void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
                     std::size_t count) override {
+    NASHDB_DCHECK(scan_index == 0 ||
+                  block_->ids[scan_index - 1] <= block_->ids[scan_index]);
     PendingQuery& pq = (*pending_)[block_->ids[scan_index]];
     const SimTime at = view_->at();
     const FlatRequest* reqs =
         block_->requests.data() + block_->req_off[scan_index];
     for (std::size_t k = 0; k < count; ++k) {
       const RoutedRead& rr = reads[k];
-      const bool first_use = pq.nodes_used.insert(rr.node).second;
+      const bool first_use = span_stamp_[rr.node] != pq.seq;
+      span_stamp_[rr.node] = pq.seq;
+      if (first_use) ++pq.record.span;
       const TupleCount tuples = reqs[rr.request_index].tuples;
       if (collect_) {
-        metrics::Count("routing.requests");
-        metrics::Observe("routing.queue_wait_s",
-                         sim_->WaitSeconds(rr.node, at));
+        if (requests_metric_ == nullptr) {
+          metrics::Registry& reg = metrics::Registry::Global();
+          requests_metric_ = reg.counter("routing.requests");
+          queue_wait_metric_ = reg.histogram("routing.queue_wait_s");
+        }
+        requests_metric_->Inc();
+        queue_wait_metric_->Observe(sim_->WaitSeconds(rr.node, at));
       }
       const SimTime done = sim_->EnqueueRead(rr.node, tuples, at, first_use);
       pq.completion = std::max(pq.completion, done);
@@ -157,6 +181,13 @@ class DriverBatchSink : public BatchSink {
   const ScanBatch* block_ = nullptr;
   WaitView* view_ = nullptr;
   std::size_t routed_ = 0;
+  /// Per node: the seq of the last query that read from it (0: none).
+  std::vector<std::uint64_t> span_stamp_;
+  /// Resolved on the first read a metrics-on run records, so the
+  /// snapshot lists only what the run recorded. Valid until the next
+  /// Registry::Reset(), which only a run's start calls.
+  metrics::Counter* requests_metric_ = nullptr;
+  metrics::Histogram* queue_wait_metric_ = nullptr;
 };
 
 }  // namespace
@@ -501,15 +532,21 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // overload runs flush one block per query at its admission, so fault
   // delivery, repairs and the shed decision see exactly the state that
   // query's routing leaves behind. All buffers are reused for the whole
-  // run: the steady state allocates only the per-query span set.
+  // run, so the steady state allocates nothing.
   const bool per_query_blocks = faults_on || overload_on;
   ScanBatch block;  // ids are pending-query slots
   ScanBatch spare;  // one-scan retry block, then the resumed remainder
   std::vector<PendingQuery> pending;
+  std::uint64_t last_seq = 0;  // PendingQuery::seq of the latest admission
   std::vector<NodeId> live_cands;  // FilterLive's candidate pool
   RouterScratch router_scratch;
   std::vector<RoutedRead> routed_buf;
   DriverBatchSink sink(&sim, &pending, collect);
+  // Per-query routing.* handles, resolved like the sink's per-read ones on
+  // the first completed query.
+  metrics::Counter* queries_metric = nullptr;
+  metrics::Histogram* span_metric = nullptr;
+  metrics::Histogram* latency_metric = nullptr;
 
   // Resolves `batch` against the current epoch and routes it, its first
   // scan at simulated time `at`. With faults on, a block holds one query
@@ -580,14 +617,18 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     for (PendingQuery& pq : pending) {
       pq.record.completion = pq.completion;
       pq.record.latency_s = pq.completion - pq.record.arrival;
-      pq.record.span = pq.nodes_used.size();
       if (pq.record.aborted) {
         if (collect) metrics::Count("faults.query_aborts");
       } else if (collect) {
-        metrics::Count("routing.queries");
-        metrics::Observe("routing.span",
-                         static_cast<double>(pq.record.span));
-        metrics::Observe("routing.latency_s", pq.record.latency_s);
+        if (queries_metric == nullptr) {
+          metrics::Registry& reg = metrics::Registry::Global();
+          queries_metric = reg.counter("routing.queries");
+          span_metric = reg.histogram("routing.span");
+          latency_metric = reg.histogram("routing.latency_s");
+        }
+        queries_metric->Inc();
+        span_metric->Observe(static_cast<double>(pq.record.span));
+        latency_metric->Observe(pq.record.latency_s);
       }
       // Reads enqueued before an abort still occupy their nodes, so the
       // makespan advances either way — and the query held an admission
@@ -813,6 +854,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     pq.record.price = tq.query.price;
     pq.record.arrival = now;
     pq.record.epoch = cur->epoch();
+    pq.seq = ++last_seq;
     pq.completion = now;
     pending.push_back(std::move(pq));
     const std::size_t slot = pending.size() - 1;

@@ -27,15 +27,14 @@ constexpr std::size_t kSmallScanRequests = 16;
 
 // Shared batch loop (DESIGN.md §11): one scratch bind per block, then the
 // router's per-scan core. A core that reads the scratch must open every
-// scan with scratch->NextScan() (the stack-local MaxOfMins fast paths
-// skip the bump entirely). `core(reqs, out)` must append exactly
-// reqs.count reads with
-// scan-relative request indices — the same decisions RouteInto makes, so
-// batch results are identical by construction (the batch equivalence
-// suite enforces it). Partial-commit contract on failure: scans before
-// the failing one are routed and reported; the failing scan's partial
-// output (a core may fail mid-append) is rolled back, so it leaves no
-// trace.
+// scan with scratch->NextScan() (the stack-local MaxOfMins path skips
+// the bump entirely). `core(reqs, out)` must append exactly reqs.count
+// reads with scan-relative request indices — the same decisions
+// RouteInto makes, so batch results are identical by construction (the
+// batch equivalence suite enforces it). Partial-commit contract on
+// failure: scans before the failing one are routed and reported; the
+// failing scan's partial output (a core may fail mid-append) is rolled
+// back, so it leaves no trace.
 template <typename Core>
 NASHDB_HOT Status RouteBatchImpl(const ScanBatch& batch, const WaitView& waits,
                                  RouterScratch* scratch,
@@ -194,22 +193,43 @@ NASHDB_HOT void MaxOfMinsCore(const RequestBatch& requests,
 }
 
 // Batched Max-of-mins core: the same decisions as MaxOfMinsCore — node
-// for node, tie for tie, float op for float op — with the block-dominant
-// shapes specialized (DESIGN.md §11):
+// for node, tie for tie, float op for float op — cheaper (DESIGN.md §11):
 //
-// - A single-request scan needs no rounds and no scratch state at all.
-//   At scan start every node is outside the span (used == false), so the
-//   adjusted wait is exactly `view wait + phi` — the identical addition
-//   the generic round computes through the scratch's lazy init — and the
-//   scan reduces to one strict-min sweep over the candidate span (first
-//   minimum wins, as in the generic loop's `<` compare).
+// - Scans of up to kSmallScanRequests requests keep every piece of
+//   mutable state on the stack instead of in the epoch-stamped scratch.
+//   The only nodes whose adjusted wait differs from `view + phi` are the
+//   ones this scan has already scheduled — at most one new node per
+//   round — so a tiny array of (node, advanced wait) searched linearly
+//   replaces the per-candidate Touch. An advanced entry carries the same
+//   lazy-init + `+=` sum the scratch would hold, and reading it directly
+//   matches the generic `wait + 0.0` of a used node bitwise for the
+//   non-negative waits the sim produces. A request's (min, argmin) can
+//   only change when the node just scheduled sits in its candidate span,
+//   so each round recomputes exactly those requests and reuses the
+//   cached minima — bit for bit what a full recompute gives — for the
+//   rest.
+// - A candidate sweep stops at its lower bound. An unused node's
+//   adjusted wait is `At(m) + phi` with At(m) >= 0, and IEEE addition
+//   rounds monotonically, so it is never below `0 + phi == phi`; a used
+//   node's is its advanced wait. No candidate can beat
+//   `bound = min(phi, every advanced wait)`, and the sweep keeps the
+//   first strict minimum, so once the minimum equals the bound the sweep
+//   has its (min, argmin). The check follows the update rather than
+//   sitting inside it, which keeps the update free of a data-dependent
+//   exit (that cost up to ~2x on short sweeps that never reach the
+//   bound). It stays exact for any phi: a NaN phi makes the bound NaN,
+//   so the sweep never stops early, and with an infinite phi and no used
+//   node it stops at once at (+inf, no node) — what the full sweep
+//   returns, since no candidate is below +inf.
+// - The last round skips the bookkeeping only later rounds read.
 // - Validation is fused into the scheduling rounds instead of a separate
 //   pass: an empty candidate span leaves that request's minimum at +inf,
 //   which wins the max-of-mins in round one before anything has been
 //   scheduled, so the failure surfaces with zero reads appended and the
 //   partial-commit contract intact.
-// - Candidate evaluation touches the epoch-stamped node state once per
-//   candidate (AdjustedWait) instead of twice (Wait + Used).
+// - Wider scans take the scratch rounds, with candidate evaluation
+//   touching the epoch-stamped node state once per candidate
+//   (AdjustedWait) instead of twice (Wait + Used).
 //
 // RouteInto keeps the plain MaxOfMinsCore: the per-scan path is the
 // reference oracle the equivalence suites compare against, exactly as
@@ -219,114 +239,14 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
                                      double read_seconds_per_tuple,
                                      double phi_s, RouterScratch* scratch,
                                      std::vector<RoutedRead>* out) {
-  if (requests.count == 1) {
-    const FlatRequest& req = requests.requests[0];
-    if (req.cand_count == 0) return NoLiveReplica(req.frag);
-    const NodeId* cand = requests.cands(req);
-    double min_wait = std::numeric_limits<double>::infinity();
-    NodeId min_node = kInvalidNode;
-    for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-      const NodeId m = cand[k];
-      const double w = waits.At(m) + phi_s;
-      if (w < min_wait) {
-        min_wait = w;
-        min_node = m;
-      }
-    }
-    // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-    out->push_back(RoutedRead{0, min_node});
-    return Status::OK();
-  }
-
-  if (requests.count == 2) {
-    // Two requests, two rounds, no scratch: round one evaluates both
-    // against untouched state (adjusted wait == view wait + phi), picks
-    // the larger minimum (ties keep the first request, as the generic
-    // loop's strict `>` does); round two re-evaluates the loser with the
-    // winner's node advanced by its read — the only node whose state
-    // round one changed. An empty candidate span yields an infinite
-    // minimum, wins round one, and errors before any read is appended.
-    const FlatRequest& ra = requests.requests[0];
-    const FlatRequest& rb = requests.requests[1];
-    double min_a = std::numeric_limits<double>::infinity();
-    double min_b = std::numeric_limits<double>::infinity();
-    NodeId node_a = kInvalidNode;
-    NodeId node_b = kInvalidNode;
-    const NodeId* ca = requests.cands(ra);
-    for (std::uint32_t k = 0; k < ra.cand_count; ++k) {
-      const double w = waits.At(ca[k]) + phi_s;
-      if (w < min_a) {
-        min_a = w;
-        node_a = ca[k];
-      }
-    }
-    const NodeId* cb = requests.cands(rb);
-    for (std::uint32_t k = 0; k < rb.cand_count; ++k) {
-      const double w = waits.At(cb[k]) + phi_s;
-      if (w < min_b) {
-        min_b = w;
-        node_b = cb[k];
-      }
-    }
-    const bool b_first = min_b > min_a;
-    const std::size_t i1 = b_first ? 1 : 0;
-    const FlatRequest& r1 = requests.requests[i1];
-    const NodeId n1 = b_first ? node_b : node_a;
-    if (n1 == kInvalidNode) return NoLiveReplica(r1.frag);
-    // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-    out->push_back(RoutedRead{i1, n1});
-    // The winner's node after its read: the same lazy-init + `+=` float
-    // sequence the scratch performs, so round two is bit-identical.
-    const double advanced =
-        waits.At(n1) +
-        static_cast<double>(r1.tuples) * read_seconds_per_tuple;
-    const std::size_t i2 = b_first ? 0 : 1;
-    const FlatRequest& r2 = requests.requests[i2];
-    const NodeId* c2 = requests.cands(r2);
-    double min2 = std::numeric_limits<double>::infinity();
-    NodeId n2 = kInvalidNode;
-    for (std::uint32_t k = 0; k < r2.cand_count; ++k) {
-      const NodeId m = c2[k];
-      // Candidate lists are duplicate-free, so at most one candidate is
-      // n1; `advanced + 0.0 == advanced` for the non-negative waits the
-      // sim produces, matching the generic `wait + 0.0` of a used node.
-      const double w = m == n1 ? advanced : waits.At(m) + phi_s;
-      if (w < min2) {
-        min2 = w;
-        n2 = m;
-      }
-    }
-    NASHDB_DCHECK(n2 != kInvalidNode);  // an empty r2 loses round one
-    // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-    out->push_back(RoutedRead{i2, n2});
-    return Status::OK();
-  }
-
   if (requests.count <= kSmallScanRequests) {
-    // Mid-size scans (3..16 requests): the full max-of-mins rounds with
-    // every piece of mutable state on the stack instead of in the
-    // epoch-stamped scratch. Two observations keep this bit-identical to
-    // the scratch-based loop below:
-    //
-    //  - The only nodes whose adjusted wait differs from `view + phi`
-    //    are the ones this scan has already scheduled — at most one new
-    //    node per round — so a tiny array of (node, advanced wait)
-    //    searched linearly replaces the per-candidate epoch-checked
-    //    Touch. An advanced entry carries the same lazy-init + `+=`
-    //    accumulated sum the scratch would hold, and reading it directly
-    //    matches the generic `wait + 0.0` of a used node bitwise for the
-    //    non-negative waits the sim produces.
-    //  - A request's (min, argmin) can only change when the node just
-    //    scheduled sits in its candidate span (only that node's wait or
-    //    used flag moved), so each round recomputes exactly the affected
-    //    requests and reuses the cached minima — bit for bit the values
-    //    a full recompute would produce — for the rest.
     const std::size_t n = requests.count;
     double req_min[kSmallScanRequests];
     NodeId req_node[kSmallScanRequests];
     NodeId adv_node[kSmallScanRequests];
     double adv_wait[kSmallScanRequests];
     std::size_t adv_n = 0;
+    double bound = phi_s;
     const auto eval = [&](const FlatRequest& req, double* min_wait,
                           NodeId* min_node) {
       double mw = std::numeric_limits<double>::infinity();
@@ -341,6 +261,7 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
           mw = w;
           mn = m;
         }
+        if (mw <= bound) break;
       }
       *min_wait = mw;
       *min_node = mn;
@@ -365,7 +286,10 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
         // this fires before any read of the scan was appended.
         return NoLiveReplica(requests.requests[best_req].frag);
       }
+      // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
+      out->push_back(RoutedRead{best_req, bn});
       pending &= ~(std::uint32_t{1} << best_req);
+      if (pending == 0) break;
       const double delta =
           static_cast<double>(requests.requests[best_req].tuples) *
           read_seconds_per_tuple;
@@ -378,8 +302,10 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
       } else {
         adv_wait[j] += delta;
       }
-      // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-      out->push_back(RoutedRead{best_req, bn});
+      bound = phi_s;
+      for (std::size_t a = 0; a < adv_n; ++a) {
+        if (adv_wait[a] < bound) bound = adv_wait[a];
+      }
       for (std::size_t i = 0; i < n; ++i) {
         if (!(pending >> i & 1u)) continue;
         const FlatRequest& req = requests.requests[i];

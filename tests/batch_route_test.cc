@@ -3,7 +3,9 @@
 // the decisions of calling RouteInto once per scan — node for node, tie
 // for tie, RNG draw for RNG draw — under both frozen waits and live
 // busy-until state mutated between scans (the driver's enqueue-between-
-// scans regime). Also pins the sink ordering contract, the partial-commit
+// scans regime), at low replication and at up to 128 candidates per
+// request with idle nodes, where the Max-of-mins sweep stops at its lower
+// bound. Also pins the sink ordering contract, the partial-commit
 // guarantee on unroutable scans, and the PowerOfTwo RNG-consumption
 // contract per batch element.
 
@@ -249,8 +251,139 @@ TEST_P(BatchRouteTest, PowerOfTwoMatchesWithPairedRngStreams) {
   }
 }
 
+// ------------------------------------------------ high replication
+
+/// A block of up to `max_scans` scans in the regime real configurations
+/// produce at high replication: scans of 1, 2, 3-16 and more than 16
+/// requests, each candidate span 1 to `node_count` nodes long in shuffled
+/// order, reads short enough that a used node's advanced wait often stays
+/// below phi.
+std::vector<std::vector<FragmentRequest>> WideScans(Rng* rng,
+                                                    std::size_t node_count,
+                                                    std::size_t max_scans) {
+  std::vector<std::vector<FragmentRequest>> scans(1 +
+                                                  rng->Uniform(max_scans));
+  for (auto& scan : scans) {
+    std::size_t n_req = 0;
+    switch (rng->Uniform(4)) {
+      case 0:
+        n_req = 1;
+        break;
+      case 1:
+        n_req = 2;
+        break;
+      case 2:
+        n_req = 3 + rng->Uniform(14);
+        break;
+      default:
+        n_req = 17 + rng->Uniform(16);
+        break;
+    }
+    for (std::size_t i = 0; i < n_req; ++i) {
+      std::vector<NodeId> all(node_count);
+      std::iota(all.begin(), all.end(), NodeId{0});
+      rng->Shuffle(&all);
+      all.resize(1 + rng->Uniform(node_count));
+      scan.push_back(Req(static_cast<FlatFragmentId>(i),
+                         1 + rng->Uniform(2000), std::move(all)));
+    }
+  }
+  return scans;
+}
+
+/// Busy-until times (view time 0) that put every case of the sweep's
+/// lower bound in play: a quarter of the nodes idle, so their candidates
+/// tie at exactly phi; a quarter busy for less than half an ulp of phi, so
+/// At > 0 yet At + phi == phi; a quarter at one of three shared values, so
+/// candidates tie above the bound; the rest uniform.
+std::vector<SimTime> BoundaryBusy(Rng* rng, std::size_t node_count,
+                                  double phi) {
+  const SimTime below_half_ulp = phi * 1e-17;
+  EXPECT_GT(below_half_ulp, 0.0);
+  EXPECT_EQ(below_half_ulp + phi, phi);
+  std::vector<SimTime> busy(node_count);
+  for (SimTime& b : busy) {
+    switch (rng->Uniform(4)) {
+      case 0:
+        b = 0.0;
+        break;
+      case 1:
+        b = below_half_ulp;
+        break;
+      case 2:
+        b = 0.25 * static_cast<double>(1 + rng->Uniform(3));
+        break;
+      default:
+        b = rng->NextDouble();
+        break;
+    }
+  }
+  return busy;
+}
+
+TEST_P(BatchRouteTest, DeterministicRoutersMatchAtHighReplication) {
+  Rng rng(GetParam());
+  MaxOfMinsRouter mm;
+  ShortestQueueRouter sq;
+  GreedyScRouter gsc;
+  for (const std::size_t node_count : {2u, 17u, 64u, 128u}) {
+    for (int round = 0; round < 6; ++round) {
+      const double phi = 0.05 + rng.NextDouble();
+      const double rspt = 1e-6 * static_cast<double>(1 + rng.Uniform(100));
+      const auto scans = WideScans(&rng, node_count, 12);
+      const auto busy = BoundaryBusy(&rng, node_count, phi);
+      ExpectBatchMatchesScalar(&mm, &mm, scans, busy, rspt, phi);
+      ExpectBatchMatchesScalar(&sq, &sq, scans, busy, rspt, phi);
+      ExpectBatchMatchesScalar(&gsc, &gsc, scans, busy, rspt, phi);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchRouteTest,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+/// The nodes RouteBatchInto picks for a one-scan block, in read order.
+std::vector<NodeId> BatchNodes(ScanRouter* router,
+                               const std::vector<FragmentRequest>& scan,
+                               const std::vector<SimTime>& busy) {
+  const BatchSet bs = MakeBatch({scan});
+  RouterScratch scratch;
+  std::vector<RoutedRead> out;
+  const WaitView view(busy.data(), busy.size(), 0.0);
+  EXPECT_TRUE(
+      router->RouteBatchInto(bs.batch, view, 1e-5, 0.35, &scratch, &out,
+                             nullptr)
+          .ok());
+  std::vector<NodeId> nodes;
+  for (const RoutedRead& rr : out) nodes.push_back(rr.node);
+  return nodes;
+}
+
+TEST(BatchRouteEdgeTest, MaxOfMinsTiesKeepTheFirstCandidate) {
+  MaxOfMinsRouter mm;
+  // Idle nodes tie at exactly phi.
+  EXPECT_EQ(BatchNodes(&mm, {Req(0, 10, {3, 1, 2})}, {1.0, 0.0, 0.0, 0.0}),
+            std::vector<NodeId>({3}));
+  // A wait below half an ulp of phi ties with an idle node.
+  EXPECT_EQ(BatchNodes(&mm, {Req(0, 10, {1, 0})}, {0.0, 1e-18}),
+            std::vector<NodeId>({1}));
+  // Ties above the bound: nodes 1 and 2 both wait 0.5 + phi.
+  EXPECT_EQ(BatchNodes(&mm, {Req(0, 10, {0, 1, 2})}, {1.0, 0.5, 0.5}),
+            std::vector<NodeId>({1}));
+}
+
+TEST(BatchRouteEdgeTest, MaxOfMinsPrefersAUsedNodeBelowPhi) {
+  // Round one schedules request 0 (minimum 0.1 + phi, the larger) on node
+  // 4, whose advanced wait 0.1 + 1e-4 stays below phi. Request 1 lists
+  // the idle nodes 0-3, tied at phi, before node 4: the sweep must not
+  // stop at phi once the scan uses a node that beats it.
+  const std::vector<FragmentRequest> scan = {Req(0, 10, {4}),
+                                             Req(1, 10, {0, 1, 2, 3, 4})};
+  const std::vector<SimTime> busy = {0.0, 0.0, 0.0, 0.0, 0.1};
+  MaxOfMinsRouter mm;
+  EXPECT_EQ(BatchNodes(&mm, scan, busy), std::vector<NodeId>({4, 4}));
+  ExpectBatchMatchesScalar(&mm, &mm, {scan}, busy, 1e-5, 0.35);
+}
 
 // ------------------------------------------------------------ edge cases
 

@@ -1,6 +1,8 @@
 // End-to-end behavioural tests: the qualitative claims of the paper's
 // evaluation (§10) must hold on small instances of the same experiments.
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -8,6 +10,7 @@
 
 #include "baselines/hypergraph_system.h"
 #include "baselines/threshold_system.h"
+#include "cluster/faults.h"
 #include "common/metrics.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
@@ -343,6 +346,62 @@ TEST(MetricsIntegrationTest, SnapshotCoversEveryPipelineStage) {
   quiet.collect_metrics = false;
   const RunResult r2 = RunWorkload(wl, &sys2, &router, quiet);
   EXPECT_TRUE(r2.metrics_json.empty());
+}
+
+/// The number after `key` in a metrics snapshot (0, and a failure, when
+/// the key is absent).
+std::uint64_t SnapshotNumber(const std::string& js, const std::string& key) {
+  const std::size_t at = js.find(key);
+  EXPECT_NE(at, std::string::npos) << "snapshot missing " << key;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(js.c_str() + at + key.size(), nullptr, 10);
+}
+
+std::uint64_t CounterValue(const std::string& js, const std::string& name) {
+  return SnapshotNumber(js, "\"" + name + "\": ");
+}
+
+std::uint64_t HistogramCount(const std::string& js, const std::string& name) {
+  return SnapshotNumber(js, "\"" + name + "\": {\"count\": ");
+}
+
+// Two metrics-on runs of different workloads in one process: each run's
+// routing.* metrics count exactly its own queries and reads — a metric
+// handle kept past its run, or one that drops or double-counts, breaks
+// the equalities. The second run aborts some queries, which count as
+// reads but not as routed queries.
+TEST(MetricsIntegrationTest, RoutingMetricsArePerRun) {
+  TpchOptions topts;
+  topts.db_gb = 3.0;
+  topts.arrival_span_s = 2.0 * 3600.0;
+  for (const bool faults : {false, true}) {
+    topts.num_queries = faults ? 70 : 44;
+    const Workload wl = MakeTpchWorkload(topts);
+    NashDbSystem sys(wl.dataset, EngineOptions());
+    MaxOfMinsRouter router;
+    DriverOptions dopts = FastSim();
+    dopts.prewarm_scans = 10;
+    dopts.collect_metrics = true;
+    if (faults) {
+      dopts.sim.tuples_per_second = 150.0;
+      dopts.faults.spec =
+          *FaultSpec::Parse("crash@1000:n0;crash@2000:n1;crash@3000:n2");
+      dopts.faults.emergency_repair = false;
+    }
+    const RunResult r = RunWorkload(wl, &sys, &router, dopts);
+    const std::string& js = r.metrics_json;
+    const std::uint64_t completed = r.CompletedQueries();
+    ASSERT_GT(completed, 0u);
+    if (faults) {
+      EXPECT_GT(r.aborted_queries, 0u);
+    }
+    EXPECT_EQ(CounterValue(js, "routing.queries"), completed);
+    EXPECT_EQ(HistogramCount(js, "routing.span"), completed);
+    EXPECT_EQ(HistogramCount(js, "routing.latency_s"), completed);
+    EXPECT_EQ(HistogramCount(js, "routing.queue_wait_s"),
+              CounterValue(js, "routing.requests"));
+    EXPECT_GE(CounterValue(js, "routing.requests"), completed);
+  }
 }
 
 }  // namespace

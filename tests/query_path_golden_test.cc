@@ -6,7 +6,9 @@
 // (multi-scan spans), and a crash schedule that, with repair off, forces
 // retries and aborts, with admission control on, sheds, and with more
 // retries and fast disks, lets a retried scan succeed mid-query so the
-// rest of the query resumes.
+// rest of the query resumes. One more Max-of-mins case runs the streaming
+// workload's regime: 128 nodes, ~127 candidates per request, nearly every
+// read at zero wait, and scans of 1 to more than 16 fragments.
 //
 // The digests were captured from the driver before its query path and
 // reconfiguration round were unified, and at capture time every case
@@ -27,6 +29,9 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +39,8 @@
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
 #include "routing/router.h"
+#include "routing/scan_batch.h"
+#include "workload/streaming.h"
 #include "workload/tpch.h"
 
 namespace nashdb {
@@ -406,6 +413,158 @@ TEST(OnlineReconfigGoldenTest, ScalarPathFaultFree) {
       }
     }
   }
+}
+
+// ------------------------------- high replication (stream's regime)
+
+// Golden digests of the high-replication case, [fault-free, faults], at
+// the default zero build window.
+// Captured from the driver before the Max-of-mins sweep stopped at its
+// lower bound.
+constexpr std::uint64_t kHighReplicationGolden[2] = {0x963a32203710f42aULL,
+                                                     0x39864d3240f70f66ULL};
+
+/// Forwards every call to a MaxOfMinsRouter and tallies the regime the
+/// driver's blocks route in: scans by request count (1, 2, 3-16, > 16),
+/// candidates per request, and reads whose node was idle when their scan
+/// was routed.
+class RegimeProbe : public ScanRouter {
+ public:
+  std::size_t scans_by_requests[4] = {};
+  std::size_t requests = 0;
+  std::size_t candidates = 0;
+  std::size_t reads = 0;
+  std::size_t idle_reads = 0;
+
+  std::string_view name() const override { return inner_.name(); }
+  Result<std::vector<RoutedRead>> Route(
+      const std::vector<FragmentRequest>& reqs, std::vector<double> waits,
+      double read_seconds_per_tuple, double phi_s) override {
+    return inner_.Route(reqs, std::move(waits), read_seconds_per_tuple,
+                        phi_s);
+  }
+  Status RouteInto(const RequestBatch& reqs, const WaitView& waits,
+                   double read_seconds_per_tuple, double phi_s,
+                   RouterScratch* scratch,
+                   std::vector<RoutedRead>* out) override {
+    return inner_.RouteInto(reqs, waits, read_seconds_per_tuple, phi_s,
+                            scratch, out);
+  }
+  Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
+                        double read_seconds_per_tuple, double phi_s,
+                        RouterScratch* scratch, std::vector<RoutedRead>* out,
+                        BatchSink* sink) override {
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+      const RequestBatch reqs = batch.ScanRequests(s);
+      if (reqs.count == 0) continue;
+      ++scans_by_requests[reqs.count == 1   ? 0
+                          : reqs.count == 2 ? 1
+                          : reqs.count <= 16 ? 2
+                                             : 3];
+      requests += reqs.count;
+      for (std::size_t i = 0; i < reqs.count; ++i) {
+        candidates += reqs.requests[i].cand_count;
+      }
+    }
+    // The router reports a scan before the driver's sink enqueues its
+    // reads, so the view still shows the waits the scan was routed at.
+    struct ProbeSink : BatchSink {
+      RegimeProbe* probe;
+      const WaitView* waits;
+      BatchSink* inner;
+      void OnScanRouted(std::size_t s, const RoutedRead* reads,
+                        std::size_t count) override {
+        for (std::size_t k = 0; k < count; ++k) {
+          ++probe->reads;
+          probe->idle_reads += waits->At(reads[k].node) == 0.0;
+        }
+        if (inner != nullptr) inner->OnScanRouted(s, reads, count);
+      }
+    } probe_sink;
+    probe_sink.probe = this;
+    probe_sink.waits = &waits;
+    probe_sink.inner = sink;
+    return inner_.RouteBatchInto(batch, waits, read_seconds_per_tuple, phi_s,
+                                 scratch, out, &probe_sink);
+  }
+
+ private:
+  MaxOfMinsRouter inner_;
+};
+
+/// streaming_10m's single-table stream, cut to 3000 queries over five
+/// minutes, with scans 5x longer so that some cover more than 16
+/// fragments.
+const Workload& HighReplicationWorkload() {
+  static const Workload workload = [] {
+    PhasedStreamOptions o;
+    o.db_gb = 100.0;
+    o.tuples_per_gb = 100;
+    o.num_queries = 3000;
+    o.duration_s = 300.0;
+    o.scan_frac = 0.1;
+    return PhasedQueryStream(o).Materialize();
+  }();
+  return workload;
+}
+
+/// streaming_10m's system and disks, with a reconfiguration round every
+/// simulated minute: 128 nodes, ~127 candidates per request, and nearly
+/// every read finds its node idle.
+RunResult RunHighReplication(Mode mode, std::size_t route_batch_size,
+                             RegimeProbe* probe) {
+  const Workload& workload = HighReplicationWorkload();
+  NashDbOptions opts;
+  opts.window_scans = 250;
+  opts.block_tuples = 250;
+  opts.node_cost = 3.0;
+  opts.node_disk = 120'000;
+  opts.max_replicas = 128;
+  opts.reconfig_threads = 1;
+  NashDbSystem sys(workload.dataset, opts);
+  DriverOptions d;
+  d.sim.tuples_per_second = 1500.0;
+  d.sim.transfer_tuples_per_second = 5000.0;
+  d.reconfigure_interval_s = 60.0;
+  d.prewarm_scans = 250;
+  d.route_batch_size = route_batch_size;
+  if (mode == kFaults) {
+    d.faults.spec = *FaultSpec::Parse(
+        "crash@50:n0:for=60;crash@120:n1;crash@200:n2:for=90");
+    d.faults.seed = 7;
+  }
+  return RunWorkload(workload, &sys, probe, d);
+}
+
+void ExpectHighReplicationGolden(Mode mode) {
+  for (const std::size_t batch : {std::size_t{64}, std::size_t{1}}) {
+    RegimeProbe probe;
+    const RunResult r = RunHighReplication(mode, batch, &probe);
+    EXPECT_EQ(Digest(r), kHighReplicationGolden[mode == kFaults])
+        << "mode " << mode << " batch " << batch;
+    EXPECT_GE(r.final_nodes, 64u);
+    std::size_t multi_span = 0;
+    for (const QueryRecord& q : r.records) multi_span += q.span > 1;
+    EXPECT_GT(multi_span, 0u);
+    if (mode == kFaults) {
+      EXPECT_GT(r.crashes, 0u);
+    }
+    for (const std::size_t scans : probe.scans_by_requests) {
+      EXPECT_GT(scans, 0u);
+    }
+    EXPECT_GE(probe.candidates, 50 * probe.requests);
+    // Most reads route at zero wait, where the sweep stops at phi; a few
+    // find no idle candidate.
+    EXPECT_GT(2 * probe.idle_reads, probe.reads);
+    EXPECT_LT(probe.idle_reads, probe.reads);
+  }
+}
+
+TEST(QueryPathGoldenTest, MaxOfMinsHighReplicationFaultFree) {
+  ExpectHighReplicationGolden(kFaultFree);
+}
+TEST(QueryPathGoldenTest, MaxOfMinsHighReplicationUnderFaults) {
+  ExpectHighReplicationGolden(kFaults);
 }
 
 }  // namespace

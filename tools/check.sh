@@ -40,15 +40,19 @@
 #              uploads the JSONs as artifacts); then build the
 #              end-to-end benchmark (e2ebench/run.py, its own Release
 #              tree under $CARGO_TARGET_DIR or .bench_build) and run one
-#              second of its chaos workload and one pass of real2, each
-#              of which fails unless its result line reports "correct":
-#              true. real2's output check pins nashdb_sim's cost, data
-#              moved, latency and span figures, so a wrong transition
-#              edge weight fails it. Smoke iteration counts keep it to
+#              second of its chaos and stream workloads and one pass of
+#              real2, each of which fails unless its result line reports
+#              "correct": true. real2's output check pins nashdb_sim's
+#              cost, data moved, latency and span figures, so a wrong
+#              transition edge weight fails it; stream, where the
+#              Max-of-mins sweep stops at its lower bound on almost every
+#              sweep, fails its repeat-pass digest check if routing stops
+#              being deterministic. Smoke iteration counts keep it to
 #              seconds plus the benchmark's build; the numbers are
 #              noise-level, the point is that the benches build against
 #              the current interfaces and run, the identity checks
-#              inside them pass (route identity for the query path,
+#              inside them pass (route identity for the query path and
+#              for the data plane's 128-node replication x load points,
 #              sparse-vs-dense plan-cost identity for the transition
 #              sweep and its real2-sized instance, output checks for the
 #              end-to-end runs), and the JSON is well-formed.
@@ -130,8 +134,9 @@ EOF
   cmake --build build -j "${JOBS}" --target bench_data_plane
   dp_out="BENCH_data_plane.json"
   ./build/bench/bench_data_plane --smoke --out="${dp_out}"
-  # Validate: parseable JSON covering the full shards x batch sweep, with
-  # positive throughput and tails at every point.
+  # Validate: parseable JSON covering the full shards x batch sweep and
+  # the replication x load points, with positive throughput and tails at
+  # every point.
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${dp_out}" <<'EOF'
 import json, sys
@@ -148,11 +153,18 @@ for p in doc["sweep"]:
     assert len(p["per_shard"]) == p["shards"], p
     for st in p["per_shard"]:
         assert st["p50_ns"] > 0 and st["p99_ns"] >= st["p50_ns"], st
-print("bench artifact OK:", len(points), "sweep points")
+wide = {(p["replicas_mean"], p["load"]) for p in doc["replication_load"]}
+assert wide == {(r, l) for r in (4, 32, 126) for l in ("idle", "saturated")}, wide
+for p in doc["replication_load"]:
+    assert p["nodes"] == 128 and p["scans_per_sec"] > 0, p
+    assert p["p50_ns"] > 0 and p["p99_ns"] >= p["p50_ns"], p
+print("bench artifact OK:", len(points), "sweep points,", len(wide),
+      "replication x load points")
 EOF
   else
     grep -q '"bench": "data_plane"' "${dp_out}"
     grep -q '"speedup_4shard_batch256_vs_baseline"' "${dp_out}"
+    grep -q '"replication_load"' "${dp_out}"
     echo "bench artifact OK (grep fallback)"
   fi
   echo
@@ -189,10 +201,11 @@ EOF
   # The benchmark subclasses ScanRouter and DistributionSystem, so an
   # interface change that breaks it fails here rather than at the next
   # benchmark run. real2 replays nashdb_sim's reference trace through
-  # every reconfiguration round and checks its figures.
+  # every reconfiguration round and checks its figures; stream runs the
+  # high-replication data plane and checks that repeated passes agree.
   e2e_log="$(mktemp)"
   trap 'rm -f "${e2e_log}"' EXIT
-  for workload in chaos real2; do
+  for workload in chaos stream real2; do
     echo "== end-to-end benchmark (${workload} smoke) =="
     python3 e2ebench/run.py --workload "${workload}" --seed 0 --seconds 1 \
       --trace 0 | tee "${e2e_log}"
@@ -208,7 +221,7 @@ EOF
     echo
   done
   echo "check.sh: bench smoke green (${out}, ${dp_out}, ${tr_out}," \
-       "e2e chaos and real2)"
+       "e2e chaos, stream and real2)"
   exit 0
 fi
 
