@@ -16,13 +16,13 @@ namespace nashdb {
 /// emergency repair) produces the next epoch.
 ///
 /// Immutable-after-publish contract: a ConfigEpoch is assembled on one
-/// thread (the driver loop, or the background build task it spawns) and
-/// is frozen from the moment it becomes reachable by the query path —
-/// the serial driver's pointer swap, or the sharded driver's
-/// release-store onto the epoch chain. After that edge no field is ever
-/// written, so any number of reader threads may route against it without
-/// locks; the epoch they read from is the epoch their records carry
-/// (QueryRecord::epoch).
+/// thread (the driver loop, or the sharded driver's producer) and is
+/// frozen from the moment it becomes reachable by a data plane
+/// (engine/data_plane.h) — the serial driver's pointer swap, or the
+/// release-store of the sharded driver's epoch-chain link that holds it.
+/// After that edge no field is ever written, so any number of reader
+/// threads may route against it without locks; the epoch a plane routes
+/// against is the epoch its records carry (QueryRecord::epoch).
 ///
 /// The bundle is pinned in place (no copy/move): ConfigIndex holds a
 /// pointer to the ClusterConfig it indexes, so relocating the config

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
-#include <queue>
 #include <utility>
 
 #include "cluster/faults.h"
@@ -16,10 +13,9 @@
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "engine/config_epoch.h"
-#include "engine/config_index.h"
+#include "engine/data_plane.h"
 #include "engine/liveness_overlay.h"
 #include "engine/validate.h"
-#include "routing/scan_batch.h"
 #include "replication/incremental.h"
 #include "transition/planner.h"
 
@@ -82,114 +78,6 @@ void AnnotateTransition(SimTime sim_time_s, bool applied,
   }
 }
 
-/// Per-query routing state accumulated while its scans sit in the
-/// pending block, finalized into a QueryRecord at flush. The sink counts
-/// `record.span` as the query's reads commit.
-struct PendingQuery {
-  QueryRecord record;
-  /// Run-unique and nonzero: the stamp the sink marks a node with when
-  /// this query reads from it.
-  std::uint64_t seq = 0;
-  SimTime completion = 0.0;
-};
-
-/// Appends scans [first, last) of `src` to `dst` (ids included).
-void AppendScans(const ScanBatch& src, std::size_t first, std::size_t last,
-                 ScanBatch* dst) {
-  for (std::size_t i = first; i < last; ++i) {
-    dst->AddScan(src.ids[i],
-                 Scan{src.tables[i], TupleRange{src.starts[i], src.ends[i]},
-                      src.prices[i]});
-  }
-}
-
-/// BatchSink of the driver's query path (DESIGN.md §11): commits each
-/// scan's reads into the sim the moment the router reports them — before
-/// the next scan's waits are first read — then advances the shared
-/// WaitView to the next scan's arrival. Together with RouterScratch's
-/// per-scan lazy re-init this makes a block of any size bit-identical to
-/// routing the same scans one at a time (enforced by the batch golden
-/// tests). A block's `ids` are the pending-query slots of its scans; each
-/// scan's reads are enqueued at the view's time, which is the arrival of
-/// its query (or a retry's attempt time, for a one-scan retry block).
-///
-/// A query's span is counted with a per-node stamp array instead of a
-/// per-query node set: a read opens a new span node exactly when its
-/// node's stamp is not the query's `seq`. This is exact because a query's
-/// reads reach the sink back to back — a block holds each query's scans
-/// contiguously, and a retry block holds one query.
-class DriverBatchSink : public BatchSink {
- public:
-  DriverBatchSink(ClusterSim* sim, std::vector<PendingQuery>* pending,
-                  bool collect)
-      : sim_(sim),
-        pending_(pending),
-        collect_(collect),
-        span_stamp_(sim->node_count(), 0) {}
-
-  void Bind(const ScanBatch* block, WaitView* view) {
-    block_ = block;
-    view_ = view;
-    routed_ = 0;
-    // A transition may have added nodes since the last block.
-    if (span_stamp_.size() < view->node_count()) {
-      span_stamp_.resize(view->node_count(), 0);
-    }
-  }
-
-  /// Scans of the bound block reported so far: after a failed
-  /// RouteBatchInto, the index of the scan that failed.
-  std::size_t routed() const { return routed_; }
-
-  void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
-                    std::size_t count) override {
-    NASHDB_DCHECK(scan_index == 0 ||
-                  block_->ids[scan_index - 1] <= block_->ids[scan_index]);
-    PendingQuery& pq = (*pending_)[block_->ids[scan_index]];
-    const SimTime at = view_->at();
-    const FlatRequest* reqs =
-        block_->requests.data() + block_->req_off[scan_index];
-    for (std::size_t k = 0; k < count; ++k) {
-      const RoutedRead& rr = reads[k];
-      const bool first_use = span_stamp_[rr.node] != pq.seq;
-      span_stamp_[rr.node] = pq.seq;
-      if (first_use) ++pq.record.span;
-      const TupleCount tuples = reqs[rr.request_index].tuples;
-      if (collect_) {
-        if (requests_metric_ == nullptr) {
-          metrics::Registry& reg = metrics::Registry::Global();
-          requests_metric_ = reg.counter("routing.requests");
-          queue_wait_metric_ = reg.histogram("routing.queue_wait_s");
-        }
-        requests_metric_->Inc();
-        queue_wait_metric_->Observe(sim_->WaitSeconds(rr.node, at));
-      }
-      const SimTime done = sim_->EnqueueRead(rr.node, tuples, at, first_use);
-      pq.completion = std::max(pq.completion, done);
-      pq.record.tuples_read += tuples;
-    }
-    routed_ = scan_index + 1;
-    if (routed_ < block_->size()) {
-      view_->set_at((*pending_)[block_->ids[routed_]].record.arrival);
-    }
-  }
-
- private:
-  ClusterSim* sim_;
-  std::vector<PendingQuery>* pending_;
-  const bool collect_;
-  const ScanBatch* block_ = nullptr;
-  WaitView* view_ = nullptr;
-  std::size_t routed_ = 0;
-  /// Per node: the seq of the last query that read from it (0: none).
-  std::vector<std::uint64_t> span_stamp_;
-  /// Resolved on the first read a metrics-on run records, so the
-  /// snapshot lists only what the run recorded. Valid until the next
-  /// Registry::Reset(), which only a run's start calls.
-  metrics::Counter* requests_metric_ = nullptr;
-  metrics::Histogram* queue_wait_metric_ = nullptr;
-};
-
 }  // namespace
 
 double RunResult::MeanLatency() const {
@@ -230,6 +118,23 @@ double RunResult::MeanSpan() const {
     ++n;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+void RunResult::AddRecord(const QueryRecord& record, bool keep_record) {
+  ++total_queries;
+  if (record.shed) {
+    ++shed_queries;
+  } else if (record.aborted) {
+    ++aborted_queries;
+  } else {
+    completed_latency_sum_s += record.latency_s;
+    completed_span_sum += static_cast<double>(record.span);
+    latency_histogram.Add(record.latency_s);
+  }
+  if (record.shed || record.aborted || record.retries > 0) {
+    last_disruption_time_s = std::max(last_disruption_time_s, record.arrival);
+  }
+  if (keep_record) records.push_back(record);
 }
 
 double RetryBackoffSeconds(const FaultOptions& faults, std::size_t attempt) {
@@ -364,7 +269,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   }
 
   SimTime next_reconfigure = check_interval;
-  const double spt = 1.0 / options.sim.tuples_per_second;
 
   // --- Fault machinery. All of it is driven from this (serial) loop at
   // simulated-time boundaries, so a given spec + seed replays the exact
@@ -489,157 +393,10 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     }
   };
 
-  // Final accounting for one admitted query: the streaming aggregates are
-  // maintained for every run (they are what RunResult's accessors use
-  // when records are dropped); the record vector only when kept.
-  const auto commit_record = [&](const QueryRecord& record) {
-    ++result.total_queries;
-    if (record.shed) {
-      ++result.shed_queries;
-    } else if (record.aborted) {
-      ++result.aborted_queries;
-    } else {
-      result.completed_latency_sum_s += record.latency_s;
-      result.completed_span_sum += static_cast<double>(record.span);
-      result.latency_histogram.Add(record.latency_s);
-    }
-    if (record.shed || record.aborted || record.retries > 0) {
-      result.last_disruption_time_s =
-          std::max(result.last_disruption_time_s, record.arrival);
-    }
-    if (options.keep_records) result.records.push_back(record);
-  };
-
-  // In-flight completion times for admission control: popped at each
-  // arrival, so the pending count is exact and purely simulated-time
-  // driven (deterministic at any thread count).
-  const bool overload_on = options.overload.Active();
-  std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
-      inflight;
-  const std::size_t hard_cap =
-      overload_on ? static_cast<std::size_t>(
-                        options.overload.hard_cap_factor *
-                        static_cast<double>(
-                            options.overload.max_pending_queries))
-                  : 0;
-
-  // --- The query path (DESIGN.md §10–§11). Every admitted scan joins a
-  // SoA block routed with one RouteBatchInto call: one resolve pass, one
-  // scratch bind and one virtual dispatch per block. The block flushes
-  // when full and before every reconfiguration round, so it never spans a
-  // configuration change; the sink commits each scan's reads between
-  // scans, so the record stream is the same at any block size. Fault and
-  // overload runs flush one block per query at its admission, so fault
-  // delivery, repairs and the shed decision see exactly the state that
-  // query's routing leaves behind. All buffers are reused for the whole
-  // run, so the steady state allocates nothing.
-  const bool per_query_blocks = faults_on || overload_on;
-  ScanBatch block;  // ids are pending-query slots
-  ScanBatch spare;  // one-scan retry block, then the resumed remainder
-  std::vector<PendingQuery> pending;
-  std::uint64_t last_seq = 0;  // PendingQuery::seq of the latest admission
-  std::vector<NodeId> live_cands;  // FilterLive's candidate pool
-  RouterScratch router_scratch;
-  std::vector<RoutedRead> routed_buf;
-  DriverBatchSink sink(&sim, &pending, collect);
-  // Per-query routing.* handles, resolved like the sink's per-read ones on
-  // the first completed query.
-  metrics::Counter* queries_metric = nullptr;
-  metrics::Histogram* span_metric = nullptr;
-  metrics::Histogram* latency_metric = nullptr;
-
-  // Resolves `batch` against the current epoch and routes it, its first
-  // scan at simulated time `at`. With faults on, a block holds one query
-  // whose scans all route at `at`; when some node is down then, the
-  // resolved spans are filtered to the routable candidates first.
-  const auto route = [&](ScanBatch* batch, SimTime at) {
-    cur->index().ResolveBatchInto(batch);
-    if (faults_on && liveness.AnyDeadAt(at)) {
-      liveness.FilterLive(at, batch, &live_cands);
-    }
-    WaitView waits(sim.BusyUntil().data(), sim.node_count(), at);
-    sink.Bind(batch, &waits);
-    return router->RouteBatchInto(*batch, waits, spt, options.phi_s,
-                                  &router_scratch, &routed_buf, &sink);
-  };
-
-  // Coverage gap on scan `failed` of the (one-query) block: back off and
-  // retry it alone at later simulated times — scheduled recoveries are
-  // visible to future-time liveness, so waiting can succeed without any
-  // new event delivery. Returns false once the query aborts (retry
-  // budget or timeout exhausted).
-  const auto retry_scan = [&](std::size_t failed) {
-    PendingQuery& pq = pending[block.ids[failed]];
-    const SimTime now = pq.record.arrival;
-    spare.Clear();
-    AppendScans(block, failed, failed + 1, &spare);
-    SimTime attempt_time = now;
-    for (std::size_t attempts = 1;; ++attempts) {
-      if (attempts > options.faults.max_scan_retries) break;
-      // Shared per-query pool (when configured): the retry about to be
-      // consumed must still fit, so the budget is exhausted exactly at
-      // the documented bound (record.retries == budget on abort).
-      if (options.faults.query_retry_budget > 0 &&
-          pq.record.retries >= options.faults.query_retry_budget) {
-        break;
-      }
-      attempt_time += RetryBackoffSeconds(options.faults, attempts);
-      ++pq.record.retries;
-      ++result.scan_retries;
-      if (collect) metrics::Count("faults.scan_retries");
-      if (attempt_time - now > options.faults.query_timeout_s) break;
-      if (route(&spare, attempt_time).ok()) return true;
-    }
-    pq.record.aborted = true;
-    return false;
-  };
-
-  // Routes the pending block and finalizes its query records in
-  // admission order. A coverage gap resumes through RouteBatchInto's
-  // partial commit: the scans before the failing one stay committed, the
-  // failing scan retries alone, and the query's remaining scans resume
-  // as a new block at its arrival. Without faults every candidate span is
-  // non-empty (ResolveBatchInto CHECKs replica coverage), so a failure
-  // there is a bug, not a condition to retry.
-  const auto flush_block = [&]() {
-    if (pending.empty()) return;
-    while (!block.empty()) {
-      const Status status =
-          route(&block, pending[block.ids[0]].record.arrival);
-      if (status.ok()) break;
-      NASHDB_CHECK(faults_on) << status.message();
-      const std::size_t failed = sink.routed();
-      if (!retry_scan(failed)) break;
-      spare.Clear();
-      AppendScans(block, failed + 1, block.size(), &spare);
-      std::swap(block, spare);
-    }
-    for (PendingQuery& pq : pending) {
-      pq.record.completion = pq.completion;
-      pq.record.latency_s = pq.completion - pq.record.arrival;
-      if (pq.record.aborted) {
-        if (collect) metrics::Count("faults.query_aborts");
-      } else if (collect) {
-        if (queries_metric == nullptr) {
-          metrics::Registry& reg = metrics::Registry::Global();
-          queries_metric = reg.counter("routing.queries");
-          span_metric = reg.histogram("routing.span");
-          latency_metric = reg.histogram("routing.latency_s");
-        }
-        queries_metric->Inc();
-        span_metric->Observe(static_cast<double>(pq.record.span));
-        latency_metric->Observe(pq.record.latency_s);
-      }
-      // Reads enqueued before an abort still occupy their nodes, so the
-      // makespan advances either way — and the query held an admission
-      // slot until its last enqueued read finished.
-      result.makespan_s = std::max(result.makespan_s, pq.completion);
-      if (overload_on) inflight.push(pq.completion);
-      commit_record(pq.record);
-    }
-    pending.clear();
-    block.Clear();
-  };
+  // --- The query path (DESIGN.md §10–§11): admission, routing, commit
+  // and record finalization all run through the data plane; this loop
+  // decides only when its block flushes around a reconfiguration round.
+  DataPlane plane(options, &sim, router, &liveness, &result);
 
   // --- Reconfiguration rounds (paper §6–§7, DESIGN.md §12). Each round is
   // a *kick* at the boundary — flush, deliver faults, snapshot the
@@ -660,7 +417,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     NASHDB_DCHECK(pending_build == nullptr);
     // Everything admitted before the boundary routes against the
     // outgoing configuration and its pre-transition queue state.
-    flush_block();
+    plane.Flush();
     // The transition must see the cluster's true liveness at its time.
     deliver_faults(boundary);
     auto pb = std::make_unique<PendingBuild>();
@@ -700,7 +457,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, cur->config(), next, dead));
     const double plan_ms = collect ? MsSince(plan_start) : 0.0;
     stall_s += SecondsSince(plan_start);
-    flush_block();
+    plane.Flush();
     const SimTime at = pb.boundary;
     bool apply = true;
     if (options.adaptive_reconfigure) {
@@ -825,50 +582,16 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     deliver_faults(now);
     maybe_repair(now);
 
-    if (overload_on) {
-      while (!inflight.empty() && inflight.top() <= now) inflight.pop();
-      const std::size_t pending_now = inflight.size();
-      if (pending_now >= options.overload.max_pending_queries &&
-          (pending_now >= hard_cap ||
-           tq.query.price < options.overload.shed_keep_price)) {
-        // Shed at admission: nothing executes and the economy never
-        // observes the query (it never ran). Deterministic drop policy:
-        // price-selective below the hard cap, everything past it.
-        QueryRecord record;
-        record.id = tq.query.id;
-        record.price = tq.query.price;
-        record.arrival = now;
-        record.completion = now;
-        record.epoch = cur->epoch();
-        record.shed = true;
-        commit_record(record);
-        if (collect) metrics::Count("overload.shed_queries");
-        continue;
-      }
-    }
-
+    if (plane.Shed(tq, cur->epoch())) continue;
     if (!options.warmup_observe) system->Observe(tq.query);
-
-    PendingQuery pq;
-    pq.record.id = tq.query.id;
-    pq.record.price = tq.query.price;
-    pq.record.arrival = now;
-    pq.record.epoch = cur->epoch();
-    pq.seq = ++last_seq;
-    pq.completion = now;
-    pending.push_back(std::move(pq));
-    const std::size_t slot = pending.size() - 1;
-    for (const Scan& scan : tq.query.scans) block.AddScan(slot, scan);
-    if (per_query_blocks || block.size() >= options.route_batch_size) {
-      flush_block();
-    }
+    plane.Admit(tq, *cur);
   }
   // A build still in flight when the workload ends is published so its
   // transition lands (every boundary the workload reached is applied);
   // the publish flushes the pending block against the outgoing epoch
   // first.
   if (pending_build) publish_epoch();
-  flush_block();
+  plane.Flush();
 
   result.total_cost = sim.AccruedCost(result.makespan_s);
   result.transferred_tuples = sim.TotalTransferredTuples();

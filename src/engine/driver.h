@@ -148,12 +148,12 @@ struct DriverOptions {
   /// RunResult accessors fall back to them when records are empty.
   bool keep_records = true;
 
-  /// Scans per routed block (DESIGN.md §11). The driver gathers up to
-  /// this many scans across consecutive queries and routes them with one
-  /// RouteBatchInto call, flushing early before every reconfiguration
-  /// round so a block never spans a configuration change. Fault and
-  /// overload runs route one block per query regardless. Block size never
-  /// changes results (golden digests at 64 and 1).
+  /// Scans per routed block (DESIGN.md §11). The data plane gathers up
+  /// to this many scans across consecutive queries and routes them with
+  /// one RouteBatchInto call; the driver flushes early before every
+  /// reconfiguration round so a block never spans a configuration change.
+  /// Fault and overload runs route one block per query regardless. Block
+  /// size never changes results (golden digests at 64 and 1).
   std::size_t route_batch_size = 64;
 
   /// Simulated seconds between a reconfiguration boundary and the publish
@@ -264,6 +264,12 @@ struct RunResult {
   double TailLatency(double percentile) const;
   double MeanSpan() const;
 
+  /// Counts a finished query into the totals and aggregates above, and
+  /// appends it to `records` when `keep_record`. The one way a record
+  /// enters a result: the data plane calls it in admission order, and the
+  /// sharded merge in workload order.
+  void AddRecord(const QueryRecord& record, bool keep_record);
+
   /// Queries that ran to completion.
   std::size_t CompletedQueries() const {
     return total_queries - aborted_queries - shed_queries;
@@ -276,10 +282,10 @@ struct RunResult {
 
 /// Executes `workload` against `system`, routing scans with `router` on a
 /// simulated cluster. Queries are admitted in arrival order and routed in
-/// blocks through ScanRouter::RouteBatchInto; the system is rebuilt and
-/// the cluster transitioned (minimal-transfer matching, §7) every
-/// reconfigure_interval_s of simulated time, each round a kick at the
-/// boundary and a publish online_build_window_s later.
+/// blocks through the data plane (engine/data_plane.h); the system is
+/// rebuilt and the cluster transitioned (minimal-transfer matching, §7)
+/// every reconfigure_interval_s of simulated time, each round a kick at
+/// the boundary and a publish online_build_window_s later.
 ///
 /// Concurrency contract (thread-safety audit, DESIGN.md §9): the driver
 /// loop is serial — it owns the ClusterSim, FaultScheduler, and config

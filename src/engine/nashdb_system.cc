@@ -12,7 +12,6 @@
 #include "engine/validate.h"
 #include "replication/incremental.h"
 #include "replication/nash.h"
-#include "replication/packer.h"
 
 namespace nashdb {
 namespace {
@@ -295,10 +294,7 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
   }
 
   Result<ClusterConfig> packed =
-      options_.incremental_placement
-          ? RepackIncremental(params, std::move(fragments),
-                              last_config_.get())
-          : PackReplicasBffd(params, std::move(fragments), pool_.get());
+      RepackIncremental(params, std::move(fragments), last_config_.get());
   NASHDB_CHECK(packed.ok()) << packed.status().ToString();
   last_config_ = std::make_unique<ClusterConfig>(*packed);
 

@@ -44,11 +44,6 @@ struct NashDbOptions {
   /// ideal is within this fraction of it (sampling jitter grows with the
   /// replica level, so an absolute band alone cannot damp hot fragments).
   double replica_hysteresis_frac = 0.3;
-  /// Place replicas incrementally against the previous configuration
-  /// (replication/incremental.h), which keeps per-period transition
-  /// transfers small, as the paper reports (§10.3). Disable to rebuild a
-  /// fresh BFFD packing every period.
-  bool incremental_placement = true;
   /// Threads refragmenting tables concurrently inside BuildConfig (each
   /// table's Refragment is independent; results are assembled in table
   /// order, so the emitted configuration is identical at any setting).

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/spsc_queue.h"
-#include "engine/config_index.h"
+#include "engine/config_epoch.h"
+#include "engine/data_plane.h"
 #include "engine/validate.h"
-#include "routing/scan_batch.h"
 #include "transition/planner.h"
 
 namespace nashdb {
@@ -27,96 +26,35 @@ std::uint64_t SplitMix64(std::uint64_t x) {
 /// acquire pays for up to this many queries).
 constexpr std::size_t kPopChunk = 32;
 
-/// Per-query routing state accumulated while its scans sit in the
-/// pending block, finalized into a QueryRecord at flush.
-struct PendingQuery {
-  QueryRecord record;
-  std::set<NodeId> nodes_used;
-  SimTime completion = 0.0;
-};
-
-/// BatchSink of the shard loop: commits each scan's reads into the
-/// shard's sim the moment the router reports them, so the next scan of
-/// the block observes the updated busy-until state exactly as a per-scan
-/// run would (bit-identity with the serial driver), then advances the
-/// shared WaitView to the next scan's arrival.
-class ShardBatchSink : public BatchSink {
- public:
-  explicit ShardBatchSink(ClusterSim* sim) : sim_(sim) {}
-
-  void Bind(const ScanBatch* block, const std::vector<std::size_t>* slots,
-            const std::vector<SimTime>* arrivals,
-            std::vector<PendingQuery>* pending, WaitView* view) {
-    block_ = block;
-    slots_ = slots;
-    arrivals_ = arrivals;
-    pending_ = pending;
-    view_ = view;
-  }
-
-  void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
-                    std::size_t count) override {
-    PendingQuery& pq = (*pending_)[(*slots_)[scan_index]];
-    const SimTime at = (*arrivals_)[scan_index];
-    const FlatRequest* reqs =
-        block_->requests.data() + block_->req_off[scan_index];
-    for (std::size_t k = 0; k < count; ++k) {
-      const RoutedRead& rr = reads[k];
-      const bool first_use = pq.nodes_used.insert(rr.node).second;
-      const TupleCount tuples = reqs[rr.request_index].tuples;
-      const SimTime done = sim_->EnqueueRead(rr.node, tuples, at, first_use);
-      pq.completion = std::max(pq.completion, done);
-      pq.record.tuples_read += tuples;
-    }
-    if (scan_index + 1 < arrivals_->size()) {
-      view_->set_at((*arrivals_)[scan_index + 1]);
-    }
-  }
-
- private:
-  ClusterSim* sim_;
-  const ScanBatch* block_ = nullptr;
-  const std::vector<std::size_t>* slots_ = nullptr;
-  const std::vector<SimTime>* arrivals_ = nullptr;
-  std::vector<PendingQuery>* pending_ = nullptr;
-  WaitView* view_ = nullptr;
-};
-
 /// One node of the epoch chain (DESIGN.md §12). Everything but `next` is
-/// immutable once the link is published: the producer fills config, its
-/// index, and the transition plan from the previous link's config, then
-/// publishes with one release store on the predecessor's `next`; shards
-/// follow the chain with acquire loads and only ever read published
-/// links. The root link (epoch 0, activate_at 0) carries the bootstrap
-/// plan and is visible to every shard before any thread starts.
+/// immutable once the link is published: the producer builds the
+/// ConfigEpoch (config and index) and the transition plan from the
+/// previous link's config, then publishes with one release store on the
+/// predecessor's `next`; shards follow the chain with acquire loads and
+/// only ever read published links. The root link (epoch 0, activate_at 0)
+/// carries the bootstrap plan and is visible to every shard before any
+/// thread starts.
 struct EpochLink {
-  EpochLink(std::uint64_t epoch_arg, SimTime at, ClusterConfig cfg,
+  EpochLink(std::uint64_t epoch_arg, SimTime at, ClusterConfig config,
             TransitionPlan plan_arg)
-      : epoch(epoch_arg),
+      : epoch(epoch_arg, std::move(config)),
         activate_at(at),
-        config(std::move(cfg)),
-        index(config, epoch_arg),
         plan(std::move(plan_arg)) {}
 
-  const std::uint64_t epoch;
+  const ConfigEpoch epoch;
   const SimTime activate_at;
-  const ClusterConfig config;
-  const ConfigIndex index;   // points into the pinned config above
-  const TransitionPlan plan; // previous link's config -> this config
+  const TransitionPlan plan;  // previous link's config -> this config
   std::atomic<EpochLink*> next{nullptr};
 };
 
 /// Everything one shard thread needs, built on the calling thread before
-/// the shard starts. The epoch chain is shared read-only across all
-/// shards (links are immutable once published); queue, done, and the
-/// chain's `next` pointers are the only cross-thread channels; the rest
-/// is shard-private.
+/// the shard starts. The epoch chain and the plane options are shared
+/// read-only across all shards (links are immutable once published);
+/// queue, done, and the chain's `next` pointers are the only cross-thread
+/// channels; the rest is shard-private.
 struct ShardTask {
-  std::size_t shard_index = 0;
   const EpochLink* chain = nullptr;
-  ClusterSimOptions sim_options;
-  double phi_s = 0.35;
-  std::size_t batch_size = 64;
+  const DriverOptions* plane_options = nullptr;
   SpscQueue<const TimedQuery*>* queue = nullptr;
   const std::atomic<bool>* done = nullptr;
   std::unique_ptr<ScanRouter> router;
@@ -125,79 +63,11 @@ struct ShardTask {
 
 void ShardMain(ShardTask* t) {
   const EpochLink* link = t->chain;
-  ClusterSim sim(t->sim_options);
-  sim.ApplyConfig(link->config, 0.0, &link->plan);
-
-  RouterScratch scratch;
-  std::vector<RoutedRead> routed;
-  ScanBatch block;
-  std::vector<std::size_t> scan_slot;   // block scan -> pending slot
-  std::vector<SimTime> scan_arrival;    // block scan -> arrival time
-  std::vector<PendingQuery> pending;
-  ShardBatchSink sink(&sim);
-  const double spt = 1.0 / t->sim_options.tuples_per_second;
-  const std::size_t batch_cap = std::max<std::size_t>(1, t->batch_size);
-
-  // Routes the pending block and finalizes its query records, in feed
-  // order. Fault-free single-epoch regime: every candidate span is
-  // non-empty (ResolveBatchInto CHECKs replica coverage), so routing
-  // cannot fail.
-  const auto flush = [&]() {
-    if (pending.empty()) return;
-    if (!block.empty()) {
-      link->index.ResolveBatchInto(&block);
-      WaitView waits(sim.BusyUntil().data(), sim.node_count(),
-                     scan_arrival.front());
-      sink.Bind(&block, &scan_slot, &scan_arrival, &pending, &waits);
-      const Status status = t->router->RouteBatchInto(
-          block, waits, spt, t->phi_s, &scratch, &routed, &sink);
-      NASHDB_CHECK(status.ok()) << "shard " << t->shard_index << ": "
-                                << status.message();
-    }
-    for (PendingQuery& pq : pending) {
-      pq.record.completion = pq.completion;
-      pq.record.latency_s = pq.completion - pq.record.arrival;
-      pq.record.span = pq.nodes_used.size();
-      t->result.makespan_s = std::max(t->result.makespan_s, pq.completion);
-      t->result.records.push_back(pq.record);
-    }
-    pending.clear();
-    block.Clear();
-    scan_slot.clear();
-    scan_arrival.clear();
-  };
-
-  const auto admit = [&](const TimedQuery& tq) {
-    // Epoch adoption at batch boundaries: follow the chain while the next
-    // published link activates at or before this query's arrival. The
-    // producer publishes a link before pushing the first query with
-    // arrival >= its activation (and the ring's release/acquire pair
-    // makes the publish visible with the query), so adoption points are a
-    // pure function of the shard's own query stream — deterministic
-    // regardless of thread timing. The pending block is flushed first, so
-    // a routed block never spans epochs.
-    for (const EpochLink* nl = link->next.load(std::memory_order_acquire);
-         nl != nullptr && tq.arrival >= nl->activate_at;
-         nl = link->next.load(std::memory_order_acquire)) {
-      flush();
-      sim.ApplyConfig(nl->config, nl->activate_at, &nl->plan);
-      link = nl;
-    }
-    PendingQuery pq;
-    pq.record.id = tq.query.id;
-    pq.record.price = tq.query.price;
-    pq.record.arrival = tq.arrival;
-    pq.record.epoch = link->epoch;
-    pq.completion = tq.arrival;
-    pending.push_back(std::move(pq));
-    const std::size_t slot = pending.size() - 1;
-    for (const Scan& scan : tq.query.scans) {
-      block.AddScan(tq.query.id, scan);
-      scan_slot.push_back(slot);
-      scan_arrival.push_back(tq.arrival);
-    }
-    if (block.size() >= batch_cap) flush();
-  };
+  ClusterSim sim(t->plane_options->sim);
+  sim.ApplyConfig(link->epoch.config(), 0.0, &link->plan);
+  RunResult run;
+  DataPlane plane(*t->plane_options, &sim, t->router.get(),
+                  /*liveness=*/nullptr, &run);
 
   const TimedQuery* popped[kPopChunk];
   for (;;) {
@@ -213,9 +83,29 @@ void ShardMain(ShardTask* t) {
         continue;
       }
     }
-    for (std::size_t i = 0; i < n; ++i) admit(*popped[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      const TimedQuery& tq = *popped[i];
+      // Epoch adoption at batch boundaries: follow the chain while the
+      // next published link activates at or before this query's arrival.
+      // The producer publishes a link before pushing the first query with
+      // arrival >= its activation (and the ring's release/acquire pair
+      // makes the publish visible with the query), so adoption points are
+      // a pure function of the shard's own query stream — deterministic
+      // regardless of thread timing. The pending block is flushed first,
+      // so a routed block never spans epochs.
+      for (const EpochLink* nl = link->next.load(std::memory_order_acquire);
+           nl != nullptr && tq.arrival >= nl->activate_at;
+           nl = link->next.load(std::memory_order_acquire)) {
+        plane.Flush();
+        sim.ApplyConfig(nl->epoch.config(), nl->activate_at, &nl->plan);
+        link = nl;
+      }
+      plane.Admit(tq, link->epoch);
+    }
   }
-  flush();
+  plane.Flush();
+  t->result.records = std::move(run.records);
+  t->result.makespan_s = run.makespan_s;
   t->result.read_tuples = sim.TotalReadTuples();
 }
 
@@ -251,6 +141,13 @@ ShardedRunResult RunShardedImpl(
     const std::function<void(const TimedQuery&)>& before_push) {
   NASHDB_CHECK(router_factory != nullptr);
   const std::size_t shards = std::max<std::size_t>(1, options.shards);
+  // Every shard runs the data plane as a fault-free, overload-free,
+  // metrics-off serial run that keeps its records.
+  DriverOptions plane_options;
+  plane_options.sim = options.sim;
+  plane_options.phi_s = options.phi_s;
+  plane_options.route_batch_size = options.batch_size;
+  plane_options.collect_metrics = false;
 
   std::vector<std::unique_ptr<SpscQueue<const TimedQuery*>>> queues;
   std::vector<ShardTask> tasks(shards);
@@ -260,11 +157,8 @@ ShardedRunResult RunShardedImpl(
     queues.push_back(std::make_unique<SpscQueue<const TimedQuery*>>(
         std::max<std::size_t>(2, options.queue_capacity)));
     ShardTask& t = tasks[s];
-    t.shard_index = s;
     t.chain = root;
-    t.sim_options = options.sim;
-    t.phi_s = options.phi_s;
-    t.batch_size = options.batch_size;
+    t.plane_options = &plane_options;
     t.queue = queues[s].get();
     t.done = &done;
     t.router = router_factory();
@@ -294,26 +188,20 @@ ShardedRunResult RunShardedImpl(
   out.shards.reserve(shards);
   for (ShardTask& t : tasks) out.shards.push_back(std::move(t.result));
 
+  // The sharded plane runs fault-free with records always kept, so the
+  // merged stream is complete, and its aggregates are taken in workload
+  // order, as a serial run's are.
   RunResult& merged = out.merged;
   std::vector<std::size_t> cursor(shards, 0);
   merged.records.reserve(workload.queries.size());
   for (const TimedQuery& tq : workload.queries) {
     const std::size_t s = ShardOfQuery(tq.query, shards);
     NASHDB_CHECK(cursor[s] < out.shards[s].records.size());
-    merged.records.push_back(out.shards[s].records[cursor[s]++]);
+    merged.AddRecord(out.shards[s].records[cursor[s]++], /*keep_record=*/true);
   }
   for (const ShardResult& sr : out.shards) {
     merged.read_tuples += sr.read_tuples;
     merged.makespan_s = std::max(merged.makespan_s, sr.makespan_s);
-  }
-  // The sharded plane runs fault-free with records always kept, so the
-  // merged stream is complete; the streaming aggregates mirror it for
-  // accessor parity with the serial driver.
-  merged.total_queries = merged.records.size();
-  for (const QueryRecord& r : merged.records) {
-    merged.completed_latency_sum_s += r.latency_s;
-    merged.completed_span_sum += static_cast<double>(r.span);
-    merged.latency_histogram.Add(r.latency_s);
   }
 
   // Billing replay over the published chain (the producer is done, so a
@@ -321,18 +209,18 @@ ShardedRunResult RunShardedImpl(
   // is only published when a query with arrival >= activate_at was
   // pushed, and that query completes no earlier than it arrives.
   ClusterSim billing(options.sim);
-  billing.ApplyConfig(root->config, 0.0, &root->plan);
+  billing.ApplyConfig(root->epoch.config(), 0.0, &root->plan);
   merged.bootstrap_transfer_tuples = billing.TotalTransferredTuples();
   const EpochLink* last = root;
   for (const EpochLink* l = root->next.load(std::memory_order_relaxed);
        l != nullptr; l = l->next.load(std::memory_order_relaxed)) {
-    billing.ApplyConfig(l->config, l->activate_at, &l->plan);
+    billing.ApplyConfig(l->epoch.config(), l->activate_at, &l->plan);
     last = l;
   }
   merged.total_cost = billing.AccruedCost(merged.makespan_s);
   merged.transferred_tuples = billing.TotalTransferredTuples();
-  merged.transitions = static_cast<std::size_t>(last->epoch) + 1;
-  merged.final_nodes = last->config.node_count();
+  merged.transitions = static_cast<std::size_t>(last->epoch.epoch()) + 1;
+  merged.final_nodes = last->epoch.config().node_count();
   return out;
 }
 
@@ -384,11 +272,12 @@ ShardedRunResult RunShardedOnline(const Workload& workload,
   const auto publish_due = [&](const TimedQuery& tq) {
     while (next_epoch < epochs.size() && tq.arrival >= epochs[next_epoch].at) {
       const ScheduledEpoch& se = epochs[next_epoch];
-      TransitionPlan plan = PlanTransition(tail->config, se.config);
+      const ClusterConfig& prev = tail->epoch.config();
+      TransitionPlan plan = PlanTransition(prev, se.config);
       NASHDB_VALIDATE_OR_DIE(ValidateConfig(se.config));
-      NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, tail->config, se.config));
-      auto link = std::make_unique<EpochLink>(tail->epoch + 1, se.at,
-                                              se.config, std::move(plan));
+      NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, prev, se.config));
+      auto link = std::make_unique<EpochLink>(
+          tail->epoch.epoch() + 1, se.at, se.config, std::move(plan));
       EpochLink* raw = link.get();
       links.push_back(std::move(link));
       tail->next.store(raw, std::memory_order_release);

@@ -15,24 +15,26 @@
 
 namespace nashdb {
 
-/// Per-core sharded data plane (DESIGN.md §11). One producer thread walks
+/// Per-core sharded driver (DESIGN.md §11). One producer thread walks
 /// the workload in arrival order and partitions queries across N driver
 /// shards by a deterministic hash of the table they scan; each shard is a
-/// thread consuming from its own bounded lock-free SPSC ring, routing
-/// scans in batches (ScanBatch + RouteBatchInto) against one shared
-/// read-only configuration epoch, with a private ClusterSim carrying its
-/// queue state.
+/// thread consuming from its own bounded lock-free SPSC ring and running
+/// the serial driver's DataPlane (engine/data_plane.h) — as a fault-free,
+/// metrics-off serial run — against one shared read-only ConfigEpoch,
+/// with a private ClusterSim carrying its queue state.
 ///
-/// Memory model of one epoch: the ClusterConfig, its ConfigIndex, and the
+/// Memory model of one epoch: the ConfigEpoch (config and index) and the
 /// bootstrap TransitionPlan are built once on the calling thread before
 /// any shard starts and are immutable for the run — shards take const
 /// references, so the only cross-thread communication is the SPSC rings
 /// (release/acquire pairs) and the done flag. Each shard owns its sim,
-/// router, and scratch outright; results are collected after join.
+/// router and data plane outright; results are collected after join.
 struct ShardedDriverOptions {
-  /// Driver shards (consumer threads). 1 reproduces the serial flat path.
+  /// Driver shards (consumer threads). 1 reproduces the serial driver's
+  /// records on the same single-epoch regime.
   std::size_t shards = 1;
-  /// Scans per routed block within a shard (RouteBatchInto block size).
+  /// Scans per routed block within a shard (the data plane's
+  /// DriverOptions::route_batch_size).
   std::size_t batch_size = 64;
   /// Per-shard SPSC ring capacity, in queries (rounded up to a power of
   /// two). The producer spins (yielding) when a ring is full.
@@ -99,7 +101,7 @@ struct ScheduledEpoch {
 
 /// Online variant of RunSharded (DESIGN.md §12): routing starts against
 /// `bootstrap` (epoch 0) and each ScheduledEpoch is published while the
-/// shards are routing. The producer thread builds the epoch's ConfigIndex
+/// shards are routing. The producer thread builds the epoch's ConfigEpoch
 /// and minimal-transfer plan immediately before pushing the first query
 /// arriving at or after its activation time, then publishes it with one
 /// release store onto an atomic epoch chain; each shard adopts the next

@@ -4,12 +4,17 @@
 // serial run of exactly its partition; block size never changes results;
 // the table-hash partitioner is deterministic; and merged billing counts
 // per-cluster quantities (rent, bootstrap copy) once while summing real
-// per-shard work. The multi-thread cases double as the TSan pass over
-// the SPSC rings (this file carries the tsan label).
+// per-shard work. Pinned digests fix the records themselves for every
+// router, shard count and block size, and at high replication. The
+// multi-thread cases double as the TSan pass over the SPSC rings (this
+// file carries the tsan label) and, with the plane label, as the ASan
+// and UBSan pass over the shard threads.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <ios>
 #include <memory>
 #include <set>
 #include <vector>
@@ -20,8 +25,10 @@
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
 #include "engine/sharded_driver.h"
+#include "golden_run.h"
 #include "routing/router.h"
 #include "routing/scan_batch.h"
+#include "workload/streaming.h"
 #include "workload/synthetic.h"
 
 namespace nashdb {
@@ -223,6 +230,131 @@ TEST(ShardedDriverTest, MergedBillingCountsClusterQuantitiesOnce) {
   const ShardedRunResult four = RunSharded(workload, config, kFactories[0], so);
   EXPECT_EQ(four.merged.read_tuples, serial.read_tuples);
   EXPECT_EQ(four.merged.transferred_tuples, serial.transferred_tuples);
+}
+
+// Pinned digests (tests/golden_run.h) of RunSharded on the TPC-H regime,
+// [router][shards 1, 4][batch 1, 64], in kFactories order. Captured from
+// the sharded driver while it still kept its own copy of the query path
+// (a per-query node set for the span, its own sink and flush), so they
+// check the shared data plane against that independent implementation.
+constexpr std::uint64_t kShardedGolden[4][2][2] = {
+    {{0x3f9ac686478eaa12ULL, 0x3f9ac686478eaa12ULL},
+     {0xe0c29bc6aa1be973ULL, 0xe0c29bc6aa1be973ULL}},
+    {{0x48da710b73aaabc7ULL, 0x48da710b73aaabc7ULL},
+     {0x9d7590924f929c01ULL, 0x9d7590924f929c01ULL}},
+    {{0x63c83b2ff099732bULL, 0x63c83b2ff099732bULL},
+     {0xbea6b5ef8a2979ddULL, 0xbea6b5ef8a2979ddULL}},
+    {{0xda7b52fd24cd51d0ULL, 0xda7b52fd24cd51d0ULL},
+     {0xc8b7f8a892c32f4eULL, 0xc8b7f8a892c32f4eULL}},
+};
+constexpr std::size_t kGoldenShards[2] = {1, 4};
+constexpr std::size_t kGoldenBatches[2] = {1, 64};
+
+TEST(ShardedDriverTest, PinnedDigestsForEveryRouterShardCountAndBlockSize) {
+  const Workload& workload = GoldenTpchWorkload();
+  const ClusterConfig config =
+      BuildGoldenTpchConfig(workload.queries.size());
+  std::set<std::uint64_t> one_shard_digests;
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        ShardedDriverOptions so;
+        so.shards = kGoldenShards[s];
+        so.batch_size = kGoldenBatches[b];
+        so.sim.tuples_per_second = kGoldenTuplesPerSecond;
+        const ShardedRunResult run =
+            RunSharded(workload, config, kFactories[r], so);
+        const std::uint64_t digest = DigestSharded(run);
+        EXPECT_EQ(digest, kShardedGolden[r][s][b])
+            << "router " << r << " shards " << so.shards << " batch "
+            << so.batch_size << ": digest 0x" << std::hex << digest;
+        if (so.shards == 1) one_shard_digests.insert(digest);
+        // The run must spread over the shards and span nodes, or the
+        // digest pins little.
+        std::size_t busy_shards = 0;
+        for (const ShardResult& sr : run.shards) {
+          busy_shards += !sr.records.empty();
+        }
+        EXPECT_GE(busy_shards, std::min<std::size_t>(so.shards, 3));
+        std::size_t multi_span = 0;
+        for (const QueryRecord& q : run.merged.records) {
+          multi_span += q.span > 1;
+        }
+        EXPECT_GT(multi_span, 0u);
+      }
+    }
+  }
+  // Every router routes differently here.
+  EXPECT_EQ(one_shard_digests.size(), 4u);
+}
+
+// Pinned digests of the high-replication case, [shards 1, 4][batch 1,
+// 64], captured like kShardedGolden.
+constexpr std::uint64_t kHighReplicationGolden[2][2] = {
+    {0xbba310d90eef744fULL, 0xbba310d90eef744fULL},
+    {0xb5ab0bcfcf15df4fULL, 0xb5ab0bcfcf15df4fULL},
+};
+
+/// The streaming workload of query_path_golden_test's high-replication
+/// case: streaming_10m's single-table stream, cut to 3000 queries over
+/// five minutes, with scans 5x longer so that some cover more than 16
+/// fragments.
+Workload HighReplicationWorkload() {
+  PhasedStreamOptions o;
+  o.db_gb = 100.0;
+  o.tuples_per_gb = 100;
+  o.num_queries = 3000;
+  o.duration_s = 300.0;
+  o.scan_frac = 0.1;
+  return PhasedQueryStream(o).Materialize();
+}
+
+TEST(ShardedDriverTest, PinnedDigestsAtHighReplication) {
+  // streaming_10m's system and disks, one epoch built after observing the
+  // whole workload: 128 nodes and ~127 candidates per request, where
+  // Max-of-mins stops its sweep at its lower bound.
+  const Workload workload = HighReplicationWorkload();
+  NashDbOptions opts;
+  opts.window_scans = 250;
+  opts.block_tuples = 250;
+  opts.node_cost = 3.0;
+  opts.node_disk = 120'000;
+  opts.max_replicas = 128;
+  opts.reconfig_threads = 1;
+  NashDbSystem sys(workload.dataset, opts);
+  for (const TimedQuery& tq : workload.queries) sys.Observe(tq.query);
+  const ClusterConfig config = sys.BuildConfig();
+  ASSERT_GE(config.node_count(), 64u);
+
+  const ConfigIndex index(config);
+  ScanBatch batch;
+  for (const TimedQuery& tq : workload.queries) {
+    for (const Scan& scan : tq.query.scans) batch.AddScan(tq.query.id, scan);
+  }
+  index.ResolveBatchInto(&batch);
+  std::size_t candidates = 0;
+  for (const FlatRequest& req : batch.requests) candidates += req.cand_count;
+  EXPECT_GE(candidates, 50 * batch.requests.size());
+
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      ShardedDriverOptions so;
+      so.shards = kGoldenShards[s];
+      so.batch_size = kGoldenBatches[b];
+      so.sim.tuples_per_second = 1500.0;
+      so.sim.transfer_tuples_per_second = 5000.0;
+      const ShardedRunResult run =
+          RunSharded(workload, config, kFactories[0], so);
+      EXPECT_EQ(DigestSharded(run), kHighReplicationGolden[s][b])
+          << "shards " << so.shards << " batch " << so.batch_size
+          << ": digest 0x" << std::hex << DigestSharded(run);
+      std::size_t multi_span = 0;
+      for (const QueryRecord& q : run.merged.records) {
+        multi_span += q.span > 1;
+      }
+      EXPECT_GT(multi_span, 0u);
+    }
+  }
 }
 
 TEST(ShardedDriverTest, PartitionerIsDeterministicAndCoversAllShards) {

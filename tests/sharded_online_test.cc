@@ -5,12 +5,16 @@
 // is stamped with the epoch count of activations at or before its
 // arrival; each shard of an N-shard online run reproduces a 1-shard
 // online run of exactly its partition; and an empty schedule reproduces
-// the single-epoch RunSharded stream bit for bit. The multi-thread cases
+// the single-epoch RunSharded stream bit for bit. Pinned digests fix the
+// records of a two-step TPC-H schedule themselves. The multi-thread cases
 // double as the TSan pass over the epoch chain's release/acquire publish
-// (this file carries the tsan label).
+// (this file carries the tsan label) and, with the plane label, as the
+// ASan and UBSan pass over the shard threads.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <ios>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
 #include "engine/sharded_driver.h"
+#include "golden_run.h"
 #include "routing/router.h"
 #include "workload/synthetic.h"
 
@@ -191,6 +196,48 @@ TEST(ShardedOnlineTest, EmptyScheduleMatchesRunSharded) {
               plain.merged.transferred_tuples);
     EXPECT_EQ(online.merged.transitions, plain.merged.transitions);
     EXPECT_EQ(online.merged.final_nodes, plain.merged.final_nodes);
+  }
+}
+
+// Pinned digests (tests/golden_run.h) of RunShardedOnline on the TPC-H
+// regime with a two-step schedule, [router][shards 1, 4][batch 1, 64], in
+// kFactories order. Captured from the sharded driver while it still kept
+// its own copy of the query path, so they check the shared data plane
+// against that independent implementation.
+constexpr std::uint64_t kOnlineGolden[2][2][2] = {
+    {{0xd8b2c858aa26dd27ULL, 0xd8b2c858aa26dd27ULL},
+     {0x7c8711dc83e339a4ULL, 0x7c8711dc83e339a4ULL}},
+    {{0x86695c3be7b1dae3ULL, 0x86695c3be7b1dae3ULL},
+     {0x834adb63e7d0e002ULL, 0x834adb63e7d0e002ULL}},
+};
+
+TEST(ShardedOnlineTest, PinnedDigestsOfATwoStepSchedule) {
+  // Bootstrap from the first 30 queries, then re-fragment at 40 min and
+  // 80 min from successively longer prefixes.
+  const Workload& workload = GoldenTpchWorkload();
+  const ClusterConfig bootstrap = BuildGoldenTpchConfig(30);
+  std::vector<ScheduledEpoch> epochs;
+  epochs.push_back({BuildGoldenTpchConfig(60), 2400.0});
+  epochs.push_back({BuildGoldenTpchConfig(workload.queries.size()), 4800.0});
+  const std::size_t shard_counts[2] = {1, 4};
+  const std::size_t batches[2] = {1, 64};
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        ShardedDriverOptions so;
+        so.shards = shard_counts[s];
+        so.batch_size = batches[b];
+        so.sim.tuples_per_second = kGoldenTuplesPerSecond;
+        const ShardedRunResult run =
+            RunShardedOnline(workload, bootstrap, epochs, kFactories[r], so);
+        const std::uint64_t digest = DigestSharded(run);
+        EXPECT_EQ(digest, kOnlineGolden[r][s][b])
+            << "router " << r << " shards " << so.shards << " batch "
+            << so.batch_size << ": digest 0x" << std::hex << digest;
+        EXPECT_EQ(run.merged.transitions, 3u);
+        EXPECT_GT(run.merged.records.back().epoch, 0u);
+      }
+    }
   }
 }
 

@@ -8,12 +8,14 @@
 #
 # Usage: tools/check.sh [--quick | --static | --bench-smoke]
 #   --quick    in the sanitizer passes, run only the targeted labels
-#              (ctest -L 'tsan|online|transition' for TSan, -L faults
-#              for ASan/UBSan) instead of the full suite. The online
-#              label marks the online-reconfiguration suites (epoch
-#              publish concurrent with routing, DESIGN.md 12); the
-#              transition label marks the control-plane matching /
-#              packing / validation suites (DESIGN.md 15).
+#              (ctest -L 'tsan|online|transition' for TSan,
+#              -L 'faults|plane' for ASan/UBSan) instead of the full
+#              suite. The online label marks the online-reconfiguration
+#              suites (epoch publish concurrent with routing, DESIGN.md
+#              12); the transition label marks the control-plane
+#              matching / packing / validation suites (DESIGN.md 15);
+#              the plane label marks the sharded data-plane suites, whose
+#              shard threads run the data plane (DESIGN.md 11).
 #   --static   the static gates only, no tests. In order, with a distinct
 #              exit code per gate so CI and humans can tell at a glance
 #              which one broke:
@@ -334,8 +336,8 @@ echo "== TSan scenario run (rack_failure.scn) =="
     >/dev/null
 echo "scenario engine: clean under TSan"
 
-sanitized_pass asan address faults ASAN_OPTIONS=halt_on_error=1
-sanitized_pass ubsan undefined faults \
+sanitized_pass asan address 'faults|plane' ASAN_OPTIONS=halt_on_error=1
+sanitized_pass ubsan undefined 'faults|plane' \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 echo

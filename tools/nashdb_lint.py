@@ -24,8 +24,9 @@ time instead of by a flaky golden diff three PRs later:
   hot-alloc             Functions marked NASHDB_HOT
                         (common/thread_annotations.h) — the steady-state
                         query path: RouteInto / RouteBatchInto /
-                        ResolveBatchInto / WaitView and the SPSC ring
-                        ops — must not allocate: no `new`,
+                        ResolveBatchInto / WaitView, the data plane's
+                        per-read commit and the SPSC ring ops — must
+                        not allocate: no `new`,
                         no make_unique/make_shared, no std::string
                         construction, no container growth calls. The §10
                         contract is "the steady state allocates nothing";
