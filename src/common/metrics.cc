@@ -113,9 +113,6 @@ void AppendTrace(std::string* out, const ReconfigTrace& t) {
   AppendKey(out, "tree_nodes");
   AppendU64(out, t.tree_nodes);
   out->append(", ");
-  AppendKey(out, "tree_height_max");
-  AppendU64(out, static_cast<std::uint64_t>(t.tree_height_max));
-  out->append(", ");
   AppendKey(out, "estimator_bytes");
   AppendU64(out, t.estimator_bytes);
   out->append("}");
@@ -352,6 +349,7 @@ void Registry::Reset() {
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
+    generation_.fetch_add(1, std::memory_order_release);
   }
   MutexLock tlock(trace_mu_);
   traces_.clear();

@@ -106,9 +106,8 @@ struct ReconfigTrace {
   // -- §4 value estimation ------------------------------------------------
   std::size_t window_scans = 0;     ///< Scans in the window at build time.
   std::size_t active_tables = 0;    ///< Tables with >= 1 windowed scan.
-  std::size_t tree_nodes = 0;       ///< Distinct scan endpoints, all trees.
-  int tree_height_max = 0;          ///< Tallest AVL tree.
-  std::size_t estimator_bytes = 0;  ///< Trees + window buffer footprint.
+  std::size_t tree_nodes = 0;       ///< Distinct scan endpoints, all tables.
+  std::size_t estimator_bytes = 0;  ///< Endpoint tables + window buffer.
 
   // -- §5 fragmentation ---------------------------------------------------
   std::size_t tables_fragmented = 0;
@@ -181,6 +180,12 @@ class Registry {
   /// pointers; the free-function API below is always safe.
   void Reset() NASHDB_EXCLUDES(mu_, trace_mu_);
 
+  /// Number of Reset() calls so far. A metric pointer resolved while this
+  /// returned g stays valid for as long as it still returns g.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   /// Serializes counters, gauges, histograms, and reconfiguration traces
   /// as one JSON object.
   std::string SnapshotJson() const NASHDB_EXCLUDES(mu_, trace_mu_);
@@ -189,6 +194,7 @@ class Registry {
   Registry() = default;
 
   std::atomic<bool> enabled_{false};
+  std::atomic<std::uint64_t> generation_{0};
   /// Guards metric *registration* (map lookup/insert); mutation of the
   /// returned metric objects is lock-free atomics. Reads take the shared
   /// side so concurrent pool workers resolving names do not serialize.
@@ -210,6 +216,34 @@ inline bool Enabled() { return Registry::Global().enabled(); }
 void Count(std::string_view name, std::uint64_t n = 1);
 void SetGauge(std::string_view name, double value);
 void Observe(std::string_view name, double value);
+
+/// A named counter recorded through a cached pointer, for per-event call
+/// sites held by an object that may outlive a run (e.g. the estimator of
+/// a system reused across runs). The pointer is resolved on the first
+/// record made while the registry is enabled, and again after every
+/// Registry::Reset() (which frees the counter it pointed to), so each
+/// record costs one name lookup per run instead of one per event.
+class CounterHandle {
+ public:
+  /// `name` must outlive the handle (a string literal).
+  explicit CounterHandle(const char* name) : name_(name) {}
+
+  void Inc(std::uint64_t n = 1) {
+    Registry& r = Registry::Global();
+    if (!r.enabled()) return;
+    const std::uint64_t generation = r.generation();
+    if (counter_ == nullptr || generation != generation_) {
+      counter_ = r.counter(name_);
+      generation_ = generation;
+    }
+    counter_->Inc(n);
+  }
+
+ private:
+  const char* name_;
+  Counter* counter_ = nullptr;
+  std::uint64_t generation_ = 0;
+};
 
 /// RAII wall-clock timer recording elapsed milliseconds into the named
 /// histogram on destruction. The enabled check happens at construction;

@@ -69,21 +69,19 @@ NashDbSystem::EstimatorSnapshot NashDbSystem::SnapshotEstimator() const {
   snap.window_scans = estimator_->window_scans();
   snap.window.assign(estimator_->window().begin(), estimator_->window().end());
   // Materialize every table's value profile now: Profile() is the one
-  // estimator read whose input (the value trees) Observe() mutates, so
+  // estimator read whose input (the endpoint tables) Observe() mutates, so
   // capturing it here is what makes the rest of the build safe to overlap
-  // with query admission. Serial on the caller, but linear in tree size —
-  // a sliver of the refragmentation cost it unblocks.
+  // with query admission. Serial on the caller, and a sort of at most
+  // 2|W| keys per table — a sliver of the refragmentation cost it
+  // unblocks.
   for (const TableSpec& table : dataset_.tables) {
     if (table.tuples == 0) continue;
     snap.profiles.emplace(table.id,
                           estimator_->Profile(table.id, table.tuples));
   }
   for (TableId t : estimator_->ActiveTables()) {
-    const ValueEstimationTree* tree = estimator_->tree(t);
     ++snap.active_tables;
-    snap.tree_nodes += tree->node_count();
-    snap.tree_height_max =
-        std::max(snap.tree_height_max, static_cast<std::size_t>(tree->Height()));
+    snap.tree_nodes += estimator_->tree(t)->node_count();
   }
   snap.estimator_bytes = estimator_->SizeBytes();
   return snap;
@@ -118,7 +116,6 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
     trace.window_scans = snap.window_scans;
     trace.active_tables = snap.active_tables;
     trace.tree_nodes = snap.tree_nodes;
-    trace.tree_height_max = snap.tree_height_max;
     trace.estimator_bytes = snap.estimator_bytes;
   }
 

@@ -105,7 +105,6 @@ class NashDbSystem : public DistributionSystem {
     // Trace-only fields (metrics::ReconfigTrace).
     std::size_t active_tables = 0;
     std::size_t tree_nodes = 0;
-    std::size_t tree_height_max = 0;
     std::size_t estimator_bytes = 0;
   };
 

@@ -119,6 +119,28 @@ Status BadValue(const LineContext& c, std::string_view expected) {
     return Status::OK();                                       \
   } while (false)
 
+// As NASHDB_SCN_DOUBLE / NASHDB_SCN_UINT, rejecting a negative price or
+// a size of 0.
+#define NASHDB_SCN_NONNEGATIVE_DOUBLE(field)                   \
+  do {                                                         \
+    double x = 0.0;                                            \
+    if (!ParseDouble(c.value, &x) || x < 0.0)                  \
+      return BadValue(c, "a number >= 0 for key '" +           \
+                             std::string(c.key) + "'");        \
+    (field) = x;                                               \
+    return Status::OK();                                       \
+  } while (false)
+
+#define NASHDB_SCN_POSITIVE_UINT(field)                        \
+  do {                                                         \
+    std::uint64_t u = 0;                                       \
+    if (!ParseUint(c.value, &u) || u == 0)                     \
+      return BadValue(c, "a positive integer for key '" +      \
+                             std::string(c.key) + "'");        \
+    (field) = u;                                               \
+    return Status::OK();                                       \
+  } while (false)
+
 #define NASHDB_SCN_BOOL(field)                                 \
   do {                                                         \
     if (!ParseBool(c.value, &(field)))                         \
@@ -144,9 +166,16 @@ Status ApplyTopologyKey(const LineContext& c, ScenarioSpec* spec) {
 Status ApplyWorkloadKey(const LineContext& c, ScenarioSpec* spec) {
   PhasedStreamOptions& w = spec->workload;
   if (c.key == "queries") NASHDB_SCN_UINT(w.num_queries);
-  if (c.key == "db_gb") NASHDB_SCN_DOUBLE(w.db_gb);
+  if (c.key == "db_gb") {
+    if (!ParseDouble(c.value, &w.db_gb) || w.db_gb <= 0.0) {
+      return BadValue(c, "a number > 0 for key 'db_gb'");
+    }
+    return Status::OK();
+  }
   if (c.key == "tuples_per_gb") NASHDB_SCN_UINT(w.tuples_per_gb);
-  if (c.key == "price") NASHDB_SCN_DOUBLE(w.price);
+  // A negative price would put a negative normalized price in the value
+  // estimator's window.
+  if (c.key == "price") NASHDB_SCN_NONNEGATIVE_DOUBLE(w.price);
   if (c.key == "duration_s") NASHDB_SCN_DOUBLE(w.duration_s);
   if (c.key == "hot_prob") NASHDB_SCN_DOUBLE(w.hot_prob);
   if (c.key == "hot_frac") NASHDB_SCN_DOUBLE(w.hot_frac);
@@ -169,7 +198,7 @@ Status ApplyPhaseKey(const LineContext& c, StreamPhase* p) {
   if (c.key == "focus_hi") NASHDB_SCN_DOUBLE(p->focus_hi);
   if (c.key == "focus_prob") NASHDB_SCN_DOUBLE(p->focus_prob);
   if (c.key == "drift_to") NASHDB_SCN_DOUBLE(p->drift_to);
-  if (c.key == "price_x") NASHDB_SCN_DOUBLE(p->price_x);
+  if (c.key == "price_x") NASHDB_SCN_NONNEGATIVE_DOUBLE(p->price_x);
   if (c.key == "tenant_frac") NASHDB_SCN_DOUBLE(p->tenant_frac);
   return BadLine(c.line, c.key,
                  "[phase] key: start_s, end_s, period_s, amplitude, "
@@ -222,10 +251,12 @@ Status ApplyDriverKey(const LineContext& c, ScenarioSpec* spec) {
     }
     return Status::OK();
   }
-  if (c.key == "window") NASHDB_SCN_UINT(spec->window);
+  // The estimator needs room for one scan; fragments and nodes need room
+  // for one tuple.
+  if (c.key == "window") NASHDB_SCN_POSITIVE_UINT(spec->window);
   if (c.key == "node_cost") NASHDB_SCN_DOUBLE(spec->node_cost);
-  if (c.key == "node_disk") NASHDB_SCN_UINT(spec->node_disk);
-  if (c.key == "block") NASHDB_SCN_UINT(spec->block);
+  if (c.key == "node_disk") NASHDB_SCN_POSITIVE_UINT(spec->node_disk);
+  if (c.key == "block") NASHDB_SCN_POSITIVE_UINT(spec->block);
   if (c.key == "max_replicas") NASHDB_SCN_UINT(spec->max_replicas);
   if (c.key == "prewarm_scans") NASHDB_SCN_UINT(spec->prewarm_scans);
   if (c.key == "keep_records") NASHDB_SCN_BOOL(spec->keep_records);
@@ -268,6 +299,8 @@ Status ApplyAssertKey(const LineContext& c, ScenarioSpec* spec) {
 
 #undef NASHDB_SCN_DOUBLE
 #undef NASHDB_SCN_UINT
+#undef NASHDB_SCN_NONNEGATIVE_DOUBLE
+#undef NASHDB_SCN_POSITIVE_UINT
 #undef NASHDB_SCN_BOOL
 
 std::string JsonEscape(std::string_view s) {
@@ -422,6 +455,27 @@ Result<ScenarioSpec> ScenarioSpec::Parse(std::string_view text) {
   if (spec.workload.duration_s <= 0.0) {
     return Status::InvalidArgument(
         "scenario [workload]: duration_s must be > 0");
+  }
+  // The workload's one table holds db_gb x tuples_per_gb tuples
+  // (PhasedQueryStream): it must hold at least one, and the count must
+  // fit a TupleCount.
+  const double tuples = spec.workload.db_gb *
+                        static_cast<double>(spec.workload.tuples_per_gb);
+  if (!(tuples >= 1.0 && tuples < std::ldexp(1.0, 64))) {
+    std::ostringstream os;
+    os << "scenario [workload]: keys 'db_gb' x 'tuples_per_gb' give "
+       << tuples << " tuples: expected a table of at least one tuple "
+       << "(and fewer than 2^64)";
+    return Status::InvalidArgument(os.str());
+  }
+  const TupleCount fragment =
+      std::min<TupleCount>(spec.block, static_cast<TupleCount>(tuples));
+  if (spec.node_disk < fragment) {
+    std::ostringstream os;
+    os << "scenario [driver]: key 'node_disk' = " << spec.node_disk
+       << " is below min(block, table tuples) = " << fragment
+       << ": expected a node that holds one block-sized fragment";
+    return Status::InvalidArgument(os.str());
   }
   return spec;
 }

@@ -37,11 +37,13 @@ struct ScenarioAssertion {
 ///                price = F           duration_s = F
 ///                hot_prob = F        hot_frac = F hot_center = F
 ///                scan_frac = F       stream_seed = N
+///                (db_gb > 0, price >= 0, and db_gb x tuples_per_gb
+///                at least one tuple)
 ///   [phase]      kind = diurnal|flash_crowd|skew_drift|price_war
 ///                (must be the first key of the section), then
 ///                start_s / end_s plus the kind's knobs — period_s,
 ///                amplitude, rate_x, focus_lo, focus_hi, focus_prob,
-///                drift_to, price_x, tenant_frac (StreamPhase).
+///                drift_to, price_x >= 0, tenant_frac (StreamPhase).
 ///                Repeatable; phases compose.
 ///   [faults]     spec = STR          (the --faults clause grammar,
 ///                                     cluster/faults.h)
@@ -57,6 +59,8 @@ struct ScenarioAssertion {
 ///                tuples_per_second = F
 ///                transfer_tuples_per_second = F
 ///                router = maxofmins|shortestqueue|greedysc|power2
+///                (window, node_disk and block >= 1; node_disk >=
+///                min(block, table tuples))
 ///   [assert]     KEY = F, one per line; KEYs:
 ///                max_abort_rate, max_shed_rate, max_retry_rate,
 ///                mean_latency_s, p50_latency_s, p95_latency_s,

@@ -1,9 +1,6 @@
 #include "value/estimator.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace nashdb {
 
@@ -16,18 +13,18 @@ void TupleValueEstimator::AddScan(const Scan& scan) {
   if (scan.range.empty()) return;
   if (buffer_.size() == window_size_) {
     const Scan& oldest = buffer_.front();
-    auto it = trees_.find(oldest.table);
-    NASHDB_CHECK(it != trees_.end());
+    auto it = tables_.find(oldest.table);
+    NASHDB_CHECK(it != tables_.end());
     it->second.RemoveScan(oldest.range.start, oldest.range.end,
                           oldest.NormalizedPrice());
-    if (it->second.empty()) trees_.erase(it);
+    if (it->second.empty()) tables_.erase(it);
     buffer_.pop_front();
-    metrics::Count("value.scans_evicted");
+    scans_evicted_.Inc();
   }
   buffer_.push_back(scan);
-  trees_[scan.table].AddScan(scan.range.start, scan.range.end,
-                             scan.NormalizedPrice());
-  metrics::Count("value.scans_added");
+  tables_[scan.table].AddScan(scan.range.start, scan.range.end,
+                              scan.NormalizedPrice());
+  scans_added_.Inc();
 }
 
 void TupleValueEstimator::AddQuery(const Query& query) {
@@ -35,7 +32,7 @@ void TupleValueEstimator::AddQuery(const Query& query) {
 }
 
 Money TupleValueEstimator::ValueAt(TableId table, TupleIndex x) const {
-  const ValueEstimationTree* t = tree(table);
+  const EndpointTable* t = tree(table);
   if (t == nullptr || buffer_.empty()) return 0.0;
   return t->RawValueAt(x) / static_cast<Money>(buffer_.size());
 }
@@ -43,11 +40,11 @@ Money TupleValueEstimator::ValueAt(TableId table, TupleIndex x) const {
 ValueProfile TupleValueEstimator::Profile(TableId table,
                                           TupleCount table_size) const {
   std::vector<ValueChunk> chunks;
-  const ValueEstimationTree* t = tree(table);
+  const EndpointTable* t = tree(table);
   if (t != nullptr && !buffer_.empty()) {
     const Money w = static_cast<Money>(buffer_.size());
-    // Template walk (no std::function dispatch, no recursion) — Profile is
-    // called once per table per reconfiguration round.
+    // Profile is called once per table per reconfiguration round; the
+    // walk sorts the table's keys.
     t->ForEachChunk([&](TupleIndex start, TupleIndex end, Money raw) {
       chunks.push_back(ValueChunk{start, end, raw / w});
     });
@@ -57,9 +54,9 @@ ValueProfile TupleValueEstimator::Profile(TableId table,
 
 std::vector<TableId> TupleValueEstimator::ActiveTables() const {
   std::vector<TableId> tables;
-  tables.reserve(trees_.size());
-  for (const auto& [table, tree] : trees_) {
-    (void)tree;
+  tables.reserve(tables_.size());
+  for (const auto& [table, endpoints] : tables_) {
+    (void)endpoints;
     tables.push_back(table);
   }
   return tables;
@@ -67,16 +64,16 @@ std::vector<TableId> TupleValueEstimator::ActiveTables() const {
 
 std::size_t TupleValueEstimator::SizeBytes() const {
   std::size_t bytes = buffer_.size() * sizeof(Scan);
-  for (const auto& [table, tree] : trees_) {
+  for (const auto& [table, endpoints] : tables_) {
     (void)table;
-    bytes += tree.SizeBytes();
+    bytes += endpoints.SizeBytes();
   }
   return bytes;
 }
 
-const ValueEstimationTree* TupleValueEstimator::tree(TableId table) const {
-  auto it = trees_.find(table);
-  return it == trees_.end() ? nullptr : &it->second;
+const EndpointTable* TupleValueEstimator::tree(TableId table) const {
+  auto it = tables_.find(table);
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 }  // namespace nashdb

@@ -404,5 +404,40 @@ TEST(MetricsIntegrationTest, RoutingMetricsArePerRun) {
   }
 }
 
+// Two back-to-back metrics-on runs through one NashDbSystem: its
+// estimator (and with it the value.* counter handles) outlives the first
+// run, whose registry the second run's start resets. Each run's
+// value.scans_added must be exactly the scans that run observed, and
+// value.scans_evicted what the window had to give up for them — a handle
+// kept past the reset would record into a freed counter instead.
+TEST(MetricsIntegrationTest, ValueMetricsArePerRunOnAReusedSystem) {
+  TpchOptions topts;
+  topts.db_gb = 3.0;
+  topts.num_queries = 44;
+  topts.arrival_span_s = 2.0 * 3600.0;
+  const Workload wl = MakeTpchWorkload(topts);
+  std::uint64_t scans = 0;
+  for (const TimedQuery& tq : wl.queries) {
+    for (const Scan& s : tq.query.scans) scans += s.range.empty() ? 0 : 1;
+  }
+  ASSERT_GT(scans, 0u);
+  NashDbSystem sys(wl.dataset, EngineOptions());
+  MaxOfMinsRouter router;
+  DriverOptions dopts = FastSim();
+  dopts.collect_metrics = true;
+  for (int run = 0; run < 2; ++run) {
+    const std::size_t before = sys.estimator().window_scans();
+    const RunResult r = RunWorkload(wl, &sys, &router, dopts);
+    const std::size_t after = sys.estimator().window_scans();
+    EXPECT_EQ(CounterValue(r.metrics_json, "value.scans_added"), scans)
+        << "run " << run;
+    if (before + scans > after) {
+      EXPECT_EQ(CounterValue(r.metrics_json, "value.scans_evicted"),
+                before + scans - after)
+          << "run " << run;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nashdb

@@ -402,7 +402,7 @@ TEST_P(AdversarialPriceTest, TreeInvariantsSurviveExtremePriceChurn) {
     est.AddScan(s);
 
     for (TableId t : {TableId{0}, TableId{1}}) {
-      if (const ValueEstimationTree* tree = est.tree(t)) {
+      if (const EndpointTable* tree = est.tree(t)) {
         tree->CheckInvariants();
       }
       // Profile materialization must not choke on extreme magnitudes.

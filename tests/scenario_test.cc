@@ -149,6 +149,24 @@ TEST(ScenarioParseTest, MalformedSpecsNameTheBadTokenAndGrammar) {
       {"[assert]\nmax_qps = 10\n", "max_qps", "[assert] key"},
       {"[assert]\nmax_abort_rate = lots\n", "lots", "a number"},
       {"[scenario]\n= 3\n", "= 3", "nonempty key"},
+      {"[driver]\nwindow = 0\n", "0", "a positive integer for key 'window'"},
+      {"[driver]\nblock = 0\n", "0", "a positive integer for key 'block'"},
+      {"[driver]\nnode_disk = 0\n", "0",
+       "a positive integer for key 'node_disk'"},
+      {"[workload]\nqueries = 5\ndb_gb = 1\ntuples_per_gb = 100\n"
+       "[driver]\nblock = 500\nnode_disk = 99\n",
+       "node_disk", "holds one block-sized fragment"},
+      {"[workload]\nqueries = 5\n[driver]\nblock = 500\nnode_disk = 499\n",
+       "node_disk", "min(block, table tuples) = 500"},
+      {"[workload]\ndb_gb = 0\n", "0", "a number > 0 for key 'db_gb'"},
+      {"[workload]\ndb_gb = -5\n", "-5", "a number > 0 for key 'db_gb'"},
+      {"[workload]\nqueries = 5\ndb_gb = 0.001\ntuples_per_gb = 100\n",
+       "db_gb", "at least one tuple"},
+      {"[workload]\nqueries = 5\ntuples_per_gb = 0\n", "tuples_per_gb",
+       "at least one tuple"},
+      {"[workload]\nprice = -1\n", "-1", "a number >= 0 for key 'price'"},
+      {"[phase]\nkind = price_war\nprice_x = -2\n", "-2",
+       "a number >= 0 for key 'price_x'"},
   };
   for (const Case& c : cases) {
     const auto parsed = ScenarioSpec::Parse(c.text);

@@ -9,13 +9,15 @@
 # Usage: tools/check.sh [--quick | --static | --bench-smoke]
 #   --quick    in the sanitizer passes, run only the targeted labels
 #              (ctest -L 'tsan|online|transition' for TSan,
-#              -L 'faults|plane' for ASan/UBSan) instead of the full
-#              suite. The online label marks the online-reconfiguration
+#              -L 'faults|plane|value' for ASan/UBSan) instead of the
+#              full suite. The online label marks the online-reconfiguration
 #              suites (epoch publish concurrent with routing, DESIGN.md
 #              12); the transition label marks the control-plane
 #              matching / packing / validation suites (DESIGN.md 15);
 #              the plane label marks the sharded data-plane suites, whose
-#              shard threads run the data plane (DESIGN.md 11).
+#              shard threads run the data plane (DESIGN.md 11); the value
+#              label marks the value estimator's store-vs-tree
+#              differential suite (DESIGN.md 10).
 #   --static   the static gates only, no tests. In order, with a distinct
 #              exit code per gate so CI and humans can tell at a glance
 #              which one broke:
@@ -44,7 +46,12 @@
 #              tree under $CARGO_TARGET_DIR or .bench_build) and run one
 #              second of its chaos and stream workloads and one pass of
 #              real2, each of which fails unless its result line reports
-#              "correct": true. real2's output check pins nashdb_sim's
+#              "correct": true and its printed digest equals the seed-0
+#              digest pinned below (E2E_DIGEST; on a mismatch both are
+#              printed). The digest hashes every simulated output, so a
+#              change that moves any record, configuration or total fails
+#              here, and a deliberate re-baseline edits the pins. real2's
+#              output check pins nashdb_sim's
 #              cost, data moved, latency and span figures, so a wrong
 #              transition edge weight fails it; stream, where the
 #              Max-of-mins sweep stops at its lower bound on almost every
@@ -205,20 +212,35 @@ EOF
   # benchmark run. real2 replays nashdb_sim's reference trace through
   # every reconfiguration round and checks its figures; stream runs the
   # high-replication data plane and checks that repeated passes agree.
+  # Seed-0 digests of each workload's simulated outputs (one per input,
+  # joined by '+'), as e2ebench/run.py prints them.
+  declare -A E2E_DIGEST=(
+    [real2]=5b3a623b8c59412f
+    [stream]=882d52a7f404f696+23ce294b733054ea+fa0840aa6176de96+2b6089e7dea6da61
+    [chaos]=dba3e2cc4794976d+3768566962293156+60c7d74a7427d842+995eddfce067f8bd
+  )
   e2e_log="$(mktemp)"
   trap 'rm -f "${e2e_log}"' EXIT
   for workload in chaos stream real2; do
     echo "== end-to-end benchmark (${workload} smoke) =="
     python3 e2ebench/run.py --workload "${workload}" --seed 0 --seconds 1 \
       --trace 0 | tee "${e2e_log}"
-    python3 - "${e2e_log}" "${workload}" <<'EOF'
+    python3 - "${e2e_log}" "${workload}" "${E2E_DIGEST[${workload}]}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    lines = [line for line in f if line.startswith("{")]
+    text = f.readlines()
+lines = [line for line in text if line.startswith("{")]
 assert lines, "e2ebench printed no result line"
 result = json.loads(lines[-1])
 assert result.get("correct") is True, result
-print("e2e", sys.argv[2], "smoke OK: correct, failed =", result["failed"])
+digests = [line.split()[1] for line in text
+           if line.startswith("  digest ")]
+assert digests, "e2ebench printed no digest line"
+if digests[-1] != sys.argv[3]:
+    sys.exit(f"e2e {sys.argv[2]}: seed-0 digest {digests[-1]} != pinned "
+             f"{sys.argv[3]} (a simulated output moved)")
+print("e2e", sys.argv[2], "smoke OK: correct, digest pinned, failed =",
+      result["failed"])
 EOF
     echo
   done
@@ -336,8 +358,9 @@ echo "== TSan scenario run (rack_failure.scn) =="
     >/dev/null
 echo "scenario engine: clean under TSan"
 
-sanitized_pass asan address 'faults|plane' ASAN_OPTIONS=halt_on_error=1
-sanitized_pass ubsan undefined 'faults|plane' \
+sanitized_pass asan address 'faults|plane|value' \
+    ASAN_OPTIONS=halt_on_error=1
+sanitized_pass ubsan undefined 'faults|plane|value' \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 echo

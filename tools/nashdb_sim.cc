@@ -61,11 +61,11 @@ void PrintHelp() {
       "  --scale=F          workload scale factor (default 0.25)\n"
       "  --price=F          uniform query price for nashdb (default 1)\n"
       "  --nodes=N          fixed cluster size for baselines (default 16)\n"
-      "  --window=N         scan window |W| (default 250)\n"
+      "  --window=N         scan window |W| (default 250; >= 1)\n"
       "  --node-cost=F      rent per period (default: calibrated to the\n"
       "                     window turnover; see DESIGN.md 4c)\n"
-      "  --node-disk=N      tuples per node (default 120000)\n"
-      "  --block=N          average fragment tuples (default 4000)\n"
+      "  --node-disk=N      tuples per node (default 120000; >= 1)\n"
+      "  --block=N          average fragment tuples (default 4000; >= 1)\n"
       "  --max-replicas=N   replica cap (default 128)\n"
       "  --interval=SECONDS reconfiguration interval (default 3600;\n"
       "                     must be > 0)\n"
@@ -453,6 +453,20 @@ int main(int argc, char** argv) {
   if (!std::isfinite(flags.build_window_s) || flags.build_window_s < 0.0) {
     std::fprintf(stderr,
                  "--build-window must be a finite number of seconds >= 0\n");
+    return 2;
+  }
+  // The estimator needs room for one scan, fragments and nodes room for
+  // one tuple; zero would abort deep inside the system's constructor.
+  if (flags.window == 0) {
+    std::fprintf(stderr, "--window must be a positive number of scans\n");
+    return 2;
+  }
+  if (flags.block == 0) {
+    std::fprintf(stderr, "--block must be a positive number of tuples\n");
+    return 2;
+  }
+  if (flags.node_disk == 0) {
+    std::fprintf(stderr, "--node-disk must be a positive number of tuples\n");
     return 2;
   }
   if (!flags.scenario.empty()) {
