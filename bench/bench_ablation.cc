@@ -82,10 +82,8 @@ BENCHMARK(BM_FragmentGreedyIncremental);
 void BM_HungarianScaling(benchmark::State& state) {
   Rng rng(10);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n));
-  for (auto& row : cost) {
-    for (double& c : row) c = rng.NextDouble();
-  }
+  CostMatrix cost(n);
+  for (double& c : cost.cells) c = rng.NextDouble();
   for (auto _ : state) {
     benchmark::DoNotOptimize(SolveAssignment(cost));
   }

@@ -76,9 +76,10 @@
 #define NASHDB_NO_THREAD_SAFETY_ANALYSIS \
   NASHDB_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
-/// Marks a steady-state query-path function (DESIGN.md §10/§14): the body
-/// must be allocation-free — no `new`, no make_unique/make_shared, no
-/// std::string construction, no container growth calls. The contract is
+/// Marks a steady-state query-path function or a control-plane kernel's
+/// inner loop (DESIGN.md §10/§14/§15.6): the body must be allocation-free
+/// — no `new`, no make_unique/make_shared, no std::string construction,
+/// no container growth calls. The contract is
 /// enforced by tools/nashdb_lint.py (rule `hot-alloc`); deliberate appends
 /// into caller-reserved, capacity-reusing buffers carry a
 /// `// NASHDB_LINT_ALLOW(hot-alloc): reason` at the call site. On GCC and

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "fragment/prefix_stats.h"
+#include "replication/node_data.h"
 #include "replication/replication.h"
 
 namespace nashdb {

@@ -38,21 +38,24 @@ std::optional<Money> ApplyBestSplit(const PrefixStats& stats,
 // Merges the adjacent triplet whose optimal 3->2 recombination (paper
 // §5.3.2) increases total error the least. Returns the error increase
 // (possibly negative, i.e. an improvement), or nullopt if there are fewer
-// than three fragments.
+// than three fragments. `errs` is scratch for each fragment's Err, which
+// every triplet covering the fragment reuses.
 std::optional<Money> ApplyBestTripletMerge(const PrefixStats& stats,
-                                           std::vector<TupleRange>* frags) {
+                                           std::vector<TupleRange>* frags,
+                                           std::vector<Money>* errs) {
   if (frags->size() < 3) return std::nullopt;
   constexpr Money kInf = std::numeric_limits<Money>::infinity();
   Money best_increase = kInf;
   std::size_t best_i = 0;
   TupleIndex best_point = 0;
 
+  errs->clear();
+  for (const TupleRange& f : *frags) errs->push_back(stats.Err(f));
   for (std::size_t i = 0; i + 2 < frags->size(); ++i) {
     const TupleRange& fi = (*frags)[i];
     const TupleRange& fj = (*frags)[i + 1];
     const TupleRange& fk = (*frags)[i + 2];
-    const Money old_err =
-        stats.Err(fi) + stats.Err(fj) + stats.Err(fk);
+    const Money old_err = (*errs)[i] + (*errs)[i + 1] + (*errs)[i + 2];
 
     // Best single split of the combined range [fi.start, fk.end). If the
     // combined range has no interior change point, split at the original
@@ -101,11 +104,12 @@ FragmentationScheme GreedyFragmenter::Refragment(
 
   PrefixStats stats(*ctx.profile);
   std::vector<TupleRange>& frags = state_->fragments;
+  std::vector<Money> errs;
 
   // If the cap shrank below the current fragment count, merge down first.
   while (frags.size() > max_frags) {
     if (frags.size() >= 3) {
-      ApplyBestTripletMerge(stats, &frags);
+      ApplyBestTripletMerge(stats, &frags, &errs);
     } else {
       // Two fragments -> one.
       frags[0].end = frags[1].end;
@@ -123,7 +127,7 @@ FragmentationScheme GreedyFragmenter::Refragment(
     } else {
       // At the cap: merge three into two, then try to split again. Stop if
       // the merge+split cycle no longer reduces total error.
-      const auto increase = ApplyBestTripletMerge(stats, &frags);
+      const auto increase = ApplyBestTripletMerge(stats, &frags, &errs);
       if (!increase) break;
       const auto gain = ApplyBestSplit(stats, &frags, options_.min_split_gain);
       const Money net = (gain ? *gain : 0.0) - *increase;

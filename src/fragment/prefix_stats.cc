@@ -34,40 +34,32 @@ std::size_t PrefixStats::ChunkOf(TupleIndex x) const {
   return static_cast<std::size_t>(it - starts_.begin()) - 1;
 }
 
+PrefixStats::Cumulative PrefixStats::CumulativeAt(TupleIndex p) const {
+  if (p == 0) return Cumulative{0.0, 0.0};
+  if (p >= table_size_) return Cumulative{cum_sum_.back(), cum_sumsq_.back()};
+  // Full chunks before p's chunk plus a partial contribution from it.
+  const std::size_t c = ChunkOf(p);
+  const Money partial = static_cast<Money>(p - starts_[c]);
+  return Cumulative{cum_sum_[c] + values_[c] * partial,
+                    cum_sumsq_[c] + values_[c] * values_[c] * partial};
+}
+
 Money PrefixStats::Sum(TupleIndex a, TupleIndex b) const {
   if (b <= a) return 0.0;
   NASHDB_DCHECK(b <= table_size_);
-  // Cumulative value up to position p = full chunks before p's chunk plus a
-  // partial contribution from p's chunk.
-  auto cum_at = [this](TupleIndex p) -> Money {
-    if (p == 0) return 0.0;
-    if (p >= table_size_) return cum_sum_.back();
-    const std::size_t c = ChunkOf(p);
-    return cum_sum_[c] + values_[c] * static_cast<Money>(p - starts_[c]);
-  };
-  return cum_at(b) - cum_at(a);
+  return CumulativeAt(b).sum - CumulativeAt(a).sum;
 }
 
 Money PrefixStats::SumSq(TupleIndex a, TupleIndex b) const {
   if (b <= a) return 0.0;
   NASHDB_DCHECK(b <= table_size_);
-  auto cum_at = [this](TupleIndex p) -> Money {
-    if (p == 0) return 0.0;
-    if (p >= table_size_) return cum_sumsq_.back();
-    const std::size_t c = ChunkOf(p);
-    return cum_sumsq_[c] +
-           values_[c] * values_[c] * static_cast<Money>(p - starts_[c]);
-  };
-  return cum_at(b) - cum_at(a);
+  return CumulativeAt(b).sumsq - CumulativeAt(a).sumsq;
 }
 
 Money PrefixStats::Err(TupleIndex a, TupleIndex b) const {
   if (b <= a) return 0.0;
-  const Money n = static_cast<Money>(b - a);
-  const Money sum = Sum(a, b);
-  const Money err = SumSq(a, b) - sum * sum / n;
-  // Guard against tiny negative values from floating-point cancellation.
-  return err < 0.0 ? 0.0 : err;
+  NASHDB_DCHECK(b <= table_size_);
+  return ErrBetween(CumulativeAt(a), CumulativeAt(b), b - a);
 }
 
 std::vector<TupleIndex> PrefixStats::InteriorBoundaries(TupleIndex a,

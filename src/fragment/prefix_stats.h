@@ -37,6 +37,33 @@ class PrefixStats {
   Money Err(TupleIndex a, TupleIndex b) const;
   Money Err(const TupleRange& r) const { return Err(r.start, r.end); }
 
+  /// Running sums of V(x) and V(x)^2 over [0, p).
+  struct Cumulative {
+    Money sum = 0.0;
+    Money sumsq = 0.0;
+  };
+
+  /// The running sums at any position p <= table_size. O(log #chunks).
+  Cumulative CumulativeAt(TupleIndex p) const;
+
+  /// The running sums at change point boundaries()[i]. O(1), and equal to
+  /// CumulativeAt(boundaries()[i]) for finite values: at a chunk start the
+  /// lookup adds value * 0.0, which is a signed zero.
+  Cumulative CumulativeAtBoundary(std::size_t i) const {
+    return Cumulative{cum_sum_[i], cum_sumsq_[i]};
+  }
+
+  /// Eq. 4 over the n = b - a > 0 tuples between running sums `lo` (at a)
+  /// and `hi` (at b); Err(a, b) is this with both from CumulativeAt.
+  static Money ErrBetween(const Cumulative& lo, const Cumulative& hi,
+                          TupleCount n) {
+    const Money sum = hi.sum - lo.sum;
+    const Money err = (hi.sumsq - lo.sumsq) -
+                      sum * sum / static_cast<Money>(n);
+    // Guard against tiny negative values from floating-point cancellation.
+    return err < 0.0 ? 0.0 : err;
+  }
+
   /// Value(f) = Sum over the fragment (Eq. 3).
   Money Value(const TupleRange& r) const { return Sum(r.start, r.end); }
 

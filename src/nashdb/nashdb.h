@@ -39,6 +39,7 @@
 #include "replication/cluster_config.h"
 #include "replication/incremental.h"
 #include "replication/nash.h"
+#include "replication/node_data.h"
 #include "replication/packer.h"
 #include "replication/replication.h"
 #include "routing/router.h"

@@ -4,62 +4,10 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "replication/node_data.h"
 #include "replication/packer.h"
 
 namespace nashdb {
-namespace {
-
-// Sorted, coalesced holdings of one previous node, for coverage queries.
-struct NodeIntervals {
-  struct Interval {
-    TableId table;
-    TupleRange range;
-  };
-  std::vector<Interval> intervals;
-
-  // True if [range) of `table` lies entirely inside this node's data.
-  bool Covers(TableId table, const TupleRange& range) const {
-    for (const Interval& iv : intervals) {
-      if (iv.table != table) continue;
-      if (iv.range.start <= range.start && range.end <= iv.range.end) {
-        return true;
-      }
-      // Intervals are sorted; once past the range we can stop.
-      if (iv.table == table && iv.range.start >= range.end) break;
-    }
-    return false;
-  }
-};
-
-NodeIntervals IntervalsOf(const ClusterConfig& config, NodeId node) {
-  NodeIntervals out;
-  for (FlatFragmentId fid : config.NodeFragments(node)) {
-    const FragmentInfo& f = config.fragment(fid);
-    out.intervals.push_back(NodeIntervals::Interval{f.table, f.range});
-  }
-  std::sort(out.intervals.begin(), out.intervals.end(),
-            [](const NodeIntervals::Interval& a,
-               const NodeIntervals::Interval& b) {
-              if (a.table != b.table) return a.table < b.table;
-              return a.range.start < b.range.start;
-            });
-  // Coalesce adjacent ranges so coverage spanning old fragment boundaries
-  // is recognized.
-  std::vector<NodeIntervals::Interval> merged;
-  for (const auto& iv : out.intervals) {
-    if (!merged.empty() && merged.back().table == iv.table &&
-        merged.back().range.end >= iv.range.start) {
-      merged.back().range.end =
-          std::max(merged.back().range.end, iv.range.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  out.intervals = std::move(merged);
-  return out;
-}
-
-}  // namespace
 
 Result<ClusterConfig> RepackIncremental(const ReplicationParams& params,
                                         std::vector<FragmentInfo> fragments,
@@ -92,12 +40,12 @@ Result<ClusterConfig> RepackIncremental(const ReplicationParams& params,
   // mode. Pinned (partitioned) nodes also contribute no *routable*
   // coverage — their copies must not satisfy replica targets — but keep
   // their placements (pre-seeded below).
-  std::vector<NodeIntervals> coverage;
+  std::vector<NodeData> coverage;
   coverage.reserve(prev_nodes);
   for (NodeId m = 0; m < prev_nodes; ++m) {
     coverage.push_back(unavailable(m) || pinned(m)
-                           ? NodeIntervals()
-                           : IntervalsOf(*previous, m));
+                           ? NodeData()
+                           : NodeData::Of(*previous, m));
   }
 
   // Working placement state. Slots beyond prev_nodes are fresh nodes.

@@ -126,21 +126,22 @@ TransitionGraph BuildTransitionGraph(const ClusterConfig& old_config,
   return graph;
 }
 
-std::vector<std::vector<double>> DenseCostMatrix(const TransitionGraph& graph) {
+CostMatrix DenseCostMatrix(const TransitionGraph& graph) {
   const std::size_t n = std::max(graph.n_old, graph.n_new);
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
+  CostMatrix cost(n);
   // Base fill: every real new column j costs its full bootstrap |Data(j)|
   // from any row (real or dummy); dummy columns (decommission) cost 0.
   for (std::size_t i = 0; i < n; ++i) {
+    double* const row = cost.row(i);
     for (std::size_t j = 0; j < graph.n_new; ++j) {
-      cost[i][j] = static_cast<double>(graph.new_total[j]);
+      row[j] = static_cast<double>(graph.new_total[j]);
     }
   }
   // Discount the non-trivial edges: cost(i, j) = |Data(j)| - overlap(i, j).
   for (const TransitionEdge& e : graph.edges) {
     NASHDB_DCHECK(e.old_node < graph.n_old && e.new_node < graph.n_new);
     NASHDB_DCHECK(e.overlap <= graph.new_total[e.new_node]);
-    cost[e.old_node][e.new_node] =
+    cost.row(e.old_node)[e.new_node] =
         static_cast<double>(graph.new_total[e.new_node] - e.overlap);
   }
   return cost;

@@ -6,6 +6,7 @@
 
 #include "common/types.h"
 #include "replication/cluster_config.h"
+#include "transition/hungarian.h"
 
 namespace nashdb {
 
@@ -75,12 +76,12 @@ TransitionGraph BuildTransitionGraph(const ClusterConfig& old_config,
                                      const std::vector<bool>* old_node_dead);
 
 /// Materializes the dense §7 cost matrix (dummy-padded to n x n,
-/// n = max(n_old, n_new)) from the sparse graph — the matrix the dense
-/// Hungarian solver consumes. Row i < n_old is a real old node, column
-/// j < n_new a real new node; padding rows/columns follow the dummy
-/// conventions above. Every entry is an exact integer tuple count stored
-/// in a double (tuple counts are far below 2^53).
-std::vector<std::vector<double>> DenseCostMatrix(const TransitionGraph& graph);
+/// n = max(n_old, n_new)) from the sparse graph — the row-major matrix
+/// the dense Hungarian solver consumes. Row i < n_old is a real old node,
+/// column j < n_new a real new node; padding rows/columns follow the
+/// dummy conventions above. Every entry is an exact integer tuple count
+/// stored in a double (tuple counts are far below 2^53).
+CostMatrix DenseCostMatrix(const TransitionGraph& graph);
 
 }  // namespace nashdb
 

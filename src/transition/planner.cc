@@ -10,74 +10,16 @@
 
 namespace nashdb {
 
-NodeData NodeData::Of(const ClusterConfig& config, NodeId node) {
-  NodeData data;
-  for (FlatFragmentId fid : config.NodeFragments(node)) {
-    const FragmentInfo& f = config.fragment(fid);
-    data.intervals_.push_back(Interval{f.table, f.range});
-  }
-  std::sort(data.intervals_.begin(), data.intervals_.end(),
-            [](const Interval& a, const Interval& b) {
-              if (a.table != b.table) return a.table < b.table;
-              return a.range.start < b.range.start;
-            });
-  // Coalesce adjacent/overlapping intervals of the same table.
-  std::vector<Interval> merged;
-  for (const Interval& iv : data.intervals_) {
-    if (!merged.empty() && merged.back().table == iv.table &&
-        merged.back().range.end >= iv.range.start) {
-      merged.back().range.end =
-          std::max(merged.back().range.end, iv.range.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  data.intervals_ = std::move(merged);
-  return data;
-}
-
-TupleCount NodeData::TotalTuples() const {
-  TupleCount total = 0;
-  for (const Interval& iv : intervals_) total += iv.range.size();
-  return total;
-}
-
-TupleCount NodeData::TuplesNotIn(const NodeData& other) const {
-  // Both interval lists are sorted by (table, start) and coalesced; sweep
-  // them in tandem, subtracting overlap.
-  TupleCount missing = 0;
-  std::size_t j = 0;
-  for (const Interval& mine : intervals_) {
-    TupleCount overlap = 0;
-    // Advance to intervals of `other` that may overlap `mine`.
-    while (j < other.intervals_.size() &&
-           (other.intervals_[j].table < mine.table ||
-            (other.intervals_[j].table == mine.table &&
-             other.intervals_[j].range.end <= mine.range.start))) {
-      ++j;
-    }
-    for (std::size_t k = j; k < other.intervals_.size(); ++k) {
-      const Interval& theirs = other.intervals_[k];
-      if (theirs.table != mine.table || theirs.range.start >= mine.range.end) {
-        break;
-      }
-      overlap += mine.range.Intersect(theirs.range).size();
-    }
-    missing += mine.range.size() - overlap;
-  }
-  return missing;
-}
-
 namespace {
 
-/// Dense path: the paper's dummy-padded Kuhn–Munkres, with the matrix
-/// materialized from the shared sparse graph (identical integer weights
-/// to the sparse path by construction).
+/// Dense path: the paper's dummy-padded Kuhn–Munkres, with the row-major
+/// matrix materialized from the shared sparse graph (identical integer
+/// weights to the sparse path by construction).
 void SolveDense(const TransitionGraph& graph, TransitionPlan* plan) {
   const std::size_t n_old = graph.n_old;
   const std::size_t n_new = graph.n_new;
   const std::size_t n = std::max(n_old, n_new);
-  const std::vector<std::vector<double>> cost = DenseCostMatrix(graph);
+  const CostMatrix cost = DenseCostMatrix(graph);
 
   AssignmentResult matching;
   {
@@ -93,7 +35,7 @@ void SolveDense(const TransitionGraph& graph, TransitionPlan* plan) {
     if (move.old_node == kInvalidNode && move.new_node == kInvalidNode) {
       continue;  // dummy-dummy pairs cannot arise, but be safe
     }
-    move.transfer_tuples = static_cast<TupleCount>(cost[i][j]);
+    move.transfer_tuples = static_cast<TupleCount>(cost(i, j));
     if (move.old_node == kInvalidNode) ++plan->nodes_added;
     if (move.new_node == kInvalidNode) ++plan->nodes_removed;
     plan->total_transfer_tuples += move.transfer_tuples;

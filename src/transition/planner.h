@@ -9,33 +9,6 @@
 
 namespace nashdb {
 
-/// The set of tuples materialized on one node: per table, the union of the
-/// ranges of the fragment replicas stored there (within one scheme a node
-/// never stores overlapping ranges of the same table, so this is an
-/// interval set). Used to price node-to-node transitions.
-class NodeData {
- public:
-  /// Builds the interval set for `node` of `config`.
-  static NodeData Of(const ClusterConfig& config, NodeId node);
-
-  /// Total tuples in this set.
-  TupleCount TotalTuples() const;
-
-  /// Tuples present in `this` but absent from `other`:
-  /// |Data(this) - Data(other)| (paper §7's edge-weight primitive).
-  TupleCount TuplesNotIn(const NodeData& other) const;
-
-  /// Sorted, coalesced intervals per (table, range).
-  struct Interval {
-    TableId table;
-    TupleRange range;
-  };
-  const std::vector<Interval>& intervals() const { return intervals_; }
-
- private:
-  std::vector<Interval> intervals_;
-};
-
 /// One old-node → new-node move in a transition plan.
 struct NodeTransition {
   /// kInvalidNode means "freshly provisioned" (matched a dummy old vertex).

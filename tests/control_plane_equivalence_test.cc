@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "replication/cluster_config.h"
 #include "replication/nash.h"
+#include "replication/node_data.h"
 #include "replication/packer.h"
 #include "replication/replication.h"
 #include "transition/edge_cost.h"

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "replication/cluster_config.h"
+#include "replication/node_data.h"
 #include "replication/packer.h"
 #include "transition/hungarian.h"
 #include "transition/planner.h"
@@ -28,8 +29,16 @@ double BruteForceAssignment(const std::vector<std::vector<double>>& cost) {
   return best;
 }
 
+CostMatrix FromRows(const std::vector<std::vector<double>>& rows) {
+  CostMatrix m(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy(rows[i].begin(), rows[i].end(), m.row(i));
+  }
+  return m;
+}
+
 TEST(HungarianTest, TrivialOneByOne) {
-  const auto result = SolveAssignment({{7.0}});
+  const auto result = SolveAssignment(FromRows({{7.0}}));
   EXPECT_EQ(result.assignment[0], 0u);
   EXPECT_NEAR(result.total_cost, 7.0, 1e-12);
 }
@@ -37,14 +46,14 @@ TEST(HungarianTest, TrivialOneByOne) {
 TEST(HungarianTest, DiagonalIsOptimal) {
   const std::vector<std::vector<double>> cost = {
       {1.0, 9.0, 9.0}, {9.0, 1.0, 9.0}, {9.0, 9.0, 1.0}};
-  const auto result = SolveAssignment(cost);
+  const auto result = SolveAssignment(FromRows(cost));
   EXPECT_NEAR(result.total_cost, 3.0, 1e-12);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(result.assignment[i], i);
 }
 
 TEST(HungarianTest, AntiDiagonal) {
   const std::vector<std::vector<double>> cost = {{9.0, 1.0}, {1.0, 9.0}};
-  const auto result = SolveAssignment(cost);
+  const auto result = SolveAssignment(FromRows(cost));
   EXPECT_NEAR(result.total_cost, 2.0, 1e-12);
 }
 
@@ -56,7 +65,7 @@ TEST(HungarianTest, AssignmentIsAPermutation) {
     for (auto& row : cost) {
       for (double& c : row) c = rng.NextDouble() * 100.0;
     }
-    const auto result = SolveAssignment(cost);
+    const auto result = SolveAssignment(FromRows(cost));
     std::vector<bool> used(n, false);
     for (std::size_t j : result.assignment) {
       ASSERT_LT(j, n);
@@ -76,7 +85,7 @@ TEST(HungarianTest, MatchesBruteForceOnRandomMatrices) {
         c = static_cast<double>(rng.Uniform(50));
       }
     }
-    const auto result = SolveAssignment(cost);
+    const auto result = SolveAssignment(FromRows(cost));
     EXPECT_NEAR(result.total_cost, BruteForceAssignment(cost), 1e-9)
         << "trial " << trial;
   }
@@ -89,7 +98,7 @@ TEST(HungarianTest, LargeInstanceRunsFast) {
   for (auto& row : cost) {
     for (double& c : row) c = rng.NextDouble();
   }
-  const auto result = SolveAssignment(cost);
+  const auto result = SolveAssignment(FromRows(cost));
   EXPECT_EQ(result.assignment.size(), n);
 }
 

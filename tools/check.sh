@@ -9,15 +9,18 @@
 # Usage: tools/check.sh [--quick | --static | --bench-smoke]
 #   --quick    in the sanitizer passes, run only the targeted labels
 #              (ctest -L 'tsan|online|transition' for TSan,
-#              -L 'faults|plane|value' for ASan/UBSan) instead of the
-#              full suite. The online label marks the online-reconfiguration
-#              suites (epoch publish concurrent with routing, DESIGN.md
-#              12); the transition label marks the control-plane
-#              matching / packing / validation suites (DESIGN.md 15);
-#              the plane label marks the sharded data-plane suites, whose
-#              shard threads run the data plane (DESIGN.md 11); the value
-#              label marks the value estimator's store-vs-tree
-#              differential suite (DESIGN.md 10).
+#              -L 'faults|plane|value|control' for ASan/UBSan) instead of
+#              the full suite. The online label marks the
+#              online-reconfiguration suites (epoch publish concurrent
+#              with routing, DESIGN.md 12); the transition label marks the
+#              control-plane matching / packing / validation suites
+#              (DESIGN.md 15); the plane label marks the sharded
+#              data-plane suites, whose shard threads run the data plane
+#              (DESIGN.md 11); the value label marks the value estimator's
+#              store-vs-tree differential suite (DESIGN.md 10); the
+#              control label marks the control-plane kernel suites
+#              (fragmenter, prefix sums, packer, matching) and their
+#              bitwise oracles (kernel_oracle_test, DESIGN.md 5b, 15.7).
 #   --static   the static gates only, no tests. In order, with a distinct
 #              exit code per gate so CI and humans can tell at a glance
 #              which one broke:
@@ -358,9 +361,9 @@ echo "== TSan scenario run (rack_failure.scn) =="
     >/dev/null
 echo "scenario engine: clean under TSan"
 
-sanitized_pass asan address 'faults|plane|value' \
+sanitized_pass asan address 'faults|plane|value|control' \
     ASAN_OPTIONS=halt_on_error=1
-sanitized_pass ubsan undefined 'faults|plane|value' \
+sanitized_pass ubsan undefined 'faults|plane|value|control' \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 echo

@@ -25,7 +25,10 @@ time instead of by a flaky golden diff three PRs later:
                         (common/thread_annotations.h) — the steady-state
                         query path: RouteInto / RouteBatchInto /
                         ResolveBatchInto / WaitView, the data plane's
-                        per-read commit and the SPSC ring ops — must
+                        per-read commit and the SPSC ring ops; and the
+                        control-plane kernels: the greedy split search,
+                        the dense Hungarian's row step and the sparse
+                        solver's heap, relax and augment — must
                         not allocate: no `new`,
                         no make_unique/make_shared, no std::string
                         construction, no container growth calls. The §10
@@ -423,7 +426,8 @@ def check_hot_alloc(sf, report):
                     line_no,
                     "hot-alloc",
                     "%s inside a NASHDB_HOT function: the steady-state "
-                    "query path must not allocate (DESIGN.md §10)" % what,
+                    "query path and the control-plane kernels must not "
+                    "allocate (DESIGN.md §10, §15.6)" % what,
                 )
 
 

@@ -10,10 +10,15 @@
 //
 // Run with --help for the full flag list.
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -75,13 +80,15 @@ void PrintHelp() {
       "\n"
       "Data plane (DESIGN.md 11):\n"
       "  --batch=N          scans per routed block (RouteBatchInto block\n"
-      "                     size; default 64, 1 = per-scan routing;\n"
-      "                     never changes results, only throughput)\n"
-      "  --shards=N         per-core driver shards, each consuming from a\n"
-      "                     lock-free SPSC ring and routing against one\n"
-      "                     shared configuration epoch. Default 1 = the\n"
-      "                     serial elastic driver. N > 1 runs the\n"
-      "                     fault-free single-epoch data plane (the\n"
+      "                     size; default 64, 1 = per-scan routing, at\n"
+      "                     most 65536; never changes results, only\n"
+      "                     throughput)\n"
+      "  --shards=N         per-core driver shards (at most 64), each\n"
+      "                     consuming from a lock-free SPSC ring and\n"
+      "                     routing against one shared configuration\n"
+      "                     epoch. Default 1 = the serial elastic\n"
+      "                     driver. N > 1 runs the fault-free\n"
+      "                     single-epoch data plane (the\n"
       "                     configuration is built once from the whole\n"
       "                     workload; no reconfiguration) and is\n"
       "                     incompatible with --faults, --adaptive, and\n"
@@ -143,6 +150,9 @@ void PrintHelp() {
       "                     the end of the run\n"
       "  --report=PATH      write the per-scenario JSON report\n"
       "\n"
+      "Numeric flags take the whole value: N is an unsigned integer (no\n"
+      "sign), F and SECONDS a finite number; a negative --node-cost means\n"
+      "calibrate.\n\n"
       "Exit codes: 0 ok; 1 I/O error; 2 bad flags or malformed\n"
       "--faults/--scenario spec (the message names the bad token and the\n"
       "expected grammar); 3 at least one query aborted (retry budget /\n"
@@ -160,6 +170,52 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+// Upper bounds on the flags that size threads and buffers: a typo must not
+// start thousands of shard threads or buffer a whole workload per block.
+constexpr std::uint64_t kMaxShards = 64;
+constexpr std::uint64_t kMaxBatch = 65536;
+
+// An unsigned flag's value: digits only (no sign, no space, no suffix) and
+// at most `max`; anything else exits 2 naming the flag.
+std::uint64_t ParseUnsigned(const char* flag, const std::string& v,
+                            std::uint64_t max =
+                                std::numeric_limits<std::uint64_t>::max()) {
+  const bool digits =
+      !v.empty() && std::all_of(v.begin(), v.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  errno = 0;
+  const std::uint64_t value =
+      digits ? std::strtoull(v.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE) {
+    std::fprintf(stderr, "%s expects an unsigned integer, got '%s'\n", flag,
+                 v.c_str());
+    std::exit(2);
+  }
+  if (value > max) {
+    std::fprintf(stderr, "%s must be at most %llu, got '%s'\n", flag,
+                 static_cast<unsigned long long>(max), v.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+// A real-valued flag's value: the whole string must parse as a finite
+// number; anything else exits 2 naming the flag.
+double ParseReal(const char* flag, const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(v.c_str(), &end);
+  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) != 0 ||
+      end != v.c_str() + v.size() || errno == ERANGE ||
+      !std::isfinite(value)) {
+    std::fprintf(stderr, "%s expects a finite number, got '%s'\n", flag,
+                 v.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 Flags ParseFlags(int argc, char** argv) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
@@ -174,7 +230,7 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (std::strcmp(a, "--online-reconfig") == 0) {
       f.online = true;
     } else if (ParseFlag(a, "--build-window", &v)) {
-      f.build_window_s = std::atof(v.c_str());
+      f.build_window_s = ParseReal("--build-window", v);
     } else if (ParseFlag(a, "--workload", &f.workload) ||
                ParseFlag(a, "--system", &f.system) ||
                ParseFlag(a, "--router", &f.router) ||
@@ -183,29 +239,29 @@ Flags ParseFlags(int argc, char** argv) {
                ParseFlag(a, "--report", &f.report_path) ||
                ParseFlag(a, "--metrics", &f.metrics_path)) {
     } else if (ParseFlag(a, "--scale", &v)) {
-      f.scale = std::atof(v.c_str());
+      f.scale = ParseReal("--scale", v);
     } else if (ParseFlag(a, "--price", &v)) {
-      f.price = std::atof(v.c_str());
+      f.price = ParseReal("--price", v);
     } else if (ParseFlag(a, "--nodes", &v)) {
-      f.nodes = static_cast<std::size_t>(std::atoll(v.c_str()));
+      f.nodes = ParseUnsigned("--nodes", v);
     } else if (ParseFlag(a, "--window", &v)) {
-      f.window = static_cast<std::size_t>(std::atoll(v.c_str()));
+      f.window = ParseUnsigned("--window", v);
     } else if (ParseFlag(a, "--node-cost", &v)) {
-      f.node_cost = std::atof(v.c_str());
+      f.node_cost = ParseReal("--node-cost", v);
     } else if (ParseFlag(a, "--node-disk", &v)) {
-      f.node_disk = static_cast<TupleCount>(std::atoll(v.c_str()));
+      f.node_disk = ParseUnsigned("--node-disk", v);
     } else if (ParseFlag(a, "--block", &v)) {
-      f.block = static_cast<TupleCount>(std::atoll(v.c_str()));
+      f.block = ParseUnsigned("--block", v);
     } else if (ParseFlag(a, "--max-replicas", &v)) {
-      f.max_replicas = static_cast<std::size_t>(std::atoll(v.c_str()));
+      f.max_replicas = ParseUnsigned("--max-replicas", v);
     } else if (ParseFlag(a, "--interval", &v)) {
-      f.interval_s = std::atof(v.c_str());
+      f.interval_s = ParseReal("--interval", v);
     } else if (ParseFlag(a, "--seed", &v)) {
-      f.seed = static_cast<std::uint64_t>(std::strtoull(v.c_str(), nullptr, 10));
+      f.seed = ParseUnsigned("--seed", v);
     } else if (ParseFlag(a, "--shards", &v)) {
-      f.shards = static_cast<std::size_t>(std::atoll(v.c_str()));
+      f.shards = ParseUnsigned("--shards", v, kMaxShards);
     } else if (ParseFlag(a, "--batch", &v)) {
-      f.batch = static_cast<std::size_t>(std::atoll(v.c_str()));
+      f.batch = ParseUnsigned("--batch", v, kMaxBatch);
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", a);
       std::exit(2);
@@ -444,13 +500,14 @@ int main(int argc, char** argv) {
     PrintHelp();
     return 0;
   }
-  // A non-positive interval never advances the next boundary, and a NaN
-  // window never publishes: reject both before any work.
-  if (!std::isfinite(flags.interval_s) || flags.interval_s <= 0.0) {
+  // A non-positive interval never advances the next boundary, and a
+  // negative window never publishes: reject both before any work (parsing
+  // already rejected NaN and infinities).
+  if (flags.interval_s <= 0.0) {
     std::fprintf(stderr, "--interval must be a positive number of seconds\n");
     return 2;
   }
-  if (!std::isfinite(flags.build_window_s) || flags.build_window_s < 0.0) {
+  if (flags.build_window_s < 0.0) {
     std::fprintf(stderr,
                  "--build-window must be a finite number of seconds >= 0\n");
     return 2;
