@@ -8,9 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numeric>
 
 #include "bench/bench_common.h"
+#include "routing/scan_batch.h"
 
 namespace nashdb::bench {
 namespace {
@@ -136,22 +138,37 @@ void BM_MaxOfMinsRouting(benchmark::State& state) {
   Rng rng(12);
   const std::size_t nreq = static_cast<std::size_t>(state.range(0));
   const std::size_t nnodes = 64;
-  std::vector<FragmentRequest> requests;
+  // One scan of `nreq` requests, prebuilt as a one-scan block, so the
+  // loop times RouteBatchInto alone.
+  ScanBatch block;
+  std::vector<NodeId> pool;
+  block.AddScan(0, Scan{});
+  block.req_off.push_back(0);
   for (std::size_t i = 0; i < nreq; ++i) {
-    FragmentRequest r;
+    FlatRequest r;
     r.frag = static_cast<FlatFragmentId>(i);
     r.tuples = 4000;
+    r.cand_begin = static_cast<std::uint32_t>(pool.size());
     const std::size_t reps = 1 + rng.Uniform(4);
     for (std::size_t c = 0; c < reps; ++c) {
-      r.candidates.push_back(static_cast<NodeId>(rng.Uniform(nnodes)));
+      pool.push_back(static_cast<NodeId>(rng.Uniform(nnodes)));
     }
-    requests.push_back(std::move(r));
+    r.cand_count = static_cast<std::uint32_t>(reps);
+    block.requests.push_back(r);
   }
-  std::vector<double> waits(nnodes);
-  for (double& w : waits) w = rng.NextDouble() * 100.0;
+  block.req_off.push_back(static_cast<std::uint32_t>(nreq));
+  block.cand_pool = pool.data();
+  std::vector<SimTime> busy_until(nnodes);
+  for (SimTime& b : busy_until) b = rng.NextDouble() * 100.0;
+  const WaitView waits(busy_until.data(), nnodes, /*at=*/0.0);
   MaxOfMinsRouter router;
+  RouterScratch scratch;
+  std::vector<RoutedRead> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.Route(requests, waits, 1.0 / 150.0, 0.35));
+    benchmark::DoNotOptimize(router.RouteBatchInto(
+        block, waits, 1.0 / 150.0, 0.35, &scratch, &out, nullptr));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MaxOfMinsRouting)->Arg(16)->Arg(64)->Arg(256);

@@ -16,8 +16,8 @@
 // candidates tie at phi, and once saturated. Before any timing, every
 // point verifies route identity: the batched pipeline (fixed blocks,
 // fresh sims) must schedule every read of every shard partition onto
-// exactly the node the per-scan RouteInto path picks, and leave
-// bit-identical busy-until state. Timing then measures the threaded
+// exactly the node that routing each scan as its own block picks, and
+// leave bit-identical busy-until state. Timing then measures the threaded
 // pipeline with two clock reads around the whole run (aggregate
 // scans/s); per-shard p50/p99 ns/scan come from a separate
 // single-threaded per-block-timed sampling pass so no timer overhead
@@ -298,8 +298,8 @@ struct Regime {
   double idle_read_frac = 0.0;
 };
 
-/// Routes one shard partition per-scan through RouteInto (the reference
-/// the batch equivalence suite pins, which sweeps every candidate) and
+/// Routes one shard partition scan by scan, each as a one-scan block
+/// through RouteBatchInto (the driver's path at block size 1), and
 /// batched through fixed blocks of `batch_cap`, both from fresh sims with
 /// scan arrivals `gap_s` apart, and requires identical read streams and
 /// bit-identical final busy-until state. Guards the bench itself: both
@@ -326,10 +326,10 @@ Regime VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
     const SimTime at = gap_s * static_cast<double>(id);
     const WaitView waits(ref_sim.BusyUntil().data(), ref_sim.node_count(),
                          at);
-    const Status st = ref_router.RouteInto(reqs, waits, spt, kPhi,
-                                           &router_scratch, &ref_out);
+    const Status st = ref_router.RouteBatchInto(
+        one, waits, spt, kPhi, &router_scratch, &ref_out, nullptr);
     if (!st.ok()) {
-      std::fprintf(stderr, "identity: RouteInto failed\n");
+      std::fprintf(stderr, "identity: one-scan block failed to route\n");
       std::exit(1);
     }
     requests += reqs.count;

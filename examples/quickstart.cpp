@@ -9,6 +9,8 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <set>
+#include <vector>
 
 #include "nashdb/nashdb.h"
 
@@ -62,20 +64,30 @@ int main() {
   std::printf("Nash equilibrium: %s\n",
               report.is_equilibrium ? "yes" : report.violation.c_str());
 
-  // --- 5. Route one scan with Max-of-mins over the live configuration.
+  // --- 5. Route one scan with Max-of-mins over the live configuration:
+  // resolve it into a one-scan block of fragment requests, then route the
+  // block against the nodes' queues (all idle here).
   ConfigIndex index(config);
   Scan scan;
   scan.table = 0;
   scan.range = TupleRange{85'000, 95'000};
   scan.price = 2.0;
-  const auto requests = index.RequestsFor(scan);
+  ScanBatch block;
+  block.AddScan(/*id=*/0, scan);
+  index.ResolveBatchInto(&block);
+  const std::vector<SimTime> busy_until(config.node_count(), 0.0);
+  const WaitView waits(busy_until.data(), busy_until.size(), /*at=*/0.0);
   MaxOfMinsRouter router;
-  std::vector<double> waits(config.node_count(), 0.0);
-  const auto routed =
-      router.Route(requests, waits, /*read_seconds_per_tuple=*/1e-4,
-                   /*phi_s=*/0.35);
+  RouterScratch scratch;
+  std::vector<RoutedRead> routed;
+  const Status routed_ok = router.RouteBatchInto(
+      block, waits, /*read_seconds_per_tuple=*/1e-4, /*phi_s=*/0.35,
+      &scratch, &routed, /*sink=*/nullptr);
+  if (!routed_ok.ok()) return 1;
+  std::set<NodeId> span;
+  for (const RoutedRead& read : routed) span.insert(read.node);
   std::printf("Scan [85000, 95000) -> %zu fragment reads over %zu nodes\n",
-              routed->size(), SpanOf(*routed));
+              routed.size(), span.size());
 
   // --- 6. Workload shift: the hot range moves; NashDB recomputes the
   // scheme and plans the cheapest node-to-node transition (Kuhn-Munkres).

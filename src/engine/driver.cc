@@ -22,6 +22,10 @@
 namespace nashdb {
 namespace {
 
+// Emergency repair re-replicates a fragment once fewer than
+// min(placed, kRepairMinLive) of its replicas are routable.
+constexpr std::size_t kRepairMinLive = 2;
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -332,7 +336,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   };
 
   // True if some placed fragment has fewer *routable* replicas than
-  // min(placed, repair_min_live) at `at` — the emergency-repair trigger.
+  // min(placed, kRepairMinLive) at `at` — the emergency-repair trigger.
   // Partitioned copies don't count: a fragment whose only homes sit
   // behind a partition is exactly as unreadable as one on dead nodes.
   const auto coverage_at_risk = [&](SimTime at) {
@@ -344,7 +348,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
       for (NodeId m : homes) {
         if (sim.NodeRoutable(m, at)) ++live;
       }
-      if (live < std::min(homes.size(), options.faults.repair_min_live)) {
+      if (live < std::min(homes.size(), kRepairMinLive)) {
         return true;
       }
     }

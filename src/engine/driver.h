@@ -46,11 +46,10 @@ struct FaultOptions {
   std::size_t query_retry_budget = 0;
 
   /// React to coverage loss by re-replicating at-risk fragments (live
-  /// replicas below min(placed, repair_min_live)) onto surviving/fresh
-  /// nodes via the incremental planner, charging the copies through the
-  /// normal transfer model. Disable to measure pure degraded operation.
+  /// replicas below min(placed, 2)) onto surviving/fresh nodes via the
+  /// incremental planner, charging the copies through the normal transfer
+  /// model. Disable to measure pure degraded operation.
   bool emergency_repair = true;
-  std::size_t repair_min_live = 2;
 };
 
 /// Backoff before retry `attempt` (1-based) of one scan: the capped

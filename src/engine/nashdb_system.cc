@@ -248,7 +248,7 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
   // the previous count of a new fragment is estimated as the
   // overlap-weighted average of the previous fragments covering its
   // range.
-  if (options_.replica_hysteresis > 0 && last_config_ != nullptr) {
+  if (last_config_ != nullptr) {
     std::map<TableId, std::vector<const FragmentInfo*>> prev_by_table;
     for (const FragmentInfo& f : last_config_->fragments()) {
       prev_by_table[f.table].push_back(&f);
@@ -276,9 +276,8 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
       if (covered == 0) continue;
       const double prev = weighted / static_cast<double>(covered);
       const double diff = std::abs(static_cast<double>(f.replicas) - prev);
-      const double band =
-          std::max(static_cast<double>(options_.replica_hysteresis),
-                   options_.replica_hysteresis_frac * prev);
+      const double band = std::max(static_cast<double>(kReplicaHysteresis),
+                                   kReplicaHysteresisFrac * prev);
       if (diff > 0.0 && diff <= band) {
         std::size_t kept = static_cast<std::size_t>(prev + 0.5);
         kept = std::max(kept, params.min_replicas);
@@ -302,12 +301,8 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
 #ifdef NASHDB_VALIDATE
   {
     ValidateOptions econ;
-    econ.replica_slack_abs = options_.replica_hysteresis;
-    // The hysteresis block is skipped entirely when the absolute band is
-    // zero, so counts are then exact Eq. 9 ideals: demand them.
-    econ.replica_slack_frac = options_.replica_hysteresis > 0
-                                  ? options_.replica_hysteresis_frac
-                                  : 0.0;
+    econ.replica_slack_abs = kReplicaHysteresis;
+    econ.replica_slack_frac = kReplicaHysteresisFrac;
     NASHDB_VALIDATE_OR_DIE(ValidateConfig(*last_config_, pool_.get()));
     NASHDB_VALIDATE_OR_DIE(ValidateReplicaEconomics(*last_config_, econ));
   }

@@ -15,6 +15,18 @@
 
 namespace nashdb {
 
+/// Replica-count hysteresis: when a fragment's fresh Eq. 9 ideal differs
+/// from its previous count by at most max(kReplicaHysteresis,
+/// kReplicaHysteresisFrac × previous) replicas, the previous count is
+/// kept. The window's sampling noise makes the ideal flutter by ±1
+/// between reconfigurations, and each flutter is a fragment-sized copy at
+/// transition time; the marginal profit lost by lagging one replica
+/// behind is bounded by one replica's margin, which the saved transfer
+/// dwarfs. The relative band damps hot fragments, whose sampling jitter
+/// grows with the replica level.
+inline constexpr std::size_t kReplicaHysteresis = 1;
+inline constexpr double kReplicaHysteresisFrac = 0.3;
+
 /// Configuration of the end-to-end NashDB controller.
 struct NashDbOptions {
   /// |W|: scan window size (paper default in §10: 50 scans).
@@ -32,18 +44,6 @@ struct NashDbOptions {
   /// profitability, so unscanned data stays available.
   std::size_t min_replicas = 1;
   std::size_t max_replicas = 0;
-  /// Replica-count hysteresis: when a fragment's fresh Eq. 9 ideal
-  /// differs from its previous count by at most this many replicas, the
-  /// previous count is kept. The window's sampling noise makes the ideal
-  /// flutter by ±1 between reconfigurations, and each flutter is a
-  /// fragment-sized copy at transition time; the marginal profit lost by
-  /// lagging one replica behind is bounded by one replica's margin, which
-  /// the saved transfer dwarfs. 0 disables.
-  std::size_t replica_hysteresis = 1;
-  /// Relative hysteresis: the previous count is also kept when the fresh
-  /// ideal is within this fraction of it (sampling jitter grows with the
-  /// replica level, so an absolute band alone cannot damp hot fragments).
-  double replica_hysteresis_frac = 0.3;
   /// Threads refragmenting tables concurrently inside BuildConfig (each
   /// table's Refragment is independent; results are assembled in table
   /// order, so the emitted configuration is identical at any setting).

@@ -130,36 +130,27 @@ class OptimalFragmenter : public Fragmenter {
 
 /// NashDB's greedy split/merge fragmenter (§5.3). Stateful: it adapts the
 /// scheme produced by the previous call. While under the fragment cap it
-/// splits the fragment whose best split most reduces error; at the cap it
-/// merges the cheapest adjacent triplet into two fragments and then splits
-/// again, letting the scheme track workload drift.
+/// splits the fragment whose best split most reduces error (a split must
+/// reduce it by more than zero); at the cap it merges the cheapest
+/// adjacent triplet into two fragments and then splits again, letting the
+/// scheme track workload drift. One call runs at most max_frags + 2
+/// split or merge+split rounds, enough to build max_frags fragments from
+/// scratch.
 class GreedyFragmenter : public Fragmenter {
  public:
-  struct Options {
-    /// Split only if it reduces error by more than this (footnote 2).
-    Money min_split_gain = 0.0;
-    /// Upper bound on split/merge rounds per Refragment call; 0 means
-    /// "enough to build max_frags fragments from scratch".
-    std::size_t max_rounds = 0;
-  };
-
-  GreedyFragmenter() : GreedyFragmenter(Options{}) {}
-  explicit GreedyFragmenter(const Options& options) : options_(options) {}
-
   std::string_view name() const override { return "NashDB"; }
   FragmentationScheme Refragment(const FragmentationContext& ctx,
                                  std::size_t max_frags) override;
   void Reset() override { state_.reset(); }
 
  private:
-  Options options_;
   std::optional<FragmentationScheme> state_;
 };
 
 /// Decision-tree-style recursive splitting (the paper's "DT" baseline,
 /// CART-like): repeatedly applies the globally best split until the cap is
-/// reached or no split reduces error. Equivalent to running only the
-/// "split" half of the greedy algorithm, stateless.
+/// reached or no split reduces error. Runs the greedy fragmenter's split
+/// step alone, stateless.
 class DtFragmenter : public Fragmenter {
  public:
   std::string_view name() const override { return "DT"; }

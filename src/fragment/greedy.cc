@@ -7,13 +7,13 @@
 namespace nashdb {
 namespace {
 
-// One best-split application across all fragments. Returns the achieved
-// error reduction, or nullopt if no fragment has a split gaining more than
-// `min_gain`.
+// One best-split application across all fragments: the split with the
+// largest error reduction, the first fragment's on a tie. Returns that
+// reduction, or nullopt if no split strictly reduces error. The greedy
+// fragmenter's split phase and DT both run it.
 std::optional<Money> ApplyBestSplit(const PrefixStats& stats,
-                                    std::vector<TupleRange>* frags,
-                                    Money min_gain) {
-  Money best_gain = min_gain;
+                                    std::vector<TupleRange>* frags) {
+  Money best_gain = 0.0;
   std::size_t best_idx = 0;
   TupleIndex best_point = 0;
   bool found = false;
@@ -117,19 +117,16 @@ FragmentationScheme GreedyFragmenter::Refragment(
     }
   }
 
-  const std::size_t rounds =
-      options_.max_rounds > 0 ? options_.max_rounds : max_frags + 2;
-
-  for (std::size_t r = 0; r < rounds; ++r) {
+  for (std::size_t r = 0; r < max_frags + 2; ++r) {
     if (frags.size() < max_frags) {
       // Split phase: one split per round.
-      if (!ApplyBestSplit(stats, &frags, options_.min_split_gain)) break;
+      if (!ApplyBestSplit(stats, &frags)) break;
     } else {
       // At the cap: merge three into two, then try to split again. Stop if
       // the merge+split cycle no longer reduces total error.
       const auto increase = ApplyBestTripletMerge(stats, &frags, &errs);
       if (!increase) break;
-      const auto gain = ApplyBestSplit(stats, &frags, options_.min_split_gain);
+      const auto gain = ApplyBestSplit(stats, &frags);
       const Money net = (gain ? *gain : 0.0) - *increase;
       if (net <= 1e-12) break;
     }
@@ -137,6 +134,25 @@ FragmentationScheme GreedyFragmenter::Refragment(
 
   NASHDB_DCHECK(state_->Valid());
   return *state_;
+}
+
+FragmentationScheme DtFragmenter::Refragment(const FragmentationContext& ctx,
+                                             std::size_t max_frags) {
+  NASHDB_CHECK_GT(max_frags, 0u);
+  FragmentationScheme scheme;
+  scheme.table = ctx.table;
+  scheme.table_size = ctx.table_size();
+  if (scheme.table_size == 0) return scheme;
+
+  PrefixStats stats(*ctx.profile);
+  scheme.fragments.push_back(TupleRange{0, scheme.table_size});
+  // CART-style top-down induction: the greedy split step until the cap is
+  // reached or no split strictly reduces error.
+  while (scheme.fragments.size() < max_frags) {
+    if (!ApplyBestSplit(stats, &scheme.fragments)) break;
+  }
+  NASHDB_DCHECK(scheme.Valid());
+  return scheme;
 }
 
 }  // namespace nashdb

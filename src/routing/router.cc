@@ -1,9 +1,7 @@
 #include "routing/router.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <set>
-
 #include <string>
 
 #include "common/logging.h"
@@ -29,12 +27,11 @@ constexpr std::size_t kSmallScanRequests = 16;
 // router's per-scan core. A core that reads the scratch must open every
 // scan with scratch->NextScan() (the stack-local MaxOfMins path skips
 // the bump entirely). `core(reqs, out)` must append exactly reqs.count
-// reads with scan-relative request indices — the same decisions
-// RouteInto makes, so batch results are identical by construction (the
-// batch equivalence suite enforces it). Partial-commit contract on
-// failure: scans before the failing one are routed and reported; the
-// failing scan's partial output (a core may fail mid-append) is rolled
-// back, so it leaves no trace.
+// reads with scan-relative request indices — the seed router's decisions
+// for that scan alone (the batch equivalence suite enforces it).
+// Partial-commit contract on failure: scans before the failing one are
+// routed and reported; the failing scan's partial output (a core may
+// fail mid-append) is rolled back, so it leaves no trace.
 template <typename Core>
 NASHDB_HOT Status RouteBatchImpl(const ScanBatch& batch, const WaitView& waits,
                                  RouterScratch* scratch,
@@ -49,9 +46,8 @@ NASHDB_HOT Status RouteBatchImpl(const ScanBatch& batch, const WaitView& waits,
   for (std::size_t s = 0; s < batch.size(); ++s) {
     const RequestBatch reqs = batch.ScanRequests(s);
     if (reqs.count == 0) {
-      // A scan overlapping no fragment routes nothing (the per-scan driver
-      // path skips it the same way); the sink still hears about it so
-      // commit counting stays one-call-per-scan.
+      // A scan overlapping no fragment routes nothing; the sink still
+      // hears about it so commit counting stays one-call-per-scan.
       if (sink != nullptr) sink->OnScanRouted(s, nullptr, 0);
       continue;
     }
@@ -71,129 +67,57 @@ NASHDB_HOT Status RouteBatchImpl(const ScanBatch& batch, const WaitView& waits,
 
 }  // namespace
 
-std::size_t SpanOf(const std::vector<RoutedRead>& reads) {
-  std::set<NodeId> nodes;
-  for (const RoutedRead& r : reads) nodes.insert(r.node);
-  return nodes.size();
-}
-
-Status ValidateRoutable(const std::vector<FragmentRequest>& requests) {
-  for (const FragmentRequest& req : requests) {
-    if (req.candidates.empty()) {
-      return Status::FailedPrecondition(
-          "fragment " + std::to_string(req.frag) +
-          " has no live replica-holding node");
-    }
-  }
-  return Status::OK();
-}
-
 Status ValidateRoutable(const RequestBatch& requests) {
   for (std::size_t i = 0; i < requests.count; ++i) {
     const FlatRequest& req = requests.requests[i];
-    if (req.cand_count == 0) {
-      return Status::FailedPrecondition(
-          "fragment " + std::to_string(req.frag) +
-          " has no live replica-holding node");
-    }
+    if (req.cand_count == 0) return NoLiveReplica(req.frag);
   }
   return Status::OK();
+}
+
+Status ScanRouter::RouteInto(const RequestBatch& requests,
+                             const WaitView& waits,
+                             double read_seconds_per_tuple, double phi_s,
+                             RouterScratch* scratch,
+                             std::vector<RoutedRead>* out) {
+  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
+  // The scan fields are placeholders: routing reads only the requests.
+  ScanBatch block;
+  block.AddScan(0, Scan{});
+  block.requests.assign(requests.requests, requests.requests + requests.count);
+  block.req_off = {0, static_cast<std::uint32_t>(requests.count)};
+  block.cand_pool = requests.cand_pool;
+  return RouteBatchInto(block, waits, read_seconds_per_tuple, phi_s, scratch,
+                        out, nullptr);
+}
+
+Result<std::vector<RoutedRead>> ScanRouter::Route(
+    const std::vector<FragmentRequest>& requests, std::vector<double> waits,
+    double read_seconds_per_tuple, double phi_s) {
+  std::vector<FlatRequest> flat;
+  std::vector<NodeId> pool;
+  for (const FragmentRequest& r : requests) {
+    flat.push_back(FlatRequest{r.frag, r.tuples,
+                               static_cast<std::uint32_t>(pool.size()),
+                               static_cast<std::uint32_t>(r.candidates.size())});
+    pool.insert(pool.end(), r.candidates.begin(), r.candidates.end());
+  }
+  const WaitView view(waits.data(), waits.size(), /*at=*/0.0);
+  RouterScratch scratch;
+  std::vector<RoutedRead> out;
+  NASHDB_RETURN_IF_ERROR(ScanRouter::RouteInto(
+      RequestBatch{flat.data(), flat.size(), pool.data()}, view,
+      read_seconds_per_tuple, phi_s, &scratch, &out));
+  return out;
 }
 
 // ------------------------------------------------------------ MaxOfMins
 
-Result<std::vector<RoutedRead>> MaxOfMinsRouter::Route(
-    const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-    double read_seconds_per_tuple, double phi_s) {
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  std::vector<RoutedRead> out;
-  out.reserve(requests.size());
-  std::vector<bool> scheduled(requests.size(), false);
-  std::vector<bool> used(waits.size(), false);
-
-  for (std::size_t round = 0; round < requests.size(); ++round) {
-    // For every unscheduled request, find its minimum achievable wait and
-    // the node achieving it; then pick the request whose minimum is
-    // maximal (Eq. 11) — the bottleneck — and schedule it first.
-    double best_min = -1.0;
-    std::size_t best_req = requests.size();
-    NodeId best_node = kInvalidNode;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (scheduled[i]) continue;
-      double min_wait = std::numeric_limits<double>::infinity();
-      NodeId min_node = kInvalidNode;
-      for (NodeId m : requests[i].candidates) {
-        const double w = waits[m] + (used[m] ? 0.0 : phi_s);
-        if (w < min_wait) {
-          min_wait = w;
-          min_node = m;
-        }
-      }
-      if (min_wait > best_min) {
-        best_min = min_wait;
-        best_req = i;
-        best_node = min_node;
-      }
-    }
-    NASHDB_DCHECK(best_req < requests.size());
-    scheduled[best_req] = true;
-    used[best_node] = true;
-    waits[best_node] +=
-        static_cast<double>(requests[best_req].tuples) * read_seconds_per_tuple;
-    out.push_back(RoutedRead{best_req, best_node});
-  }
-  return out;
-}
-
 namespace {
 
-// One scan's Max-of-mins rounds, appending to *out (scan-relative request
-// indices). Shared verbatim by RouteInto and RouteBatchInto.
-NASHDB_HOT void MaxOfMinsCore(const RequestBatch& requests,
-                              double read_seconds_per_tuple, double phi_s,
-                              RouterScratch* scratch,
-                              std::vector<RoutedRead>* out) {
-  // NASHDB_LINT_ALLOW(hot-alloc): scratch flags reuse capacity across scans
-  scratch->scheduled.assign(requests.count, 0);
-
-  for (std::size_t round = 0; round < requests.count; ++round) {
-    double best_min = -1.0;
-    std::size_t best_req = requests.count;
-    NodeId best_node = kInvalidNode;
-    for (std::size_t i = 0; i < requests.count; ++i) {
-      if (scratch->scheduled[i]) continue;
-      const FlatRequest& req = requests.requests[i];
-      const NodeId* cand = requests.cands(req);
-      double min_wait = std::numeric_limits<double>::infinity();
-      NodeId min_node = kInvalidNode;
-      for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-        const NodeId m = cand[k];
-        const double w =
-            scratch->Wait(m) + (scratch->Used(m) ? 0.0 : phi_s);
-        if (w < min_wait) {
-          min_wait = w;
-          min_node = m;
-        }
-      }
-      if (min_wait > best_min) {
-        best_min = min_wait;
-        best_req = i;
-        best_node = min_node;
-      }
-    }
-    NASHDB_DCHECK(best_req < requests.count);
-    scratch->scheduled[best_req] = 1;
-    scratch->MarkUsed(best_node);
-    scratch->AddWait(best_node,
-                     static_cast<double>(requests.requests[best_req].tuples) *
-                         read_seconds_per_tuple);
-    // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-    out->push_back(RoutedRead{best_req, best_node});
-  }
-}
-
-// Batched Max-of-mins core: the same decisions as MaxOfMinsCore — node
-// for node, tie for tie, float op for float op — cheaper (DESIGN.md §11):
+// Max-of-mins core: the seed router's decisions (tests/seed_routers.h) —
+// node for node, tie for tie, float op for float op — cheaper (DESIGN.md
+// §11):
 //
 // - Scans of up to kSmallScanRequests requests keep every piece of
 //   mutable state on the stack instead of in the epoch-stamped scratch.
@@ -230,10 +154,6 @@ NASHDB_HOT void MaxOfMinsCore(const RequestBatch& requests,
 // - Wider scans take the scratch rounds, with candidate evaluation
 //   touching the epoch-stamped node state once per candidate
 //   (AdjustedWait) instead of twice (Wait + Used).
-//
-// RouteInto keeps the plain MaxOfMinsCore: the per-scan path is the
-// reference oracle the equivalence suites compare against, exactly as
-// the seed Route() is the oracle for RouteInto.
 NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
                                      const WaitView& waits,
                                      double read_seconds_per_tuple,
@@ -367,19 +287,6 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
 
 }  // namespace
 
-NASHDB_HOT Status MaxOfMinsRouter::RouteInto(const RequestBatch& requests,
-                                             const WaitView& waits,
-                                             double read_seconds_per_tuple,
-                                             double phi_s,
-                                             RouterScratch* scratch,
-                                             std::vector<RoutedRead>* out) {
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  out->clear();
-  scratch->BeginScan(waits);
-  MaxOfMinsCore(requests, read_seconds_per_tuple, phi_s, scratch, out);
-  return Status::OK();
-}
-
 NASHDB_HOT Status MaxOfMinsRouter::RouteBatchInto(
     const ScanBatch& batch, const WaitView& waits,
     double read_seconds_per_tuple, double phi_s, RouterScratch* scratch,
@@ -393,25 +300,6 @@ NASHDB_HOT Status MaxOfMinsRouter::RouteBatchInto(
 }
 
 // -------------------------------------------------------- ShortestQueue
-
-Result<std::vector<RoutedRead>> ShortestQueueRouter::Route(
-    const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-    double read_seconds_per_tuple, double phi_s) {
-  (void)phi_s;
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  std::vector<RoutedRead> out;
-  out.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    NodeId best = requests[i].candidates.front();
-    for (NodeId m : requests[i].candidates) {
-      if (waits[m] < waits[best]) best = m;
-    }
-    waits[best] +=
-        static_cast<double>(requests[i].tuples) * read_seconds_per_tuple;
-    out.push_back(RoutedRead{i, best});
-  }
-  return out;
-}
 
 namespace {
 
@@ -435,18 +323,6 @@ NASHDB_HOT void ShortestQueueCore(const RequestBatch& requests,
 
 }  // namespace
 
-NASHDB_HOT Status ShortestQueueRouter::RouteInto(
-    const RequestBatch& requests, const WaitView& waits,
-    double read_seconds_per_tuple, double phi_s, RouterScratch* scratch,
-    std::vector<RoutedRead>* out) {
-  (void)phi_s;
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  out->clear();
-  scratch->BeginScan(waits);
-  ShortestQueueCore(requests, read_seconds_per_tuple, scratch, out);
-  return Status::OK();
-}
-
 NASHDB_HOT Status ShortestQueueRouter::RouteBatchInto(
     const ScanBatch& batch, const WaitView& waits,
     double read_seconds_per_tuple, double phi_s, RouterScratch* scratch,
@@ -464,57 +340,6 @@ NASHDB_HOT Status ShortestQueueRouter::RouteBatchInto(
 
 // ------------------------------------------------------------ Greedy SC
 
-Result<std::vector<RoutedRead>> GreedyScRouter::Route(
-    const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-    double read_seconds_per_tuple, double phi_s) {
-  (void)waits;
-  (void)read_seconds_per_tuple;
-  (void)phi_s;
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  std::vector<RoutedRead> out;
-  out.reserve(requests.size());
-  std::vector<bool> scheduled(requests.size(), false);
-  std::size_t remaining = requests.size();
-
-  while (remaining > 0) {
-    // Pick the node covering the most remaining tuples.
-    // (Candidate lists are small, so a simple scan suffices.)
-    NodeId best_node = kInvalidNode;
-    TupleCount best_cover = 0;
-    std::set<NodeId> considered;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (scheduled[i]) continue;
-      for (NodeId m : requests[i].candidates) {
-        if (!considered.insert(m).second) continue;
-        TupleCount cover = 0;
-        for (std::size_t j = 0; j < requests.size(); ++j) {
-          if (scheduled[j]) continue;
-          const auto& cand = requests[j].candidates;
-          if (std::find(cand.begin(), cand.end(), m) != cand.end()) {
-            cover += requests[j].tuples;
-          }
-        }
-        if (cover > best_cover ||
-            (cover == best_cover && best_node == kInvalidNode)) {
-          best_cover = cover;
-          best_node = m;
-        }
-      }
-    }
-    NASHDB_DCHECK(best_node != kInvalidNode);
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      if (scheduled[j]) continue;
-      const auto& cand = requests[j].candidates;
-      if (std::find(cand.begin(), cand.end(), best_node) != cand.end()) {
-        scheduled[j] = true;
-        --remaining;
-        out.push_back(RoutedRead{j, best_node});
-      }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
@@ -527,7 +352,7 @@ NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
   // id per candidate node (first-appearance order), then the request
   // indices holding each node, ascending. Each round below computes a
   // node's remaining cover by walking its postings — O(total candidate
-  // entries) per round instead of the reference implementation's
+  // entries) per round instead of the seed router's
   // O(requests² · |cand|) std::find sweeps.
   std::vector<NodeId>& call_nodes = scratch->call_nodes_;
   std::vector<std::uint32_t>& off = scratch->post_off_;
@@ -577,10 +402,10 @@ NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
 
   std::size_t remaining = requests.count;
   while (remaining > 0) {
-    // One round = the reference implementation's `considered` sweep: nodes
-    // are evaluated in first-appearance order over the *unscheduled*
-    // requests (the round stamp replaces the std::set dedup), with the
-    // identical better-cover-wins comparison.
+    // One round = the seed router's `considered` sweep: nodes are
+    // evaluated in first-appearance order over the *unscheduled* requests
+    // (the round stamp replaces the std::set dedup), with the identical
+    // better-cover-wins comparison.
     ++scratch->round_epoch_;
     NodeId best_node = kInvalidNode;
     std::uint32_t best_lid = 0;
@@ -620,21 +445,6 @@ NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
 
 }  // namespace
 
-NASHDB_HOT Status GreedyScRouter::RouteInto(const RequestBatch& requests,
-                                            const WaitView& waits,
-                                            double read_seconds_per_tuple,
-                                            double phi_s,
-                                            RouterScratch* scratch,
-                                            std::vector<RoutedRead>* out) {
-  (void)read_seconds_per_tuple;
-  (void)phi_s;
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  out->clear();
-  scratch->BeginScan(waits);
-  GreedyScCore(requests, scratch, out);
-  return Status::OK();
-}
-
 NASHDB_HOT Status GreedyScRouter::RouteBatchInto(
     const ScanBatch& batch, const WaitView& waits,
     double read_seconds_per_tuple, double phi_s, RouterScratch* scratch,
@@ -655,51 +465,10 @@ NASHDB_HOT Status GreedyScRouter::RouteBatchInto(
 
 PowerOfTwoRouter::PowerOfTwoRouter(std::uint64_t seed) : rng_(seed) {}
 
-Result<std::vector<RoutedRead>> PowerOfTwoRouter::Route(
-    const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-    double read_seconds_per_tuple, double phi_s) {
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  std::vector<RoutedRead> out;
-  out.reserve(requests.size());
-  std::vector<bool> used(waits.size(), false);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto& cand = requests[i].candidates;
-    NodeId pick;
-    if (cand.size() <= 2) {
-      // Two or fewer replicas: a d=2 sample without replacement would
-      // examine every candidate anyway, so evaluate them all and pick the
-      // best deterministically (no RNG draw). Sampling only kicks in when
-      // there are strictly more than two candidates.
-      pick = cand.front();
-      for (NodeId m : cand) {
-        const double w = waits[m] + (used[m] ? 0.0 : phi_s);
-        const double wp = waits[pick] + (used[pick] ? 0.0 : phi_s);
-        if (w < wp) pick = m;
-      }
-    } else {
-      // Sample two distinct random replicas; keep the better one under
-      // the Eq. 11 criterion.
-      const std::size_t a = static_cast<std::size_t>(rng_.Uniform(cand.size()));
-      std::size_t b = static_cast<std::size_t>(rng_.Uniform(cand.size() - 1));
-      if (b >= a) ++b;
-      const NodeId ma = cand[a];
-      const NodeId mb = cand[b];
-      const double wa = waits[ma] + (used[ma] ? 0.0 : phi_s);
-      const double wb = waits[mb] + (used[mb] ? 0.0 : phi_s);
-      pick = wa <= wb ? ma : mb;
-    }
-    used[pick] = true;
-    waits[pick] +=
-        static_cast<double>(requests[i].tuples) * read_seconds_per_tuple;
-    out.push_back(RoutedRead{i, pick});
-  }
-  return out;
-}
-
 namespace {
 
-// One scan's two-choice pass. Consumes RNG draws exactly as the reference
-// Route does (<= 2 candidates: none; > 2: two), per batch element.
+// One scan's two-choice pass. Consumes RNG draws exactly as the seed
+// router does (<= 2 candidates: none; > 2: two), per batch element.
 NASHDB_HOT void PowerOfTwoCore(const RequestBatch& requests,
                                double read_seconds_per_tuple, double phi_s,
                                RouterScratch* scratch, Rng* rng,
@@ -741,17 +510,6 @@ NASHDB_HOT void PowerOfTwoCore(const RequestBatch& requests,
 }
 
 }  // namespace
-
-NASHDB_HOT Status PowerOfTwoRouter::RouteInto(
-    const RequestBatch& requests, const WaitView& waits,
-    double read_seconds_per_tuple, double phi_s, RouterScratch* scratch,
-    std::vector<RoutedRead>* out) {
-  NASHDB_RETURN_IF_ERROR(ValidateRoutable(requests));
-  out->clear();
-  scratch->BeginScan(waits);
-  PowerOfTwoCore(requests, read_seconds_per_tuple, phi_s, scratch, &rng_, out);
-  return Status::OK();
-}
 
 NASHDB_HOT Status PowerOfTwoRouter::RouteBatchInto(
     const ScanBatch& batch, const WaitView& waits,

@@ -91,11 +91,11 @@ class WaitView {
   SimTime at_;
 };
 
-/// Reusable working state for RouteInto. One scratch may serve any number
-/// of routers and scans; it grows to the largest node count / batch seen
-/// and never shrinks. Per-node state (working wait, span membership) is
-/// epoch-stamped, so beginning a new scan is O(1) — stale entries from
-/// earlier scans are simply never read.
+/// Reusable working state for RouteBatchInto. One scratch may serve any
+/// number of routers and blocks; it grows to the largest node count /
+/// scan seen and never shrinks. Per-node state (working wait, span
+/// membership) is epoch-stamped, so beginning a new scan is O(1) — stale
+/// entries from earlier scans are simply never read.
 ///
 /// Treat everything below as opaque router working memory; the members are
 /// public only because the four router implementations share them.
@@ -107,7 +107,7 @@ class RouterScratch {
   /// be backed by live state (the sim's busy-until array): each scan's
   /// lazy first-touch init re-reads it, so updates applied between scans
   /// (the driver enqueuing one scan's reads before routing the next) are
-  /// observed exactly as in the per-scan path.
+  /// observed exactly as if each scan were routed alone.
   void BeginBatch(const WaitView& waits) {
     view_ = &waits;
     if (nodes_.size() < waits.node_count()) nodes_.resize(waits.node_count());
@@ -117,17 +117,10 @@ class RouterScratch {
   /// node's cached wait/used/local-id state via the epoch stamp.
   void NextScan() { ++epoch_; }
 
-  /// Starts a new single-scan routing call against `waits`. O(1) once the
-  /// node-state array has grown to the cluster size.
-  void BeginScan(const WaitView& waits) {
-    BeginBatch(waits);
-    NextScan();
-  }
-
   /// Node m's working wait: lazily initialized from the view on first
   /// touch this scan, then advanced in place by AddWait — the same
-  /// accumulate-into-one-double sequence as the legacy waits vector, so
-  /// results are bit-identical.
+  /// accumulate-into-one-double sequence as the seed routers' waits
+  /// vector, so results are bit-identical.
   double Wait(NodeId m) { return Touch(m).wait; }
   void AddWait(NodeId m, double delta) { Touch(m).wait += delta; }
 
@@ -199,7 +192,8 @@ struct ScanBatch;
 /// immediately after that scan's reads are appended and *before* the next
 /// scan's waits are first read — so a sink that advances the WaitView's
 /// backing state (the driver enqueuing reads into the sim) makes the next
-/// scan observe exactly the state the per-scan path would have seen.
+/// scan see the earlier scans' reads, exactly as if the scans were routed
+/// one at a time.
 /// `reads[k].request_index` is relative to the scan's own request span.
 /// A scan that resolved to zero requests is reported with count == 0.
 class BatchSink {
@@ -209,58 +203,34 @@ class BatchSink {
                             std::size_t count) = 0;
 };
 
-/// Strategy for routing the fragment reads of one range scan to replica
-/// nodes (paper §8). Implementations receive the per-node pending work
-/// `waits` (seconds) as a working copy they may advance while scheduling.
+/// Strategy for routing the fragment reads of range scans to replica
+/// nodes (paper §8). A router implements one method, RouteBatchInto. The
+/// per-scan Route and RouteInto are base-class adapters over it, kept for
+/// one-scan callers (the end-to-end benchmark's TimedRouter overrides
+/// both); no router overrides them.
 class ScanRouter {
  public:
   virtual ~ScanRouter() = default;
 
   virtual std::string_view name() const = 0;
 
-  /// Routes all `requests` of one scan. `waits[m]` is node m's queued work
+  /// Routes every scan of `batch` (DESIGN.md §11) against one WaitView in
+  /// a single pass, in batch order. `waits.At(m)` is node m's queued work
   /// in seconds at scheduling time; `read_seconds_per_tuple` converts a
   /// request's tuple count to disk time; `phi_s` is the estimated penalty
   /// for growing the query's span by one node (the paper's φ = 350 ms).
-  /// Every request is assigned exactly one candidate node.
+  /// Every request is assigned exactly one candidate node, with the
+  /// decisions of the seed routers — node for node, tie for tie, RNG draw
+  /// for RNG draw (tests/seed_routers.h is the oracle; the router and
+  /// batch equivalence suites enforce it). All reads accumulate into
+  /// `*out` (cleared first; capacity is reused), each scan's slice
+  /// reported to `sink` (may be null) as it completes.
   ///
   /// Candidate lists reflect the *live* replicas of a fragment; under
-  /// node failures a list can be empty, in which case the scan is
-  /// unroutable right now and every implementation returns a
-  /// FailedPrecondition routing failure (never indexes into the empty
-  /// list). The caller decides whether to retry, repair, or abort.
-  ///
-  /// This is the seed (reference) implementation, kept as the routing
-  /// oracle for the equivalence suite and the before/after benchmark; the
-  /// driver routes through RouteBatchInto.
-  virtual Result<std::vector<RoutedRead>> Route(
-      const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-      double read_seconds_per_tuple, double phi_s) = 0;
-
-  /// Allocation-free variant of Route: the same routing decisions — node
-  /// for node, tie for tie, RNG draw for RNG draw (the router equivalence
-  /// suite enforces this) — resolved into the caller-owned `*out` (cleared
-  /// first; capacity is reused) using `*scratch` for working state.
-  /// Returns FailedPrecondition if any request has an empty candidate
-  /// span.
-  virtual Status RouteInto(const RequestBatch& requests,
-                           const WaitView& waits,
-                           double read_seconds_per_tuple, double phi_s,
-                           RouterScratch* scratch,
-                           std::vector<RoutedRead>* out) = 0;
-
-  /// Batched variant (DESIGN.md §11): routes every scan of `batch`
-  /// against one WaitView in a single pass, amortizing scratch setup,
-  /// candidate-span resolution, and virtual dispatch across the block.
-  /// Scans are routed in batch order; decisions are identical to calling
-  /// RouteInto once per scan — node for node, tie for tie, RNG draw for
-  /// RNG draw (the batch equivalence suite enforces this). All reads
-  /// accumulate into `*out` (cleared first), each scan's slice reported to
-  /// `sink` (may be null) as it completes.
-  ///
-  /// On a scan with an empty candidate span, returns FailedPrecondition
-  /// with a partial-commit guarantee: every scan before the failing one is
-  /// fully routed and reported to the sink; the failing scan and all later
+  /// node failures a list can be empty, and that scan is unroutable right
+  /// now. On such a scan RouteBatchInto returns FailedPrecondition with a
+  /// partial-commit guarantee: every scan before the failing one is fully
+  /// routed and reported to the sink; the failing scan and all later
   /// scans are untouched. The driver's retry path resumes from there: it
   /// retries the first unreported scan alone and routes the rest as a new
   /// block.
@@ -269,12 +239,27 @@ class ScanRouter {
                                 RouterScratch* scratch,
                                 std::vector<RoutedRead>* out,
                                 BatchSink* sink) = 0;
+
+  /// Per-scan adapter: routes `requests` as a one-scan block through
+  /// RouteBatchInto over a WaitView of `waits` at time 0.
+  virtual Result<std::vector<RoutedRead>> Route(
+      const std::vector<FragmentRequest>& requests, std::vector<double> waits,
+      double read_seconds_per_tuple, double phi_s);
+
+  /// Per-scan adapter over a flat request span: routes it as a one-scan
+  /// block through RouteBatchInto into `*out`. Validates first, so a scan
+  /// with an empty candidate span returns FailedPrecondition and leaves
+  /// `*out` untouched.
+  virtual Status RouteInto(const RequestBatch& requests,
+                           const WaitView& waits,
+                           double read_seconds_per_tuple, double phi_s,
+                           RouterScratch* scratch,
+                           std::vector<RoutedRead>* out);
 };
 
 /// Shared precondition for all routers: every request must have at least
 /// one candidate replica. Returns FailedPrecondition naming the first
 /// fragment with none.
-Status ValidateRoutable(const std::vector<FragmentRequest>& requests);
 Status ValidateRoutable(const RequestBatch& requests);
 
 /// The paper's Max-of-mins router: repeatedly schedules the request whose
@@ -285,13 +270,6 @@ Status ValidateRoutable(const RequestBatch& requests);
 class MaxOfMinsRouter : public ScanRouter {
  public:
   std::string_view name() const override { return "Max of mins"; }
-  Result<std::vector<RoutedRead>> Route(
-      const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-      double read_seconds_per_tuple, double phi_s) override;
-  Status RouteInto(const RequestBatch& requests, const WaitView& waits,
-                   double read_seconds_per_tuple, double phi_s,
-                   RouterScratch* scratch,
-                   std::vector<RoutedRead>* out) override;
   Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
                         double read_seconds_per_tuple, double phi_s,
                         RouterScratch* scratch, std::vector<RoutedRead>* out,
@@ -303,13 +281,6 @@ class MaxOfMinsRouter : public ScanRouter {
 class ShortestQueueRouter : public ScanRouter {
  public:
   std::string_view name() const override { return "Shortest queue"; }
-  Result<std::vector<RoutedRead>> Route(
-      const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-      double read_seconds_per_tuple, double phi_s) override;
-  Status RouteInto(const RequestBatch& requests, const WaitView& waits,
-                   double read_seconds_per_tuple, double phi_s,
-                   RouterScratch* scratch,
-                   std::vector<RoutedRead>* out) override;
   Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
                         double read_seconds_per_tuple, double phi_s,
                         RouterScratch* scratch, std::vector<RoutedRead>* out,
@@ -318,21 +289,14 @@ class ShortestQueueRouter : public ScanRouter {
 
 /// Baseline: greedy set cover minimizing query span ([24]; the paper's
 /// "Greedy SC"): repeatedly pick the node covering the most remaining
-/// tuples and assign it all requests it can serve. RouteInto replaces the
-/// reference implementation's O(requests² · |cand|) std::find inner loops
-/// with per-call node→requests postings lists, making each round
-/// O(total candidate entries) while visiting nodes in the identical
-/// first-appearance order (so decisions, including ties, match exactly).
+/// tuples and assign it all requests it can serve. Per-scan node→requests
+/// postings lists replace the seed router's O(requests² · |cand|)
+/// std::find inner loops, making each round O(total candidate entries)
+/// while visiting nodes in the identical first-appearance order (so
+/// decisions, including ties, match exactly).
 class GreedyScRouter : public ScanRouter {
  public:
   std::string_view name() const override { return "Greedy SC"; }
-  Result<std::vector<RoutedRead>> Route(
-      const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-      double read_seconds_per_tuple, double phi_s) override;
-  Status RouteInto(const RequestBatch& requests, const WaitView& waits,
-                   double read_seconds_per_tuple, double phi_s,
-                   RouterScratch* scratch,
-                   std::vector<RoutedRead>* out) override;
   Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
                         double read_seconds_per_tuple, double phi_s,
                         RouterScratch* scratch, std::vector<RoutedRead>* out,
@@ -349,20 +313,12 @@ class GreedyScRouter : public ScanRouter {
 /// RNG-consumption contract (pinned by unit test; determinism tests
 /// depend on the draw order): a request with <= 2 candidates draws
 /// nothing; a request with > 2 candidates draws exactly two values
-/// (Uniform(c) then Uniform(c - 1)). Route and RouteInto consume
-/// identically.
+/// (Uniform(c) then Uniform(c - 1)), in block order.
 class PowerOfTwoRouter : public ScanRouter {
  public:
   explicit PowerOfTwoRouter(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   std::string_view name() const override { return "Power of two"; }
-  Result<std::vector<RoutedRead>> Route(
-      const std::vector<FragmentRequest>& requests, std::vector<double> waits,
-      double read_seconds_per_tuple, double phi_s) override;
-  Status RouteInto(const RequestBatch& requests, const WaitView& waits,
-                   double read_seconds_per_tuple, double phi_s,
-                   RouterScratch* scratch,
-                   std::vector<RoutedRead>* out) override;
   Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
                         double read_seconds_per_tuple, double phi_s,
                         RouterScratch* scratch, std::vector<RoutedRead>* out,
@@ -376,10 +332,6 @@ class PowerOfTwoRouter : public ScanRouter {
  private:
   Rng rng_;
 };
-
-/// Number of distinct nodes in a routing (the query-span contribution of
-/// one scan).
-std::size_t SpanOf(const std::vector<RoutedRead>& reads);
 
 }  // namespace nashdb
 

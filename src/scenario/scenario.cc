@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -55,11 +56,16 @@ bool ParseUint(std::string_view v, std::uint64_t* out) {
   if (v.empty() || v.front() == '-') return false;
   char* end = nullptr;
   const std::string s(v);
+  errno = 0;
   const std::uint64_t x = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
   *out = x;
   return true;
 }
+
+// The most reconfiguration threads a spec may ask for (the same cap as
+// nashdb_sim's --shards): NashDbSystem starts exactly that many workers.
+constexpr std::uint64_t kMaxReconfigThreads = 64;
 
 bool ParseBool(std::string_view v, bool* out) {
   if (v == "true" || v == "1") return *out = true, true;
@@ -120,7 +126,7 @@ Status BadValue(const LineContext& c, std::string_view expected) {
   } while (false)
 
 // As NASHDB_SCN_DOUBLE / NASHDB_SCN_UINT, rejecting a negative price or
-// a size of 0.
+// duration, a rate or size of 0, or a count above `max`.
 #define NASHDB_SCN_NONNEGATIVE_DOUBLE(field)                   \
   do {                                                         \
     double x = 0.0;                                            \
@@ -128,6 +134,27 @@ Status BadValue(const LineContext& c, std::string_view expected) {
       return BadValue(c, "a number >= 0 for key '" +           \
                              std::string(c.key) + "'");        \
     (field) = x;                                               \
+    return Status::OK();                                       \
+  } while (false)
+
+#define NASHDB_SCN_POSITIVE_DOUBLE(field)                      \
+  do {                                                         \
+    double x = 0.0;                                            \
+    if (!ParseDouble(c.value, &x) || x <= 0.0)                 \
+      return BadValue(c, "a number > 0 for key '" +            \
+                             std::string(c.key) + "'");        \
+    (field) = x;                                               \
+    return Status::OK();                                       \
+  } while (false)
+
+#define NASHDB_SCN_BOUNDED_UINT(field, max)                    \
+  do {                                                         \
+    std::uint64_t u = 0;                                       \
+    if (!ParseUint(c.value, &u) || u > (max))                  \
+      return BadValue(c, "an integer from 0 to " +             \
+                             std::to_string(max) + " for key '" + \
+                             std::string(c.key) + "'");        \
+    (field) = u;                                               \
     return Status::OK();                                       \
   } while (false)
 
@@ -166,12 +193,7 @@ Status ApplyTopologyKey(const LineContext& c, ScenarioSpec* spec) {
 Status ApplyWorkloadKey(const LineContext& c, ScenarioSpec* spec) {
   PhasedStreamOptions& w = spec->workload;
   if (c.key == "queries") NASHDB_SCN_UINT(w.num_queries);
-  if (c.key == "db_gb") {
-    if (!ParseDouble(c.value, &w.db_gb) || w.db_gb <= 0.0) {
-      return BadValue(c, "a number > 0 for key 'db_gb'");
-    }
-    return Status::OK();
-  }
+  if (c.key == "db_gb") NASHDB_SCN_POSITIVE_DOUBLE(w.db_gb);
   if (c.key == "tuples_per_gb") NASHDB_SCN_UINT(w.tuples_per_gb);
   // A negative price would put a negative normalized price in the value
   // estimator's window.
@@ -220,11 +242,16 @@ Status ApplyFaultsKey(const LineContext& c, ScenarioSpec* spec) {
     return Status::OK();
   }
   if (c.key == "max_scan_retries") NASHDB_SCN_UINT(f.max_scan_retries);
-  if (c.key == "retry_backoff_s") NASHDB_SCN_DOUBLE(f.retry_backoff_s);
-  if (c.key == "retry_backoff_cap_s") {
-    NASHDB_SCN_DOUBLE(f.retry_backoff_cap_s);
+  // A negative backoff would route a retry before its query arrived.
+  if (c.key == "retry_backoff_s") {
+    NASHDB_SCN_NONNEGATIVE_DOUBLE(f.retry_backoff_s);
   }
-  if (c.key == "query_timeout_s") NASHDB_SCN_DOUBLE(f.query_timeout_s);
+  if (c.key == "retry_backoff_cap_s") {
+    NASHDB_SCN_NONNEGATIVE_DOUBLE(f.retry_backoff_cap_s);
+  }
+  if (c.key == "query_timeout_s") {
+    NASHDB_SCN_NONNEGATIVE_DOUBLE(f.query_timeout_s);
+  }
   if (c.key == "query_retry_budget") NASHDB_SCN_UINT(f.query_retry_budget);
   return BadLine(c.line, c.key,
                  "[faults] key: spec, no_repair, max_scan_retries, "
@@ -261,10 +288,15 @@ Status ApplyDriverKey(const LineContext& c, ScenarioSpec* spec) {
   if (c.key == "prewarm_scans") NASHDB_SCN_UINT(spec->prewarm_scans);
   if (c.key == "keep_records") NASHDB_SCN_BOOL(spec->keep_records);
   if (c.key == "adaptive") NASHDB_SCN_BOOL(spec->adaptive);
-  if (c.key == "reconfig_threads") NASHDB_SCN_UINT(spec->reconfig_threads);
-  if (c.key == "tuples_per_second") NASHDB_SCN_DOUBLE(spec->tuples_per_second);
+  if (c.key == "reconfig_threads") {
+    NASHDB_SCN_BOUNDED_UINT(spec->reconfig_threads, kMaxReconfigThreads);
+  }
+  // The simulator divides by both rates.
+  if (c.key == "tuples_per_second") {
+    NASHDB_SCN_POSITIVE_DOUBLE(spec->tuples_per_second);
+  }
   if (c.key == "transfer_tuples_per_second") {
-    NASHDB_SCN_DOUBLE(spec->transfer_tuples_per_second);
+    NASHDB_SCN_POSITIVE_DOUBLE(spec->transfer_tuples_per_second);
   }
   if (c.key == "router") {
     const std::string r(c.value);
@@ -300,6 +332,8 @@ Status ApplyAssertKey(const LineContext& c, ScenarioSpec* spec) {
 #undef NASHDB_SCN_DOUBLE
 #undef NASHDB_SCN_UINT
 #undef NASHDB_SCN_NONNEGATIVE_DOUBLE
+#undef NASHDB_SCN_POSITIVE_DOUBLE
+#undef NASHDB_SCN_BOUNDED_UINT
 #undef NASHDB_SCN_POSITIVE_UINT
 #undef NASHDB_SCN_BOOL
 

@@ -50,6 +50,8 @@ struct ScenarioAssertion {
 ///                no_repair = BOOL    max_scan_retries = N
 ///                retry_backoff_s = F retry_backoff_cap_s = F
 ///                query_timeout_s = F query_retry_budget = N
+///                (retry_backoff_s, retry_backoff_cap_s and
+///                query_timeout_s >= 0)
 ///   [overload]   max_pending = N     shed_keep_price = F
 ///                hard_cap_factor = F (OverloadOptions)
 ///   [driver]     interval_s = F      window = N     node_cost = F
@@ -60,15 +62,17 @@ struct ScenarioAssertion {
 ///                transfer_tuples_per_second = F
 ///                router = maxofmins|shortestqueue|greedysc|power2
 ///                (window, node_disk and block >= 1; node_disk >=
-///                min(block, table tuples))
+///                min(block, table tuples); both rates > 0;
+///                reconfig_threads <= 64)
 ///   [assert]     KEY = F, one per line; KEYs:
 ///                max_abort_rate, max_shed_rate, max_retry_rate,
 ///                mean_latency_s, p50_latency_s, p95_latency_s,
 ///                p99_latency_s, recovery_time_s, min_completed,
 ///                min_cost_cents, max_cost_cents, max_rss_mb
 ///
-/// Parse errors are InvalidArgument naming the line, the bad token, and
-/// the expected grammar (the CLI exits 2 on them).
+/// N is an unsigned integer below 2^64. Parse errors are InvalidArgument
+/// naming the line, the bad token, and the expected grammar (the CLI
+/// exits 2 on them).
 struct ScenarioSpec {
   std::string name = "unnamed";
   std::string description;

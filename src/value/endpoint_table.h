@@ -23,7 +23,8 @@ namespace nashdb {
 /// updates, O(1) expected each, and ForEachChunk sorts the k <= 2|W| live
 /// keys when a profile is read (O(k log k)).
 ///
-/// Bit-identical to ValueEstimationTree: the per-key arithmetic is the
+/// Bit-identical to ValueEstimationTree, its oracle (endpoint_table_test
+/// pins the chunk streams bit for bit): the per-key arithmetic is the
 /// tree's (a new key's accumulator is assigned, later contributions are
 /// added or subtracted, a count that reaches zero snaps its accumulator
 /// to exactly 0.0, a key lives while either count is nonzero), and the

@@ -39,9 +39,7 @@ void ValueEstimationTree::ReleaseNode(std::int32_t n) {
 // ---- AVL primitives ---------------------------------------------------
 //
 // Functional style: every mutator takes a subtree root index and returns
-// the root index afterwards. The float accumulation order inside Refresh /
-// the rotations is exactly the reference tree's (Update / RotateLeft /
-// RotateRight) so the two implementations stay bit-identical.
+// the root index afterwards.
 
 void ValueEstimationTree::Refresh(std::int32_t n) {
   FlatNode& node = nodes_[n];

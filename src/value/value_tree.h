@@ -39,12 +39,13 @@ namespace nashdb {
 /// array instead of chasing 16-byte-apart heap pointers. The walk itself
 /// (ForEachChunk) is iterative over an explicit height-bounded stack and
 /// templated on the callback, so per-reconfiguration Profile() calls pay
-/// neither recursion nor std::function dispatch. Behavior is bit-identical
-/// to the original pointer AVL (ReferenceValueTree, kept as the test
-/// oracle): same rotations, same float accumulation order.
+/// neither recursion nor std::function dispatch.
 ///
-/// The tree does NOT own the scan window; pair it with ScanWindow (or use
-/// TupleValueEstimator, which composes both).
+/// Nothing in the pipeline ships the tree: TupleValueEstimator keeps its
+/// window in an EndpointTable (value/endpoint_table.h), and this tree is
+/// that table's oracle (endpoint_table_test pins the two bit for bit) and
+/// the paper-AVL row of bench_tree_overhead. The tree does NOT own the
+/// scan window; its caller adds and removes the window's scans.
 namespace internal_value {
 
 /// One arena slot. 56 bytes/node vs the pointer AVL's 64-byte node plus

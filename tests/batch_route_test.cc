@@ -1,14 +1,15 @@
 // Batch-route equivalence suite (DESIGN.md §11): for each of the four
 // scan routers, RouteBatchInto over a block of scans must make exactly
-// the decisions of calling RouteInto once per scan — node for node, tie
-// for tie, RNG draw for RNG draw — under both frozen waits and live
-// busy-until state mutated between scans (the driver's enqueue-between-
-// scans regime), at low replication and at up to 128 candidates per
-// request with idle nodes, where the Max-of-mins sweep stops at its lower
-// bound. Also pins the sink ordering contract, the partial-commit
-// guarantee on unroutable scans, and the PowerOfTwo RNG-consumption
-// contract per batch element.
+// the decisions of the seed router (tests/seed_routers.h, the oracle)
+// applied to each scan alone — node for node, tie for tie, RNG draw for
+// RNG draw — under both frozen waits and live busy-until state mutated
+// between scans (the driver's enqueue-between-scans regime), at low
+// replication and at up to 128 candidates per request with idle nodes,
+// where the Max-of-mins sweep stops at its lower bound. Also pins the
+// sink ordering contract, the partial-commit guarantee on unroutable
+// scans, and the PowerOfTwo RNG-consumption contract per batch element.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -19,6 +20,7 @@
 #include "common/random.h"
 #include "routing/router.h"
 #include "routing/scan_batch.h"
+#include "seed_routers.h"
 
 namespace nashdb {
 namespace {
@@ -125,34 +127,42 @@ std::vector<std::vector<FragmentRequest>> RandomScans(Rng* rng,
   return scans;
 }
 
-/// Routes `scans` scan-by-scan through `scalar` (RouteInto) and as one
-/// block through `batch_router` (RouteBatchInto), both against live
-/// busy-until state advanced identically between scans, and asserts
-/// identical decisions, identical sink slices, and bit-identical final
-/// busy-until arrays. The two router pointers may be the same object for
-/// deterministic routers; PowerOfTwo passes two same-seeded instances.
-void ExpectBatchMatchesScalar(
-    ScanRouter* scalar, ScanRouter* batch_router,
+/// Each node's wait at `at` over a busy-until array: ClusterSim's
+/// WaitSeconds formula, max(0, busy_until[m] - at), which is exactly what
+/// WaitView::At reads.
+std::vector<double> WaitsAt(const std::vector<SimTime>& busy, SimTime at) {
+  std::vector<double> waits(busy.size());
+  for (std::size_t m = 0; m < busy.size(); ++m) {
+    waits[m] = std::max<SimTime>(0.0, busy[m] - at);
+  }
+  return waits;
+}
+
+/// Routes `scans` scan by scan through the seed oracle and as one block
+/// through `router` (RouteBatchInto), both against live busy-until state
+/// advanced identically between scans, and asserts identical decisions,
+/// identical sink slices, and bit-identical final busy-until arrays. A
+/// PowerOfTwo oracle draws from an Rng seeded like the router.
+void ExpectBatchMatchesSeed(
+    const SeedRoute& seed, ScanRouter* router,
     const std::vector<std::vector<FragmentRequest>>& scans,
     const std::vector<SimTime>& base_busy, double rspt, double phi) {
   const BatchSet bs = MakeBatch(scans);
 
-  // Scalar reference: one RouteInto per scan, committing each scan's
-  // reads into the busy array before routing the next.
-  std::vector<SimTime> busy_scalar = base_busy;
+  // Seed reference: one oracle call per scan over the waits the sim
+  // reports at time 0, committing each scan's reads into the busy array
+  // before routing the next.
+  std::vector<SimTime> busy_seed = base_busy;
   std::vector<RoutedRead> expected;
-  RouterScratch scalar_scratch;
-  std::vector<RoutedRead> out;
   for (std::size_t s = 0; s < scans.size(); ++s) {
-    const RequestBatch reqs = bs.batch.ScanRequests(s);
-    if (reqs.count == 0) continue;
-    const WaitView view(busy_scalar.data(), busy_scalar.size(), /*at=*/0.0);
-    ASSERT_TRUE(
-        scalar->RouteInto(reqs, view, rspt, phi, &scalar_scratch, &out).ok());
-    const FlatRequest* flat = bs.batch.requests.data() + bs.batch.req_off[s];
-    for (const RoutedRead& rr : out) {
-      busy_scalar[rr.node] +=
-          static_cast<double>(flat[rr.request_index].tuples) * rspt + 0.35;
+    if (scans[s].empty()) continue;
+    const Result<std::vector<RoutedRead>> routed =
+        seed(scans[s], WaitsAt(busy_seed, /*at=*/0.0), rspt, phi);
+    ASSERT_TRUE(routed.ok()) << router->name();
+    for (const RoutedRead& rr : *routed) {
+      busy_seed[rr.node] +=
+          static_cast<double>(scans[s][rr.request_index].tuples) * rspt +
+          0.35;
       expected.push_back(rr);
     }
   }
@@ -176,20 +186,20 @@ void ExpectBatchMatchesScalar(
   RouterScratch batch_scratch;
   std::vector<RoutedRead> batch_out;
   const WaitView view(busy_batch.data(), busy_batch.size(), /*at=*/0.0);
-  ASSERT_TRUE(batch_router
+  ASSERT_TRUE(router
                   ->RouteBatchInto(bs.batch, view, rspt, phi, &batch_scratch,
                                    &batch_out, &sink)
                   .ok());
 
-  ASSERT_EQ(batch_out.size(), expected.size()) << scalar->name();
+  ASSERT_EQ(batch_out.size(), expected.size()) << router->name();
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(batch_out[i].request_index, expected[i].request_index)
-        << scalar->name() << " diverged at position " << i;
+        << router->name() << " diverged at position " << i;
     EXPECT_EQ(batch_out[i].node, expected[i].node)
-        << scalar->name() << " diverged at position " << i;
+        << router->name() << " diverged at position " << i;
   }
   // Exactly one sink event per scan, in batch order, empty scans included.
-  ASSERT_EQ(rec.events.size(), scans.size()) << scalar->name();
+  ASSERT_EQ(rec.events.size(), scans.size()) << router->name();
   std::size_t cursor = 0;
   for (std::size_t s = 0; s < scans.size(); ++s) {
     EXPECT_EQ(rec.events[s].scan, s);
@@ -200,12 +210,12 @@ void ExpectBatchMatchesScalar(
       ++cursor;
     }
   }
-  EXPECT_EQ(cursor, expected.size()) << scalar->name();
+  EXPECT_EQ(cursor, expected.size()) << router->name();
   // The recorded waits the two paths produced — the busy-until arrays —
   // must agree to the last double bit.
   for (std::size_t m = 0; m < base_busy.size(); ++m) {
-    EXPECT_EQ(busy_batch[m], busy_scalar[m])
-        << scalar->name() << " wait diverged on node " << m;
+    EXPECT_EQ(busy_batch[m], busy_seed[m])
+        << router->name() << " wait diverged on node " << m;
   }
 }
 
@@ -228,27 +238,32 @@ TEST_P(BatchRouteTest, DeterministicRoutersMatchPerScanPath) {
       const auto busy = RandomBusy(&rng, node_count);
       const double rspt = 1e-6 * (1 + rng.Uniform(100));
       const double phi = rng.NextDouble();
-      ExpectBatchMatchesScalar(&mm, &mm, scans, busy, rspt, phi);
-      ExpectBatchMatchesScalar(&sq, &sq, scans, busy, rspt, phi);
-      ExpectBatchMatchesScalar(&gsc, &gsc, scans, busy, rspt, phi);
+      ExpectBatchMatchesSeed(SeedMaxOfMinsRoute, &mm, scans, busy, rspt,
+                             phi);
+      ExpectBatchMatchesSeed(SeedShortestQueueRoute, &sq, scans, busy, rspt,
+                             phi);
+      ExpectBatchMatchesSeed(SeedGreedyScRoute, &gsc, scans, busy, rspt, phi);
     }
   }
 }
 
 TEST_P(BatchRouteTest, PowerOfTwoMatchesWithPairedRngStreams) {
   Rng rng(GetParam());
-  // Same-seeded pair: the scalar path consumes one stream, the batched
-  // path the other. They stay in lockstep across many blocks only if
-  // every scan of every block consumes identically.
-  PowerOfTwoRouter scalar(GetParam());
+  // Same-seeded pair: the oracle consumes one stream, the batched path
+  // the other. They stay in lockstep across many blocks only if every
+  // scan of every block consumes identically.
+  Rng seed_rng(GetParam());
   PowerOfTwoRouter batched(GetParam());
   for (const std::size_t node_count : {1u, 2u, 3u, 5u, 8u, 16u, 64u}) {
     for (int round = 0; round < 4; ++round) {
       const auto scans = RandomScans(&rng, node_count, 12);
       const auto busy = RandomBusy(&rng, node_count);
-      ExpectBatchMatchesScalar(&scalar, &batched, scans, busy, 1e-5, 0.35);
+      ExpectBatchMatchesSeed(SeedPowerOfTwo(&seed_rng), &batched, scans, busy,
+                             1e-5, 0.35);
     }
   }
+  EXPECT_EQ(batched.mutable_rng_for_test()->NextU64(), seed_rng.NextU64())
+      << "the router's and the oracle's RNG streams diverged";
 }
 
 // ------------------------------------------------ high replication
@@ -332,9 +347,11 @@ TEST_P(BatchRouteTest, DeterministicRoutersMatchAtHighReplication) {
       const double rspt = 1e-6 * static_cast<double>(1 + rng.Uniform(100));
       const auto scans = WideScans(&rng, node_count, 12);
       const auto busy = BoundaryBusy(&rng, node_count, phi);
-      ExpectBatchMatchesScalar(&mm, &mm, scans, busy, rspt, phi);
-      ExpectBatchMatchesScalar(&sq, &sq, scans, busy, rspt, phi);
-      ExpectBatchMatchesScalar(&gsc, &gsc, scans, busy, rspt, phi);
+      ExpectBatchMatchesSeed(SeedMaxOfMinsRoute, &mm, scans, busy, rspt,
+                             phi);
+      ExpectBatchMatchesSeed(SeedShortestQueueRoute, &sq, scans, busy, rspt,
+                             phi);
+      ExpectBatchMatchesSeed(SeedGreedyScRoute, &gsc, scans, busy, rspt, phi);
     }
   }
 }
@@ -382,7 +399,7 @@ TEST(BatchRouteEdgeTest, MaxOfMinsPrefersAUsedNodeBelowPhi) {
   const std::vector<SimTime> busy = {0.0, 0.0, 0.0, 0.0, 0.1};
   MaxOfMinsRouter mm;
   EXPECT_EQ(BatchNodes(&mm, scan, busy), std::vector<NodeId>({4, 4}));
-  ExpectBatchMatchesScalar(&mm, &mm, {scan}, busy, 1e-5, 0.35);
+  ExpectBatchMatchesSeed(SeedMaxOfMinsRoute, &mm, {scan}, busy, 1e-5, 0.35);
 }
 
 // ------------------------------------------------------------ edge cases

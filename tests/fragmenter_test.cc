@@ -339,11 +339,12 @@ TEST(GreedyFragmenterTest, ReachesZeroErrorOnSteps) {
 TEST(GreedyFragmenterTest, SplitsNeverIncreaseError) {
   Rng rng(58);
   const ValueProfile p = RandomProfile(&rng, 150, 12);
-  GreedyFragmenter frag(GreedyFragmenter::Options{0.0, 1});
+  // DT runs the greedy split step alone, so DT at caps 1, 2, ..., 11 is
+  // the greedy split phase one split at a time: error must never go up.
+  DtFragmenter frag;
   Money prev = std::numeric_limits<Money>::infinity();
-  // One split per call while under the cap: error must never go up.
-  for (int i = 0; i < 10; ++i) {
-    const auto scheme = frag.Refragment(Ctx(p), 12);
+  for (std::size_t cap = 1; cap <= 11; ++cap) {
+    const auto scheme = frag.Refragment(Ctx(p), cap);
     const Money err = SchemeError(scheme, p);
     EXPECT_LE(err, prev + 1e-9);
     prev = err;
@@ -405,14 +406,6 @@ TEST(GreedyFragmenterTest, ResetDropsState) {
   frag.Reset();
   const auto scheme = frag.Refragment(Ctx(p), 4);
   EXPECT_TRUE(scheme.Valid());
-}
-
-TEST(GreedyFragmenterTest, MinSplitGainSuppressesTinySplits) {
-  const ValueProfile p =
-      StepProfile(100, {{0, 50, 1.0}, {50, 100, 1.0001}});
-  GreedyFragmenter picky(GreedyFragmenter::Options{1.0, 0});
-  const auto scheme = picky.Refragment(Ctx(p), 8);
-  EXPECT_EQ(scheme.fragments.size(), 1u);
 }
 
 // ------------------------------------------------------------------- dt

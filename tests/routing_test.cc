@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "routing/router.h"
+#include "seed_routers.h"
 
 namespace nashdb {
 namespace {

@@ -167,6 +167,26 @@ TEST(ScenarioParseTest, MalformedSpecsNameTheBadTokenAndGrammar) {
       {"[workload]\nprice = -1\n", "-1", "a number >= 0 for key 'price'"},
       {"[phase]\nkind = price_war\nprice_x = -2\n", "-2",
        "a number >= 0 for key 'price_x'"},
+      {"[driver]\ntuples_per_second = 0\n", "0",
+       "a number > 0 for key 'tuples_per_second'"},
+      {"[driver]\ntuples_per_second = -150\n", "-150",
+       "a number > 0 for key 'tuples_per_second'"},
+      {"[driver]\ntransfer_tuples_per_second = 0\n", "0",
+       "a number > 0 for key 'transfer_tuples_per_second'"},
+      {"[faults]\nretry_backoff_s = -1\n", "-1",
+       "a number >= 0 for key 'retry_backoff_s'"},
+      {"[faults]\nretry_backoff_cap_s = -0.5\n", "-0.5",
+       "a number >= 0 for key 'retry_backoff_cap_s'"},
+      {"[faults]\nquery_timeout_s = -900\n", "-900",
+       "a number >= 0 for key 'query_timeout_s'"},
+      {"[scenario]\nseed = 99999999999999999999\n", "99999999999999999999",
+       "a nonnegative integer for key 'seed'"},
+      {"[workload]\nqueries = 18446744073709551616\n",
+       "18446744073709551616", "a nonnegative integer for key 'queries'"},
+      {"[driver]\nreconfig_threads = 65\n", "65",
+       "an integer from 0 to 64 for key 'reconfig_threads'"},
+      {"[driver]\nreconfig_threads = 100000000\n", "100000000",
+       "an integer from 0 to 64 for key 'reconfig_threads'"},
   };
   for (const Case& c : cases) {
     const auto parsed = ScenarioSpec::Parse(c.text);

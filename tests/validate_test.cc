@@ -267,8 +267,8 @@ TEST(ValidateEngineTest, BuildConfigAndPlanValidateClean) {
   NashDbSystem sys(ds, opts);
 
   ValidateOptions econ;
-  econ.replica_slack_abs = opts.replica_hysteresis;
-  econ.replica_slack_frac = opts.replica_hysteresis_frac;
+  econ.replica_slack_abs = kReplicaHysteresis;
+  econ.replica_slack_frac = kReplicaHysteresisFrac;
 
   ClusterConfig previous;
   for (int round = 0; round < 3; ++round) {

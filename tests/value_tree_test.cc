@@ -1,5 +1,6 @@
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,6 +265,55 @@ TEST(ValueTreeTest, AccumulatorSnapsToZeroWhenLastContributorLeaves) {
   EXPECT_EQ(tree.RawValueAt(15), c);  // exactly c: no residue in delta
   tree.RemoveScan(10, 20, c);
   EXPECT_TRUE(tree.empty());
+}
+
+// ------------------------------------------------------- arena honesty
+
+TEST(FlatTreeArenaTest, SizeBytesReportsArenaFootprint) {
+  ValueEstimationTree tree;
+  EXPECT_EQ(tree.SizeBytes(), 0u);
+  // 100 scans over disjoint keys: 200 live nodes, 200 arena slots.
+  for (TupleIndex i = 0; i < 100; ++i) {
+    tree.AddScan(2 * i, 2 * i + 1, 1.0);
+  }
+  EXPECT_EQ(tree.node_count(), 200u);
+  EXPECT_EQ(tree.arena_slots(), 200u);
+  // SizeBytes covers the whole allocation (capacity), never less than the
+  // occupied slots.
+  EXPECT_GE(tree.SizeBytes(),
+            tree.arena_slots() * sizeof(internal_value::FlatNode));
+  const std::size_t at_peak = tree.SizeBytes();
+
+  // Removing everything empties the tree but keeps the arena: SizeBytes
+  // must keep reporting the held memory, not drop to node_count * size.
+  for (TupleIndex i = 0; i < 100; ++i) {
+    tree.RemoveScan(2 * i, 2 * i + 1, 1.0);
+  }
+  EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(tree.SizeBytes(), at_peak);
+  EXPECT_EQ(tree.arena_slots(), 200u);
+  tree.CheckInvariants();
+
+  // Steady state: re-adding recycles free-listed slots instead of growing
+  // the arena — the allocation-free property the scan window relies on.
+  for (TupleIndex i = 0; i < 100; ++i) {
+    tree.AddScan(2 * i, 2 * i + 1, 1.0);
+  }
+  EXPECT_EQ(tree.node_count(), 200u);
+  EXPECT_EQ(tree.arena_slots(), 200u);
+  EXPECT_EQ(tree.SizeBytes(), at_peak);
+  tree.CheckInvariants();
+}
+
+TEST(FlatTreeArenaTest, MovePreservesArenaAndValues) {
+  ValueEstimationTree a;
+  a.AddScan(1, 5, 2.0);
+  a.AddScan(3, 9, 0.25);
+  const Money at4 = a.RawValueAt(4);
+  ValueEstimationTree b(std::move(a));
+  EXPECT_EQ(b.node_count(), 4u);
+  EXPECT_EQ(b.RawValueAt(4), at4);
+  b.CheckInvariants();
 }
 
 }  // namespace

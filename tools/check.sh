@@ -39,10 +39,9 @@
 #                    the NASHDB_GUARDED_BY / NASHDB_REQUIRES annotations
 #                    (skipped without clang++; GCC lacks the analysis).
 #   --bench-smoke
-#              build and run bench_query_path --smoke,
-#              bench_data_plane --smoke, and bench_transition_scale
-#              --smoke in the plain Release tree and validate the
-#              BENCH_query_path.json / BENCH_data_plane.json /
+#              build and run bench_data_plane --smoke and
+#              bench_transition_scale --smoke in the plain Release tree
+#              and validate the BENCH_data_plane.json /
 #              BENCH_transition.json they write (CI runs this and
 #              uploads the JSONs as artifacts); then build the
 #              end-to-end benchmark (e2ebench/run.py, its own Release
@@ -63,8 +62,8 @@
 #              seconds plus the benchmark's build; the numbers are
 #              noise-level, the point is that the benches build against
 #              the current interfaces and run, the identity checks
-#              inside them pass (route identity for the query path and
-#              for the data plane's 128-node replication x load points,
+#              inside them pass (route identity for the data plane's
+#              sweep and its 128-node replication x load points,
 #              sparse-vs-dense plan-cost identity for the transition
 #              sweep and its real2-sized instance, output checks for the
 #              end-to-end runs), and the JSON is well-formed.
@@ -113,36 +112,8 @@ fi
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 if [[ "${BENCH_SMOKE}" == "1" ]]; then
-  echo "== query-path bench (smoke) =="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build -j "${JOBS}" --target bench_query_path
-  out="BENCH_query_path.json"
-  ./build/bench/bench_query_path --smoke --out="${out}"
-  # Validate the artifact: parseable JSON with the three node_count
-  # configs (python3 when available, key-presence grep otherwise).
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "${out}" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["bench"] == "query_path", doc
-counts = [c["node_count"] for c in doc["configs"]]
-assert counts == [4, 16, 64], counts
-for c in doc["configs"]:
-    for path in ("seed", "flat"):
-        for key in ("scans_per_sec", "p50_ns", "p99_ns"):
-            assert c[path][key] > 0, (path, key, c)
-print("bench artifact OK:", counts)
-EOF
-  else
-    grep -q '"bench": "query_path"' "${out}"
-    for n in 4 16 64; do
-      grep -q "\"node_count\": ${n}" "${out}"
-    done
-    echo "bench artifact OK (grep fallback)"
-  fi
-  echo
   echo "== data-plane bench (smoke) =="
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j "${JOBS}" --target bench_data_plane
   dp_out="BENCH_data_plane.json"
   ./build/bench/bench_data_plane --smoke --out="${dp_out}"
@@ -247,7 +218,7 @@ print("e2e", sys.argv[2], "smoke OK: correct, digest pinned, failed =",
 EOF
     echo
   done
-  echo "check.sh: bench smoke green (${out}, ${dp_out}, ${tr_out}," \
+  echo "check.sh: bench smoke green (${dp_out}, ${tr_out}," \
        "e2e chaos, stream and real2)"
   exit 0
 fi

@@ -23,7 +23,7 @@ time instead of by a flaky golden diff three PRs later:
                         (the codebase already does).
   hot-alloc             Functions marked NASHDB_HOT
                         (common/thread_annotations.h) — the steady-state
-                        query path: RouteInto / RouteBatchInto /
+                        query path: RouteBatchInto and its router cores /
                         ResolveBatchInto / WaitView, the data plane's
                         per-read commit and the SPSC ring ops; and the
                         control-plane kernels: the greedy split search,
