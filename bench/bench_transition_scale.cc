@@ -12,14 +12,18 @@
 // the 4096-node instance plans in under five seconds.
 //
 // Besides the synthetic sweep (1-2 replicas per fragment, ~30-40 overlap
-// edges per node) every run, smoke included, plans one real2-sized
-// instance: ~130 nodes and ~190 fragments at 60-70 replicas each, the
-// regime nashdb_sim's real2 workload reconfigures in, where almost every
-// old/new node pair overlaps. It is small enough for the dense
-// cost-identity check.
+// edges per node) every run, smoke included, plans two instances in the
+// regimes the end-to-end workloads reconfigure in, where almost every
+// old/new node pair overlaps: a real2-sized one (~130 nodes, ~190
+// fragments at 60-70 replicas each) and a stream-shaped one (~127 nodes
+// that each hold about the whole 10^4-tuple table, ~20 fragments at
+// 110-127 replicas each). Both are small enough for the dense
+// cost-identity check. Each result records which accumulation the graph
+// build took (DESIGN.md §15.1): the sweep keeps the scatter, the two
+// overlap-rich instances take dense rows.
 //
-// Flags: --smoke (64/256-node sizes plus the real2 instance, for CI),
-// --out=PATH (JSON path, default BENCH_transition.json).
+// Flags: --smoke (64/256-node sizes plus the real2 and stream instances,
+// for CI), --out=PATH (JSON path, default BENCH_transition.json).
 
 #include <chrono>
 #include <cstdio>
@@ -29,6 +33,7 @@
 
 #include "bench/bench_common.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/validate.h"
@@ -44,11 +49,11 @@ namespace {
 // Dense Hungarian is O(n^3) on the dummy-padded matrix; past this many
 // nodes one solve takes minutes and the sweep skips it (logged below).
 constexpr std::size_t kDenseCap = 512;
-constexpr TupleCount kDisk = 1'000;
 
 struct SizeResult {
-  std::string instance;             // "sweep" or "real2"
+  std::string instance;             // "sweep", "real2" or "stream"
   std::size_t target_nodes = 0;
+  TupleCount node_disk = 0;
   std::size_t nodes_old = 0;
   std::size_t nodes_new = 0;
   std::size_t fragments = 0;
@@ -57,6 +62,7 @@ struct SizeResult {
   TupleCount transfer_tuples = 0;
   double pack_ms = 0.0;             // BFFD pack of the new epoch
   double graph_ms = 0.0;            // overlap graph build
+  bool graph_dense_rows = false;    // dense rows (else the scatter)
   double solve_ms = 0.0;            // sparse matcher alone
   double plan_ms = 0.0;             // end-to-end PlanTransition (sparse)
   double validate_ms = 0.0;         // ValidateConfig + ValidatePlan
@@ -73,7 +79,8 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 
 // One bench instance: fragment tilings over `tables` tables of
 // `table_size` tuples, fragment lengths uniform in [min_len, max_len],
-// replica counts uniform in [min_replicas, max_replicas].
+// replica counts uniform in [min_replicas, max_replicas], packed onto
+// nodes of `disk` tuples.
 struct Instance {
   std::string name;
   std::size_t target_nodes = 0;
@@ -83,6 +90,7 @@ struct Instance {
   TupleCount max_len = 0;
   std::size_t min_replicas = 0;
   std::size_t max_replicas = 0;
+  TupleCount disk = 1'000;
 };
 
 // The sweep point sized to pack onto roughly `target_nodes` nodes:
@@ -91,7 +99,7 @@ struct Instance {
 Instance SweepInstance(std::size_t target_nodes) {
   const std::size_t tables = target_nodes < 64 ? 1 : target_nodes / 64;
   const TupleCount table_size =
-      target_nodes * 600 / tables;  // * ~1.5 replicas / kDisk ~= target
+      target_nodes * 600 / tables;  // * ~1.5 replicas / disk ~= target
   return {"sweep", target_nodes, tables, table_size, 20, 120, 1, 2};
 }
 
@@ -99,6 +107,13 @@ Instance SweepInstance(std::size_t target_nodes) {
 // tuples, 60-70 replicas each, packing onto ~130 nodes.
 Instance Real2Instance() {
   return {"real2", 130, 3, 620, 5, 15, 60, 70};
+}
+
+// stream's regime: 1 table of 10^4 tuples cut into ~20 fragments of
+// 400-600 tuples, 110-127 replicas each, on nodes of 10^4 tuples: ~127
+// nodes, and every old/new node pair overlaps.
+Instance StreamInstance() {
+  return {"stream", 127, 1, 10'000, 400, 600, 110, 127, 10'000};
 }
 
 std::vector<FragmentInfo> EpochFragments(Rng* rng, const Instance& inst) {
@@ -124,10 +139,10 @@ std::vector<FragmentInfo> EpochFragments(Rng* rng, const Instance& inst) {
   return frags;
 }
 
-ReplicationParams Params() {
+ReplicationParams Params(TupleCount disk) {
   ReplicationParams p;
   p.node_cost = 1.0;
-  p.node_disk = kDisk;
+  p.node_disk = disk;
   p.window_scans = 50;
   return p;
 }
@@ -137,10 +152,12 @@ SizeResult RunInstance(const Instance& inst, ThreadPool* pool) {
   SizeResult r;
   r.instance = inst.name;
   r.target_nodes = inst.target_nodes;
+  r.node_disk = inst.disk;
 
   // Old epoch (pack untimed: the timed pack below covers the same code).
   auto old_frags = EpochFragments(&rng, inst);
-  auto old_config = PackReplicasBffd(Params(), std::move(old_frags), pool);
+  auto old_config =
+      PackReplicasBffd(Params(inst.disk), std::move(old_frags), pool);
   NASHDB_CHECK(old_config.ok()) << old_config.status().ToString();
 
   // New epoch: re-tiled boundaries and re-rolled replica counts over the
@@ -148,17 +165,26 @@ SizeResult RunInstance(const Instance& inst, ThreadPool* pool) {
   auto new_frags = EpochFragments(&rng, inst);
   r.fragments = new_frags.size();
   const auto t_pack = std::chrono::steady_clock::now();
-  auto new_config = PackReplicasBffd(Params(), std::move(new_frags), pool);
+  auto new_config =
+      PackReplicasBffd(Params(inst.disk), std::move(new_frags), pool);
   r.pack_ms = MsSince(t_pack);
   NASHDB_CHECK(new_config.ok()) << new_config.status().ToString();
   r.nodes_old = old_config->node_count();
   r.nodes_new = new_config->node_count();
 
-  // Stage timings on the explicit primitives.
+  // Stage timings on the explicit primitives. The metrics registry is on
+  // for the graph build alone, to read which accumulation it took.
+  metrics::Registry& registry = metrics::Registry::Global();
+  registry.Reset();
+  registry.Enable();
   const auto t_graph = std::chrono::steady_clock::now();
   const TransitionGraph graph =
       BuildTransitionGraph(*old_config, *new_config, nullptr);
   r.graph_ms = MsSince(t_graph);
+  r.graph_dense_rows =
+      registry.CounterValue("transition.graph_dense_rows") > 0;
+  registry.Disable();
+  registry.Reset();
   r.edges = graph.edges.size();
 
   const auto t_solve = std::chrono::steady_clock::now();
@@ -212,8 +238,6 @@ void WriteJson(const std::string& out_path,
   }
   std::fprintf(f, "{\n  \"bench\": \"transition_scale\",\n");
   std::fprintf(f, "  \"dense_cap\": %zu,\n", kDenseCap);
-  std::fprintf(f, "  \"node_disk\": %llu,\n",
-               static_cast<unsigned long long>(kDisk));
   std::fprintf(f, "  \"hardware_threads\": %zu,\n",
                ThreadPool::DefaultThreads());
   std::fprintf(f, "  \"results\": [\n");
@@ -222,15 +246,20 @@ void WriteJson(const std::string& out_path,
     std::fprintf(
         f,
         "    {\"instance\": \"%s\", \"target_nodes\": %zu, "
+        "\"node_disk\": %llu, "
         "\"nodes_old\": %zu, \"nodes_new\": %zu, \"fragments\": %zu, "
         "\"edges\": %zu, "
         "\"iterations\": %llu, \"transfer_tuples\": %llu,\n"
-        "     \"pack_ms\": %.3f, \"graph_ms\": %.3f, \"solve_ms\": %.3f, "
+        "     \"graph_accumulation\": \"%s\", "
+        "\"pack_ms\": %.3f, \"graph_ms\": %.3f, \"solve_ms\": %.3f, "
         "\"plan_ms\": %.3f, \"validate_ms\": %.3f, \"dense_ms\": %.3f, "
         "\"cost_identity_checked\": %s}%s\n",
-        r.instance.c_str(), r.target_nodes, r.nodes_old, r.nodes_new,
-        r.fragments, r.edges, static_cast<unsigned long long>(r.iterations),
-        static_cast<unsigned long long>(r.transfer_tuples), r.pack_ms,
+        r.instance.c_str(), r.target_nodes,
+        static_cast<unsigned long long>(r.node_disk), r.nodes_old,
+        r.nodes_new, r.fragments, r.edges,
+        static_cast<unsigned long long>(r.iterations),
+        static_cast<unsigned long long>(r.transfer_tuples),
+        r.graph_dense_rows ? "dense_rows" : "scatter", r.pack_ms,
         r.graph_ms, r.solve_ms, r.plan_ms, r.validate_ms, r.dense_ms,
         r.identity_checked ? "true" : "false",
         i + 1 < results.size() ? "," : "");
@@ -249,6 +278,7 @@ int Run(bool smoke, const std::string& out_path) {
     instances.push_back(SweepInstance(n));
   }
   instances.push_back(Real2Instance());
+  instances.push_back(StreamInstance());
 
   ThreadPool pool(ThreadPool::DefaultThreads());
 

@@ -62,14 +62,4 @@ Money PrefixStats::Err(TupleIndex a, TupleIndex b) const {
   return ErrBetween(CumulativeAt(a), CumulativeAt(b), b - a);
 }
 
-std::vector<TupleIndex> PrefixStats::InteriorBoundaries(TupleIndex a,
-                                                        TupleIndex b) const {
-  std::vector<TupleIndex> out;
-  auto lo = std::upper_bound(boundaries_.begin(), boundaries_.end(), a);
-  for (auto it = lo; it != boundaries_.end() && *it < b; ++it) {
-    out.push_back(*it);
-  }
-  return out;
-}
-
 }  // namespace nashdb

@@ -72,11 +72,6 @@ class PrefixStats {
   /// by the DP and split-point searches).
   const std::vector<TupleIndex>& boundaries() const { return boundaries_; }
 
-  /// The boundary points strictly inside (a, b) — candidate split points
-  /// for a fragment [a, b).
-  std::vector<TupleIndex> InteriorBoundaries(TupleIndex a,
-                                             TupleIndex b) const;
-
  private:
   // Index of the chunk containing x (x < table_size).
   std::size_t ChunkOf(TupleIndex x) const;

@@ -57,13 +57,21 @@ struct TransitionGraph {
 };
 
 /// Builds the sparse overlap graph for the transition old_config ->
-/// new_config one new node at a time. A per-table merge of the two
-/// fragment tilings pairs each new fragment with the old fragments it
-/// overlaps; each new node then adds those overlaps into a stamped dense
-/// row indexed by old node and emits the touched old ids in ascending
-/// order. Cost: O(F log F) for the merge, one add per (live old replica,
-/// new replica) pair of every overlapping fragment pair, a sort of each
-/// node's touched ids, and O(n_old) scratch. Exact because a node's
+/// new_config. A per-table merge of the two fragment tilings pairs each
+/// new fragment with the old fragments it overlaps, O(F log F). The pair
+/// overlaps are then summed into one row per new node, indexed by old
+/// node, in one of two ways, whichever a fixed rule over two counts of
+/// the merge prices cheaper (DESIGN.md §15.1):
+///   - dense rows, where nearly every old/new node pair overlaps: each
+///     new fragment's overlap with every live old node is built once and
+///     added into the n_old-wide row of each of its new holders by a
+///     contiguous loop, O((new replicas + n_new) x n_old) time and an
+///     n_new x n_old block of scratch;
+///   - the scatter, where overlaps are local: each new node adds its
+///     pairs into a stamped row, one add per (live old replica, new
+///     replica) pair of every overlapping fragment pair, and sorts the
+///     touched old ids; O(n_old) scratch.
+/// Both emit the same edges in the same order. Exact because a node's
 /// fragments of one table are disjoint (both configurations tile their
 /// tables, as ValidateConfig checks), so the summed pair overlaps equal
 /// |Data(i) ∩ Data(j)|. Old nodes flagged in `old_node_dead` contribute

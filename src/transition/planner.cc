@@ -12,13 +12,53 @@ namespace nashdb {
 
 namespace {
 
+/// Appends the move that matches padded row i to padded column j, at
+/// `transfer` tuples, and counts it.
+void AddMove(const TransitionGraph& graph, std::size_t i, std::size_t j,
+             TupleCount transfer, TransitionPlan* plan) {
+  NodeTransition move;
+  move.old_node = i < graph.n_old ? static_cast<NodeId>(i) : kInvalidNode;
+  move.new_node = j < graph.n_new ? static_cast<NodeId>(j) : kInvalidNode;
+  move.transfer_tuples = transfer;
+  if (move.old_node == kInvalidNode) ++plan->nodes_added;
+  if (move.new_node == kInvalidNode) ++plan->nodes_removed;
+  plan->total_transfer_tuples += move.transfer_tuples;
+  plan->moves.push_back(move);
+}
+
+/// The dense plan of a graph with no edge (a bootstrap from an empty
+/// cluster, every old node dead, or no tuple shared), without the O(n^3)
+/// solve. Every row of the padded matrix is then the same: real column j
+/// costs |Data(j)|, a dummy column 0. On identical rows the Hungarian of
+/// SolveAssignment gives row i the i-th column of that row's stable
+/// ascending order (its scans take the first strict minimum), so this is
+/// its assignment, move order included (DESIGN.md §15.8 has the proof).
+void SolveEdgeFree(const TransitionGraph& graph, TransitionPlan* plan) {
+  const std::size_t n = std::max(graph.n_old, graph.n_new);
+  const auto column_cost = [&graph](std::size_t j) {
+    return j < graph.n_new ? graph.new_total[j] : TupleCount{0};
+  };
+  std::vector<std::size_t> order(n);
+  for (std::size_t j = 0; j < n; ++j) order[j] = j;
+  std::stable_sort(order.begin(), order.end(),
+                   [&column_cost](std::size_t a, std::size_t b) {
+                     return column_cost(a) < column_cost(b);
+                   });
+  for (std::size_t i = 0; i < n; ++i) {
+    AddMove(graph, i, order[i], column_cost(order[i]), plan);
+  }
+  metrics::Count("transition.edge_free_plans");
+}
+
 /// Dense path: the paper's dummy-padded Kuhn–Munkres, with the row-major
 /// matrix materialized from the shared sparse graph (identical integer
 /// weights to the sparse path by construction).
 void SolveDense(const TransitionGraph& graph, TransitionPlan* plan) {
-  const std::size_t n_old = graph.n_old;
-  const std::size_t n_new = graph.n_new;
-  const std::size_t n = std::max(n_old, n_new);
+  if (graph.edges.empty()) {
+    SolveEdgeFree(graph, plan);
+    return;
+  }
+  const std::size_t n = std::max(graph.n_old, graph.n_new);
   const CostMatrix cost = DenseCostMatrix(graph);
 
   AssignmentResult matching;
@@ -27,19 +67,11 @@ void SolveDense(const TransitionGraph& graph, TransitionPlan* plan) {
     matching = SolveAssignment(cost);
   }
 
+  // Padding only fills the smaller side, so no row i >= n_old meets a
+  // column j >= n_new: every move names at least one real node.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = matching.assignment[i];
-    NodeTransition move;
-    move.old_node = i < n_old ? static_cast<NodeId>(i) : kInvalidNode;
-    move.new_node = j < n_new ? static_cast<NodeId>(j) : kInvalidNode;
-    if (move.old_node == kInvalidNode && move.new_node == kInvalidNode) {
-      continue;  // dummy-dummy pairs cannot arise, but be safe
-    }
-    move.transfer_tuples = static_cast<TupleCount>(cost(i, j));
-    if (move.old_node == kInvalidNode) ++plan->nodes_added;
-    if (move.new_node == kInvalidNode) ++plan->nodes_removed;
-    plan->total_transfer_tuples += move.transfer_tuples;
-    plan->moves.push_back(move);
+    AddMove(graph, i, j, static_cast<TupleCount>(cost(i, j)), plan);
   }
   metrics::Count("transition.dense_solves");
 }

@@ -47,7 +47,9 @@ enum class TransitionSolver {
   /// nodes, sparse successive-shortest-paths above it.
   kAuto,
   /// Dense O(n^3) Kuhn–Munkres on the dummy-padded matrix (the paper's
-  /// formulation, verbatim).
+  /// formulation, verbatim). A graph with no edge (a bootstrap, or every
+  /// old node dead) has identical rows, and gets the solver's plan in
+  /// closed form, O(n log n), without running it.
   kDense,
   /// Sparse successive-shortest-paths over the positive-overlap graph —
   /// near-linear when overlaps are local, the only tractable choice at

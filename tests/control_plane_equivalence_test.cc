@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "replication/cluster_config.h"
 #include "replication/nash.h"
@@ -388,6 +390,122 @@ TEST(GraphEquivalenceTest, RealTwoSizedInstance) {
   std::vector<bool> dead(old_config.node_count(), false);
   for (std::size_t m = 0; m < dead.size(); m += 7) dead[m] = true;
   ExpectSameGraph(old_config, new_config, &dead, "real2-sized dead");
+}
+
+// BuildTransitionGraph sums overlaps either into dense per-node rows or
+// through the stamped scatter, by a cost rule; these cases pin each
+// accumulation against the oracle, and check which one ran through its
+// metrics counter.
+bool BuiltWithDenseRows(const ClusterConfig& old_config,
+                        const ClusterConfig& new_config) {
+  metrics::Registry& registry = metrics::Registry::Global();
+  registry.Reset();
+  registry.Enable();
+  (void)BuildTransitionGraph(old_config, new_config, nullptr);
+  const std::uint64_t dense =
+      registry.CounterValue("transition.graph_dense_rows");
+  registry.Disable();
+  registry.Reset();
+  return dense == 1;
+}
+
+// The oracle comparison with no dead node, every third old node dead, a
+// mask covering only the first half of the old nodes, and all dead.
+void ExpectSameGraphUnderMasks(const ClusterConfig& old_config,
+                               const ClusterConfig& new_config,
+                               const std::string& what) {
+  ExpectSameGraph(old_config, new_config, nullptr, what);
+  std::vector<bool> dead(old_config.node_count(), false);
+  for (std::size_t m = 0; m < dead.size(); m += 3) dead[m] = true;
+  ExpectSameGraph(old_config, new_config, &dead, what + " dead");
+  dead.resize(dead.size() / 2);
+  ExpectSameGraph(old_config, new_config, &dead, what + " short mask");
+  const std::vector<bool> all_dead(old_config.node_count(), true);
+  EXPECT_TRUE(
+      BuildTransitionGraph(old_config, new_config, &all_dead).edges.empty())
+      << what;
+  ExpectSameGraph(old_config, new_config, &all_dead, what + " all dead");
+}
+
+TEST(GraphEquivalenceTest, StreamShapedInstanceTakesDenseRows) {
+  // stream's regime: one table of 10^4 tuples cut into 400-600-tuple
+  // fragments of 110-127 replicas each, on ~127 nodes that each hold
+  // about the whole table, so every old/new node pair overlaps.
+  Rng rng(31);
+  for (int trial = 0; trial < 3; ++trial) {
+    const std::string what = "stream-shaped trial " + std::to_string(trial);
+    const ClusterConfig old_config = Pack(
+        Params(10'000), RandomTiling(rng, 1, 10'000, 400, 600, 110, 127));
+    const ClusterConfig new_config = Pack(
+        Params(10'000), RandomTiling(rng, 1, 10'000, 400, 600, 110, 127));
+    ASSERT_GE(old_config.node_count(), 120u) << what;
+    ASSERT_GE(new_config.node_count(), 120u) << what;
+    EXPECT_TRUE(BuiltWithDenseRows(old_config, new_config)) << what;
+    const TransitionGraph graph =
+        BuildTransitionGraph(old_config, new_config, nullptr);
+    EXPECT_GT(graph.edges.size(),
+              old_config.node_count() * new_config.node_count() * 19 / 20)
+        << what;
+    ExpectSameGraphUnderMasks(old_config, new_config, what);
+  }
+}
+
+TEST(GraphEquivalenceTest, RealTwoShapedInstanceTakesDenseRows) {
+  // real2's regime as bench_transition_scale builds it: three tables of
+  // 620 tuples in 5-15-tuple fragments of 60-70 replicas, ~130 nodes.
+  Rng rng(4343);
+  const ClusterConfig old_config =
+      Pack(Params(1'000), RandomTiling(rng, 3, 620, 5, 15, 60, 70));
+  const ClusterConfig new_config =
+      Pack(Params(1'000), RandomTiling(rng, 3, 620, 5, 15, 60, 70));
+  ASSERT_GE(old_config.node_count(), 100u);
+  EXPECT_TRUE(BuiltWithDenseRows(old_config, new_config));
+  ExpectSameGraphUnderMasks(old_config, new_config, "real2-shaped");
+}
+
+TEST(GraphEquivalenceTest, LowReplicationTakesTheScatter) {
+  Rng rng(606);
+  for (int trial = 0; trial < 5; ++trial) {
+    const std::string what = "low-replication trial " + std::to_string(trial);
+    const ClusterConfig old_config =
+        Pack(Params(150), RandomTiling(rng, 3, 2'000, 5, 60, 1, 3));
+    const ClusterConfig new_config =
+        Pack(Params(150), RandomTiling(rng, 3, 2'000, 5, 60, 1, 3));
+    EXPECT_FALSE(BuiltWithDenseRows(old_config, new_config)) << what;
+    ExpectSameGraphUnderMasks(old_config, new_config, what);
+  }
+}
+
+TEST(GraphEquivalenceTest, MixedReplicationOnBothPaths) {
+  // One table at 1-3 replicas beside one whose replication grows with the
+  // trial, so the trials straddle the cost rule's crossover.
+  Rng rng(1717);
+  int dense_trials = 0;
+  int scatter_trials = 0;
+  for (std::size_t trial = 0; trial < 12; ++trial) {
+    const std::string what = "mixed trial " + std::to_string(trial);
+    const std::size_t replicas = 1 + 4 * trial;
+    const auto epoch = [&] {
+      std::vector<FragmentInfo> frags =
+          RandomTiling(rng, 1, 20'000, 10, 80, 1, 3);
+      for (FragmentInfo& f :
+           RandomTiling(rng, 1, 2'000, 5, 30, replicas, replicas + 4)) {
+        f.table = 1;
+        frags.push_back(f);
+      }
+      return Pack(Params(400), std::move(frags));
+    };
+    const ClusterConfig old_config = epoch();
+    const ClusterConfig new_config = epoch();
+    if (BuiltWithDenseRows(old_config, new_config)) {
+      ++dense_trials;
+    } else {
+      ++scatter_trials;
+    }
+    ExpectSameGraphUnderMasks(old_config, new_config, what);
+  }
+  EXPECT_GT(dense_trials, 0);
+  EXPECT_GT(scatter_trials, 0);
 }
 
 // --------------------------------------------------------------- audit

@@ -106,18 +106,29 @@ TEST(PrefixStatsTest, BoundariesIncludeEndsAndChangePoints) {
   EXPECT_EQ(stats.boundaries(), expect);
 }
 
+// The boundary points strictly inside (a, b): the candidate split points
+// of a fragment [a, b).
+std::vector<TupleIndex> InteriorBoundaries(const PrefixStats& stats,
+                                           TupleIndex a, TupleIndex b) {
+  std::vector<TupleIndex> out;
+  for (TupleIndex x : stats.boundaries()) {
+    if (a < x && x < b) out.push_back(x);
+  }
+  return out;
+}
+
 TEST(PrefixStatsTest, InteriorBoundariesAreStrictlyInside) {
   std::vector<ValueChunk> chunks = {{0, 10, 1.0}, {10, 30, 2.0},
                                     {30, 50, 3.0}};
   const ValueProfile p = ValueProfile::FromSparseChunks(50, chunks);
   const PrefixStats stats(p);
-  EXPECT_EQ(stats.InteriorBoundaries(0, 50),
+  EXPECT_EQ(InteriorBoundaries(stats, 0, 50),
             (std::vector<TupleIndex>{10, 30}));
-  EXPECT_EQ(stats.InteriorBoundaries(10, 30),
+  EXPECT_EQ(InteriorBoundaries(stats, 10, 30),
             (std::vector<TupleIndex>()));
-  EXPECT_EQ(stats.InteriorBoundaries(5, 30),
+  EXPECT_EQ(InteriorBoundaries(stats, 5, 30),
             (std::vector<TupleIndex>{10}));
-  EXPECT_EQ(stats.InteriorBoundaries(10, 31),
+  EXPECT_EQ(InteriorBoundaries(stats, 10, 31),
             (std::vector<TupleIndex>{30}));
 }
 

@@ -1,13 +1,17 @@
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "replication/cluster_config.h"
 #include "replication/node_data.h"
 #include "replication/packer.h"
+#include "transition/edge_cost.h"
 #include "transition/hungarian.h"
 #include "transition/planner.h"
 
@@ -350,6 +354,143 @@ TEST(PlannerEdgeCaseTest, DeadOldNodePricedAsEmpty) {
   dead = {true, true};
   const TransitionPlan plan2 = PlanTransition(old_config, new_config, &dead);
   EXPECT_EQ(plan2.total_transfer_tuples, 50u);
+}
+
+// ------------------------------------------------------ edge-free plans
+
+// A config of `nodes` nodes over eight fragments of 1-3 tuples placed at
+// `base`, each node holding each fragment with probability 1/2: many
+// nodes store the same number of tuples, and some store none.
+ClusterConfig TiedUsageConfig(Rng& rng, std::size_t nodes, TupleIndex base) {
+  std::vector<std::vector<TupleRange>> holdings(nodes);
+  std::vector<TupleRange> fragments;
+  for (TupleIndex k = 0; k < 8; ++k) {
+    const TupleIndex start = base + 10 * k;
+    fragments.push_back(TupleRange{start, start + 1 + rng.Uniform(3)});
+  }
+  for (std::vector<TupleRange>& node : holdings) {
+    for (const TupleRange& r : fragments) {
+      if (rng.Uniform(2) == 0) node.push_back(r);
+    }
+  }
+  return ConfigOf(100, holdings);
+}
+
+// A plan over a graph with no edge is emitted in closed form; it must be
+// exactly the Hungarian's plan on the dense matrix: every move in order,
+// its transfer, and the plan's totals.
+void ExpectClosedFormIsTheHungarianPlan(const ClusterConfig& old_config,
+                                        const ClusterConfig& new_config,
+                                        const std::vector<bool>* dead,
+                                        const std::string& what) {
+  const TransitionGraph graph =
+      BuildTransitionGraph(old_config, new_config, dead);
+  ASSERT_TRUE(graph.edges.empty()) << what;
+  const CostMatrix cost = DenseCostMatrix(graph);
+  const AssignmentResult want = SolveAssignment(cost);
+
+  const TransitionPlan got = PlanTransition(old_config, new_config, dead);
+  ASSERT_EQ(got.moves.size(), cost.n) << what;
+  TupleCount total = 0;
+  std::size_t added = 0;
+  std::size_t removed = 0;
+  for (std::size_t i = 0; i < cost.n; ++i) {
+    const std::size_t j = want.assignment[i];
+    const NodeId old_node = i < graph.n_old ? static_cast<NodeId>(i)
+                                            : kInvalidNode;
+    const NodeId new_node = j < graph.n_new ? static_cast<NodeId>(j)
+                                            : kInvalidNode;
+    const auto transfer = static_cast<TupleCount>(cost(i, j));
+    EXPECT_EQ(got.moves[i].old_node, old_node) << what << " move " << i;
+    EXPECT_EQ(got.moves[i].new_node, new_node) << what << " move " << i;
+    EXPECT_EQ(got.moves[i].transfer_tuples, transfer)
+        << what << " move " << i;
+    total += transfer;
+    if (old_node == kInvalidNode) ++added;
+    if (new_node == kInvalidNode) ++removed;
+  }
+  EXPECT_EQ(got.total_transfer_tuples, total) << what;
+  EXPECT_EQ(got.nodes_added, added) << what;
+  EXPECT_EQ(got.nodes_removed, removed) << what;
+  EXPECT_FALSE(got.stats.used_sparse) << what;
+}
+
+TEST(EdgeFreePlanTest, BootstrapMatchesTheHungarian) {
+  Rng rng(8080);
+  const ClusterConfig empty;
+  for (std::size_t nodes : {1, 2, 3, 7, 16, 40, 128, 256}) {
+    ExpectClosedFormIsTheHungarianPlan(
+        empty, TiedUsageConfig(rng, nodes, 0), nullptr,
+        "bootstrap of " + std::to_string(nodes));
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t nodes = 1 + rng.Uniform(48);
+    ExpectClosedFormIsTheHungarianPlan(
+        empty, TiedUsageConfig(rng, nodes, 0), nullptr,
+        "bootstrap trial " + std::to_string(trial));
+  }
+  // Mostly distinct sizes: each node holds one range of 1-1000 tuples.
+  for (std::size_t nodes : {5, 60, 200}) {
+    std::vector<std::vector<TupleRange>> holdings(nodes);
+    for (std::vector<TupleRange>& node : holdings) {
+      node.push_back(TupleRange{0, 1 + rng.Uniform(1'000)});
+    }
+    ExpectClosedFormIsTheHungarianPlan(
+        empty, ConfigOf(1'000, holdings), nullptr,
+        "distinct sizes, " + std::to_string(nodes) + " nodes");
+  }
+}
+
+TEST(EdgeFreePlanTest, AllDeadOldSidesMatchTheHungarian) {
+  Rng rng(9090);
+  for (const auto& [n_old, n_new] :
+       {std::pair<std::size_t, std::size_t>{5, 12}, {12, 12}, {30, 9},
+        {64, 1}, {1, 64}}) {
+    const ClusterConfig old_config = TiedUsageConfig(rng, n_old, 0);
+    const ClusterConfig new_config = TiedUsageConfig(rng, n_new, 0);
+    const std::vector<bool> all_dead(n_old, true);
+    ExpectClosedFormIsTheHungarianPlan(
+        old_config, new_config, &all_dead,
+        "all dead " + std::to_string(n_old) + " -> " +
+            std::to_string(n_new));
+  }
+}
+
+TEST(EdgeFreePlanTest, DisjointDataAndEmptyNewSideMatchTheHungarian) {
+  // Live old nodes that share no tuple with the new ones, more old nodes
+  // than new; and a new side with no node at all.
+  Rng rng(7070);
+  for (const auto& [n_old, n_new] :
+       {std::pair<std::size_t, std::size_t>{20, 6}, {9, 9}, {3, 17}}) {
+    ExpectClosedFormIsTheHungarianPlan(
+        TiedUsageConfig(rng, n_old, 0), TiedUsageConfig(rng, n_new, 1'000),
+        nullptr,
+        "disjoint " + std::to_string(n_old) + " -> " +
+            std::to_string(n_new));
+  }
+  const ClusterConfig empty;
+  ExpectClosedFormIsTheHungarianPlan(TiedUsageConfig(rng, 11, 0), empty,
+                                     nullptr, "empty new side");
+}
+
+TEST(EdgeFreePlanTest, BootstrapCountsItsPlanAndRunsNoSolve) {
+  metrics::Registry& registry = metrics::Registry::Global();
+  registry.Reset();
+  registry.Enable();
+  const ClusterConfig empty;
+  const ClusterConfig target = ConfigOf(100, {{{0, 40}}, {{40, 100}}});
+  (void)PlanTransition(empty, target);
+  EXPECT_EQ(registry.CounterValue("transition.edge_free_plans"), 1u);
+  EXPECT_EQ(registry.CounterValue("transition.dense_solves"), 0u);
+  EXPECT_EQ(registry.histogram("transition.solve_ms")->count(), 0u);
+  EXPECT_EQ(registry.CounterValue("transition.plans"), 1u);
+  // A plan over a graph with edges still runs the Hungarian.
+  (void)PlanTransition(target, target);
+  EXPECT_EQ(registry.CounterValue("transition.edge_free_plans"), 1u);
+  EXPECT_EQ(registry.CounterValue("transition.dense_solves"), 1u);
+  EXPECT_EQ(registry.histogram("transition.solve_ms")->count(), 1u);
+  registry.Disable();
+  registry.Reset();
 }
 
 }  // namespace

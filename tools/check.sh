@@ -65,8 +65,10 @@
 #              inside them pass (route identity for the data plane's
 #              sweep and its 128-node replication x load points,
 #              sparse-vs-dense plan-cost identity for the transition
-#              sweep and its real2-sized instance, output checks for the
-#              end-to-end runs), and the JSON is well-formed.
+#              sweep and its real2-sized and stream-shaped instances,
+#              each built on the graph accumulation its regime takes,
+#              output checks for the end-to-end runs), and the JSON is
+#              well-formed.
 #
 # Unknown flags are an error — a typo like --qick silently running the
 # slow full suite (or worse, skipping it) is exactly the failure mode a
@@ -155,9 +157,12 @@ EOF
   cmake --build build -j "${JOBS}" --target bench_transition_scale
   tr_out="BENCH_transition.json"
   ./build/bench/bench_transition_scale --smoke --out="${tr_out}"
-  # Validate: parseable JSON; every instance planned and validated, and
-  # the sparse-vs-dense plan-cost identity was exercised on the
-  # real2-sized instance (the bench itself CHECK-fails on any mismatch).
+  # Validate: parseable JSON; every instance planned and validated; the
+  # sparse-vs-dense plan-cost identity was exercised on both the
+  # real2-sized and the stream-shaped instance (the bench itself
+  # CHECK-fails on any mismatch); and the graph build summed those two
+  # overlap-rich instances in dense rows and every sweep point through
+  # the scatter (DESIGN.md 15.1).
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${tr_out}" <<'EOF'
 import json, sys
@@ -168,15 +173,20 @@ assert doc["results"], doc
 for r in doc["results"]:
     assert r["nodes_new"] > 0 and r["fragments"] > 0, r
     assert r["plan_ms"] > 0 and r["validate_ms"] > 0, r
-real2 = [r for r in doc["results"] if r["instance"] == "real2"]
-assert len(real2) == 1, doc
-assert real2[0]["nodes_new"] >= 100, real2
-assert real2[0]["cost_identity_checked"], real2
+    if r["instance"] == "sweep":
+        assert r["graph_accumulation"] == "scatter", r
+for name in ("real2", "stream"):
+    rich = [r for r in doc["results"] if r["instance"] == name]
+    assert len(rich) == 1, (name, doc)
+    assert rich[0]["nodes_new"] >= 100, rich
+    assert rich[0]["cost_identity_checked"], rich
+    assert rich[0]["graph_accumulation"] == "dense_rows", rich
 print("bench artifact OK:", len(doc["results"]), "instances")
 EOF
   else
     grep -q '"bench": "transition_scale"' "${tr_out}"
     grep -q '"instance": "real2"' "${tr_out}"
+    grep -q '"instance": "stream"' "${tr_out}"
     grep -q '"cost_identity_checked": true' "${tr_out}"
     echo "bench artifact OK (grep fallback)"
   fi
