@@ -13,7 +13,10 @@
 // routes the same scans at 1 shard and batch 256 over 128 nodes with ~4,
 // ~32 and ~126 replicas per fragment (the streaming workload's regime),
 // once with arrivals a second apart, so nodes drain between scans and
-// candidates tie at phi, and once saturated. Before any timing, every
+// candidates tie at phi, and once saturated. A last point is real2's
+// regime: 130 nodes, ~62 replicas per fragment and scans of 17-150
+// fragments, saturated, so every scan takes the Max-of-mins router's
+// wide core (more than 16 requests). Before any timing, every
 // point verifies route identity: the batched pipeline (fixed blocks,
 // fresh sims) must schedule every read of every shard partition onto
 // exactly the node that routing each scan as its own block picks, and
@@ -66,14 +69,28 @@
 namespace nashdb {
 namespace {
 
-constexpr std::size_t kTables = 16;
-constexpr std::size_t kFragsPerTable = 16;
-constexpr TupleCount kFragSize = 10'000;
+/// `tables` tables of `frags` fragments of `frag_size` tuples each.
+struct Layout {
+  std::size_t tables;
+  std::size_t frags;
+  TupleCount frag_size;
+};
+/// The skewed workload's tables: most scans read 1-2 fragments.
+constexpr Layout kSkewLayout{16, 16, 10'000};
+constexpr std::size_t kTables = kSkewLayout.tables;
 constexpr std::size_t kNodes = 16;
 constexpr std::size_t kWideNodes = 128;
 /// Mean replicas per fragment of the 128-node points (each fragment gets
 /// one of mean - 1, mean, mean + 1).
 constexpr std::size_t kWideReplicas[] = {4, 32, 126};
+/// real2's regime (the paper's reference run): ~130 nodes, ~62 replicas
+/// per fragment, and scans of 17-150 fragments, which take the
+/// Max-of-mins router's wide core.
+constexpr Layout kReal2Layout{2, 190, 1'000};
+constexpr std::size_t kReal2Nodes = 130;
+constexpr std::size_t kReal2Replicas = 62;
+constexpr std::size_t kReal2MinWidth = 17;
+constexpr std::size_t kReal2MaxWidth = 150;
 /// Seconds between scan arrivals at the idle points: a read takes 5 ms at
 /// the default disk speed, so every queue drains before the next scan.
 constexpr double kIdleGapS = 1.0;
@@ -90,20 +107,22 @@ using Clock = std::chrono::steady_clock;
 /// `node_count` nodes; each fragment gets `lo` to `hi` replicas (inclusive)
 /// on distinct random nodes, listed in ascending node order as BFFD's
 /// first fit places them, so candidate spans have the real order.
-ClusterConfig MakeConfig(Rng* rng, std::size_t node_count, std::size_t lo,
+ClusterConfig MakeConfig(Rng* rng, const Layout& layout,
+                         std::size_t node_count, std::size_t lo,
                          std::size_t hi) {
   ReplicationParams params;
   params.node_cost = 1.0;
-  params.node_disk = kTables * kFragsPerTable * kFragSize * 8;
+  params.node_disk = layout.tables * layout.frags * layout.frag_size * 8;
   params.window_scans = 50;
   std::vector<FragmentInfo> frags;
-  frags.reserve(kTables * kFragsPerTable);
-  for (std::size_t t = 0; t < kTables; ++t) {
-    for (std::size_t i = 0; i < kFragsPerTable; ++i) {
+  frags.reserve(layout.tables * layout.frags);
+  for (std::size_t t = 0; t < layout.tables; ++t) {
+    for (std::size_t i = 0; i < layout.frags; ++i) {
       FragmentInfo f;
       f.table = static_cast<TableId>(t);
       f.index_in_table = static_cast<FragmentId>(i);
-      f.range = TupleRange{i * kFragSize, (i + 1) * kFragSize};
+      f.range =
+          TupleRange{i * layout.frag_size, (i + 1) * layout.frag_size};
       f.replicas = std::min(node_count, lo + rng->Uniform(hi - lo + 1));
       frags.push_back(f);
     }
@@ -126,7 +145,8 @@ ClusterConfig MakeConfig(Rng* rng, std::size_t node_count, std::size_t lo,
 std::vector<Scan> MakeScans(std::size_t count, Rng* rng) {
   std::vector<Scan> scans;
   scans.reserve(count);
-  const TupleCount table_end = kFragsPerTable * kFragSize;
+  const TupleCount frag_size = kSkewLayout.frag_size;
+  const TupleCount table_end = kSkewLayout.frags * frag_size;
   for (std::size_t i = 0; i < count; ++i) {
     Scan s;
     s.table = static_cast<TableId>(rng->Uniform(kTables));
@@ -134,9 +154,28 @@ std::vector<Scan> MakeScans(std::size_t count, Rng* rng) {
     // The paper's workload skew: most scans read a small hot range (1-2
     // fragments); a minority are long analytical sweeps.
     const bool long_scan = rng->Uniform(100) < 15;
-    const TupleCount len = long_scan ? 1 + rng->Uniform(8 * kFragSize)
-                                     : 1 + rng->Uniform(kFragSize);
+    const TupleCount len = long_scan ? 1 + rng->Uniform(8 * frag_size)
+                                     : 1 + rng->Uniform(frag_size);
     s.range = TupleRange{start, std::min<TupleCount>(table_end, start + len)};
+    s.price = 1.0;
+    scans.push_back(s);
+  }
+  return scans;
+}
+
+/// Scans of `kReal2MinWidth` to `kReal2MaxWidth` whole fragments of the
+/// real2-shaped layout, so each resolves to that many requests.
+std::vector<Scan> MakeReal2Scans(std::size_t count, Rng* rng) {
+  std::vector<Scan> scans;
+  scans.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t width =
+        kReal2MinWidth + rng->Uniform(kReal2MaxWidth - kReal2MinWidth + 1);
+    const std::size_t first = rng->Uniform(kReal2Layout.frags - width + 1);
+    Scan s;
+    s.table = static_cast<TableId>(rng->Uniform(kReal2Layout.tables));
+    s.range = TupleRange{first * kReal2Layout.frag_size,
+                         (first + width) * kReal2Layout.frag_size};
     s.price = 1.0;
     scans.push_back(s);
   }
@@ -293,6 +332,7 @@ void ShardLoop(SpscQueue<std::uint32_t>* ring, const std::atomic<bool>* done,
 
 /// What the reference pass of VerifyIdentity routed.
 struct Regime {
+  double requests_per_scan = 0.0;
   double candidates_per_request = 0.0;
   /// Share of reads whose node was idle when their scan was routed.
   double idle_read_frac = 0.0;
@@ -316,7 +356,7 @@ Regime VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
   RouterScratch router_scratch;
   std::vector<RoutedRead> ref_out;
   std::vector<NodeId> ref_nodes;
-  std::size_t requests = 0, candidates = 0, idle_reads = 0;
+  std::size_t routed_scans = 0, requests = 0, candidates = 0, idle_reads = 0;
   for (const std::uint32_t id : partition) {
     one.Clear();
     one.AddScan(id, scans[id]);
@@ -332,6 +372,7 @@ Regime VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
       std::fprintf(stderr, "identity: one-scan block failed to route\n");
       std::exit(1);
     }
+    ++routed_scans;
     requests += reqs.count;
     for (std::size_t i = 0; i < reqs.count; ++i) {
       candidates += reqs.requests[i].cand_count;
@@ -393,6 +434,8 @@ Regime VerifyIdentity(const ClusterConfig& config, const ConfigIndex& index,
   }
   Regime regime;
   if (requests > 0) {
+    regime.requests_per_scan =
+        static_cast<double>(requests) / static_cast<double>(routed_scans);
     regime.candidates_per_request =
         static_cast<double>(candidates) / static_cast<double>(requests);
     regime.idle_read_frac =
@@ -559,7 +602,7 @@ PointResult MeasurePoint(const ClusterConfig& config, const ConfigIndex& index,
 void Run(bool smoke, const std::string& out_path) {
   const std::size_t n_scans = smoke ? 8'000 : 200'000;
   Rng rng(0xda7a);
-  const ClusterConfig config = MakeConfig(&rng, kNodes, 1, 3);
+  const ClusterConfig config = MakeConfig(&rng, kSkewLayout, kNodes, 1, 3);
   const ConfigIndex index(config);
   const std::vector<Scan> scans = MakeScans(n_scans, &rng);
   const ClusterSimOptions sim_opts;
@@ -624,7 +667,8 @@ void Run(bool smoke, const std::string& out_path) {
   std::iota(one_shard[0].begin(), one_shard[0].end(), std::uint32_t{0});
   for (const std::size_t replicas : kWideReplicas) {
     const ClusterConfig wide_config =
-        MakeConfig(&wide_rng, kWideNodes, replicas - 1, replicas + 1);
+        MakeConfig(&wide_rng, kSkewLayout, kWideNodes, replicas - 1,
+                   replicas + 1);
     const ConfigIndex wide_index(wide_config);
     for (const bool idle : {true, false}) {
       const double gap_s = idle ? kIdleGapS : 0.0;
@@ -643,6 +687,31 @@ void Run(bool smoke, const std::string& out_path) {
       wide.push_back(std::move(wp));
     }
   }
+
+  // real2's regime: wide scans over ~62 candidates, saturated.
+  const std::size_t n_real2 = smoke ? 200 : 4'000;
+  Rng real2_rng(0x4ea2);
+  const ClusterConfig real2_config =
+      MakeConfig(&real2_rng, kReal2Layout, kReal2Nodes, kReal2Replicas - 1,
+                 kReal2Replicas + 1);
+  const ConfigIndex real2_index(real2_config);
+  const std::vector<Scan> real2_scans = MakeReal2Scans(n_real2, &real2_rng);
+  std::vector<std::vector<std::uint32_t>> real2_shard(
+      1, std::vector<std::uint32_t>(real2_scans.size()));
+  std::iota(real2_shard[0].begin(), real2_shard[0].end(), std::uint32_t{0});
+  const Regime real2_regime = VerifyIdentity(
+      real2_config, real2_index, real2_scans, real2_shard[0], 256, spt, 0.0);
+  const PointResult real2_point =
+      MeasurePoint(real2_config, real2_index, real2_scans, real2_shard, 1,
+                   256, spt, /*gap_s=*/0.0);
+  std::printf("\nreal2 shape: 1 shard, batch 256, %zu nodes, %zu scans of "
+              "%zu-%zu fragments, saturated\n",
+              kReal2Nodes, n_real2, kReal2MinWidth, kReal2MaxWidth);
+  std::printf("%9.1f req/scan %9.1f cand/req %15.0f scans/s  %.0f/%.0f ns\n",
+              real2_regime.requests_per_scan,
+              real2_regime.candidates_per_request,
+              real2_point.scans_per_sec, real2_point.per_shard[0].p50_ns,
+              real2_point.per_shard[0].p99_ns);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -704,7 +773,19 @@ void Run(bool smoke, const std::string& out_path) {
                  w.point.scans_per_sec, st.p50_ns, st.p99_ns,
                  i + 1 < wide.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n");
+  const ShardStats& r2 = real2_point.per_shard[0];
+  std::fprintf(f,
+               "  \"real2_shape\": {\"nodes\": %zu, \"replicas_mean\": %zu, "
+               "\"load\": \"saturated\", \"scans\": %zu, "
+               "\"requests_per_scan\": %.1f, "
+               "\"candidates_per_request\": %.1f,\n   \"shards\": 1, "
+               "\"batch\": 256, \"scans_per_sec\": %.1f, "
+               "\"p50_ns\": %.1f, \"p99_ns\": %.1f}\n}\n",
+               kReal2Nodes, kReal2Replicas, n_real2,
+               real2_regime.requests_per_scan,
+               real2_regime.candidates_per_request,
+               real2_point.scans_per_sec, r2.p50_ns, r2.p99_ns);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 }

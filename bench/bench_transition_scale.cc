@@ -22,12 +22,19 @@
 // build took (DESIGN.md §15.1): the sweep keeps the scatter, the two
 // overlap-rich instances take dense rows.
 //
+// Every stage of every instance runs kReps times (once under --smoke) on
+// identical inputs, and each stage's minimum and median are recorded:
+// this host's noise spreads single cold samples by up to ~2x.
+//
 // Flags: --smoke (64/256-node sizes plus the real2 and stream instances,
-// for CI), --out=PATH (JSON path, default BENCH_transition.json).
+// one rep, for CI), --out=PATH (JSON path, default
+// BENCH_transition.json).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +57,15 @@ namespace {
 // nodes one solve takes minutes and the sweep skips it (logged below).
 constexpr std::size_t kDenseCap = 512;
 
+// Timed repetitions of every stage in a full run.
+constexpr std::size_t kReps = 7;
+
+// One stage's wall-clock over its reps; {-1, -1} when the stage is skipped.
+struct Timing {
+  double min_ms = -1.0;
+  double median_ms = -1.0;
+};
+
 struct SizeResult {
   std::string instance;             // "sweep", "real2" or "stream"
   std::size_t target_nodes = 0;
@@ -60,13 +76,14 @@ struct SizeResult {
   std::size_t edges = 0;            // positive-overlap graph edges
   std::uint64_t iterations = 0;     // sparse Dijkstra settles
   TupleCount transfer_tuples = 0;
-  double pack_ms = 0.0;             // BFFD pack of the new epoch
-  double graph_ms = 0.0;            // overlap graph build
+  std::size_t reps = 0;             // timed repetitions per stage
+  Timing pack;                      // BFFD pack of the new epoch
+  Timing graph;                     // overlap graph build
   bool graph_dense_rows = false;    // dense rows (else the scatter)
-  double solve_ms = 0.0;            // sparse matcher alone
-  double plan_ms = 0.0;             // end-to-end PlanTransition (sparse)
-  double validate_ms = 0.0;         // ValidateConfig + ValidatePlan
-  double dense_ms = -1.0;           // -1 when past kDenseCap
+  Timing solve;                     // sparse matcher alone
+  Timing plan;                      // end-to-end PlanTransition (sparse)
+  Timing validate;                  // ValidateConfig + ValidatePlan
+  Timing dense;                     // skipped past kDenseCap
   bool identity_checked = false;
 };
 
@@ -75,6 +92,20 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
              std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// Runs `stage` `reps` times and returns the minimum and (upper) median of
+// its wall-clock.
+template <typename Stage>
+Timing TimeReps(std::size_t reps, Stage&& stage) {
+  std::vector<double> ms;
+  for (std::size_t i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    stage();
+    ms.push_back(MsSince(t0));
+  }
+  std::sort(ms.begin(), ms.end());
+  return Timing{ms.front(), ms[ms.size() / 2]};
 }
 
 // One bench instance: fragment tilings over `tables` tables of
@@ -147,12 +178,14 @@ ReplicationParams Params(TupleCount disk) {
   return p;
 }
 
-SizeResult RunInstance(const Instance& inst, ThreadPool* pool) {
+SizeResult RunInstance(const Instance& inst, std::size_t reps,
+                       ThreadPool* pool) {
   Rng rng(0xC0FFEE + inst.target_nodes);
   SizeResult r;
   r.instance = inst.name;
   r.target_nodes = inst.target_nodes;
   r.node_disk = inst.disk;
+  r.reps = reps;
 
   // Old epoch (pack untimed: the timed pack below covers the same code).
   auto old_frags = EpochFragments(&rng, inst);
@@ -162,53 +195,56 @@ SizeResult RunInstance(const Instance& inst, ThreadPool* pool) {
 
   // New epoch: re-tiled boundaries and re-rolled replica counts over the
   // same tables — the overlap-rich "reconfiguration step" regime.
-  auto new_frags = EpochFragments(&rng, inst);
+  const std::vector<FragmentInfo> new_frags = EpochFragments(&rng, inst);
   r.fragments = new_frags.size();
-  const auto t_pack = std::chrono::steady_clock::now();
-  auto new_config =
-      PackReplicasBffd(Params(inst.disk), std::move(new_frags), pool);
-  r.pack_ms = MsSince(t_pack);
-  NASHDB_CHECK(new_config.ok()) << new_config.status().ToString();
+  std::optional<Result<ClusterConfig>> packed;
+  r.pack = TimeReps(reps, [&] {
+    packed.emplace(PackReplicasBffd(Params(inst.disk), new_frags, pool));
+  });
+  NASHDB_CHECK(packed->ok()) << packed->status().ToString();
+  const ClusterConfig& new_config = packed->value();
   r.nodes_old = old_config->node_count();
-  r.nodes_new = new_config->node_count();
+  r.nodes_new = new_config.node_count();
 
   // Stage timings on the explicit primitives. The metrics registry is on
   // for the graph build alone, to read which accumulation it took.
   metrics::Registry& registry = metrics::Registry::Global();
   registry.Reset();
   registry.Enable();
-  const auto t_graph = std::chrono::steady_clock::now();
-  const TransitionGraph graph =
-      BuildTransitionGraph(*old_config, *new_config, nullptr);
-  r.graph_ms = MsSince(t_graph);
+  std::optional<TransitionGraph> graph;
+  r.graph = TimeReps(reps, [&] {
+    graph.emplace(BuildTransitionGraph(*old_config, new_config, nullptr));
+  });
   r.graph_dense_rows =
       registry.CounterValue("transition.graph_dense_rows") > 0;
   registry.Disable();
   registry.Reset();
-  r.edges = graph.edges.size();
+  r.edges = graph->edges.size();
 
-  const auto t_solve = std::chrono::steady_clock::now();
-  const SparseMatchingResult matching = SolveMaxOverlapMatching(graph);
-  r.solve_ms = MsSince(t_solve);
-  r.iterations = matching.iterations;
+  std::optional<SparseMatchingResult> matching;
+  r.solve = TimeReps(
+      reps, [&] { matching.emplace(SolveMaxOverlapMatching(*graph)); });
+  r.iterations = matching->iterations;
 
   // End-to-end sparse plan (re-runs graph + solve: this is the number a
   // control plane actually pays per reconfiguration).
   TransitionPlannerOptions sparse_opts;
   sparse_opts.solver = TransitionSolver::kSparse;
-  const auto t_plan = std::chrono::steady_clock::now();
-  const TransitionPlan sparse =
-      PlanTransition(*old_config, *new_config, nullptr, sparse_opts);
-  r.plan_ms = MsSince(t_plan);
-  r.transfer_tuples = sparse.total_transfer_tuples;
-  NASHDB_CHECK_EQ(sparse.total_transfer_tuples,
-                  graph.TotalNewTuples() - matching.total_overlap);
+  std::optional<TransitionPlan> sparse;
+  r.plan = TimeReps(reps, [&] {
+    sparse.emplace(
+        PlanTransition(*old_config, new_config, nullptr, sparse_opts));
+  });
+  r.transfer_tuples = sparse->total_transfer_tuples;
+  NASHDB_CHECK_EQ(sparse->total_transfer_tuples,
+                  graph->TotalNewTuples() - matching->total_overlap);
 
-  const auto t_val = std::chrono::steady_clock::now();
-  const Status cfg_ok = ValidateConfig(*new_config, pool);
-  const Status plan_ok =
-      ValidatePlan(sparse, *old_config, *new_config, nullptr, pool);
-  r.validate_ms = MsSince(t_val);
+  Status cfg_ok;
+  Status plan_ok;
+  r.validate = TimeReps(reps, [&] {
+    cfg_ok = ValidateConfig(new_config, pool);
+    plan_ok = ValidatePlan(*sparse, *old_config, new_config, nullptr, pool);
+  });
   NASHDB_CHECK(cfg_ok.ok()) << cfg_ok.ToString();
   NASHDB_CHECK(plan_ok.ok()) << plan_ok.ToString();
 
@@ -216,12 +252,13 @@ SizeResult RunInstance(const Instance& inst, ThreadPool* pool) {
   if (std::max(r.nodes_old, r.nodes_new) <= kDenseCap) {
     TransitionPlannerOptions dense_opts;
     dense_opts.solver = TransitionSolver::kDense;
-    const auto t_dense = std::chrono::steady_clock::now();
-    const TransitionPlan dense =
-        PlanTransition(*old_config, *new_config, nullptr, dense_opts);
-    r.dense_ms = MsSince(t_dense);
-    NASHDB_CHECK_EQ(dense.total_transfer_tuples,
-                    sparse.total_transfer_tuples)
+    std::optional<TransitionPlan> dense;
+    r.dense = TimeReps(reps, [&] {
+      dense.emplace(
+          PlanTransition(*old_config, new_config, nullptr, dense_opts));
+    });
+    NASHDB_CHECK_EQ(dense->total_transfer_tuples,
+                    sparse->total_transfer_tuples)
         << "plan-cost identity broken on " << inst.name << " at "
         << inst.target_nodes << " nodes";
     r.identity_checked = true;
@@ -238,6 +275,11 @@ void WriteJson(const std::string& out_path,
   }
   std::fprintf(f, "{\n  \"bench\": \"transition_scale\",\n");
   std::fprintf(f, "  \"dense_cap\": %zu,\n", kDenseCap);
+  std::fprintf(f,
+               "  \"timing_note\": \"each *_ms is the minimum over reps "
+               "runs of its stage on identical inputs, each *_ms_median "
+               "their median; dense_ms is -1 where the dense solve is "
+               "skipped\",\n");
   std::fprintf(f, "  \"hardware_threads\": %zu,\n",
                ThreadPool::DefaultThreads());
   std::fprintf(f, "  \"results\": [\n");
@@ -250,19 +292,24 @@ void WriteJson(const std::string& out_path,
         "\"nodes_old\": %zu, \"nodes_new\": %zu, \"fragments\": %zu, "
         "\"edges\": %zu, "
         "\"iterations\": %llu, \"transfer_tuples\": %llu,\n"
-        "     \"graph_accumulation\": \"%s\", "
-        "\"pack_ms\": %.3f, \"graph_ms\": %.3f, \"solve_ms\": %.3f, "
-        "\"plan_ms\": %.3f, \"validate_ms\": %.3f, \"dense_ms\": %.3f, "
-        "\"cost_identity_checked\": %s}%s\n",
+        "     \"graph_accumulation\": \"%s\", \"reps\": %zu, "
+        "\"cost_identity_checked\": %s,\n"
+        "     \"pack_ms\": %.3f, \"graph_ms\": %.3f, \"solve_ms\": %.3f, "
+        "\"plan_ms\": %.3f, \"validate_ms\": %.3f, \"dense_ms\": %.3f,\n"
+        "     \"pack_ms_median\": %.3f, \"graph_ms_median\": %.3f, "
+        "\"solve_ms_median\": %.3f, \"plan_ms_median\": %.3f, "
+        "\"validate_ms_median\": %.3f, \"dense_ms_median\": %.3f}%s\n",
         r.instance.c_str(), r.target_nodes,
         static_cast<unsigned long long>(r.node_disk), r.nodes_old,
         r.nodes_new, r.fragments, r.edges,
         static_cast<unsigned long long>(r.iterations),
         static_cast<unsigned long long>(r.transfer_tuples),
-        r.graph_dense_rows ? "dense_rows" : "scatter", r.pack_ms,
-        r.graph_ms, r.solve_ms, r.plan_ms, r.validate_ms, r.dense_ms,
-        r.identity_checked ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
+        r.graph_dense_rows ? "dense_rows" : "scatter", r.reps,
+        r.identity_checked ? "true" : "false", r.pack.min_ms,
+        r.graph.min_ms, r.solve.min_ms, r.plan.min_ms, r.validate.min_ms,
+        r.dense.min_ms, r.pack.median_ms, r.graph.median_ms,
+        r.solve.median_ms, r.plan.median_ms, r.validate.median_ms,
+        r.dense.median_ms, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -282,18 +329,22 @@ int Run(bool smoke, const std::string& out_path) {
 
   ThreadPool pool(ThreadPool::DefaultThreads());
 
-  PrintTitle("Transition scale: sparse SSP matcher vs dense Hungarian");
+  const std::size_t reps = smoke ? 1 : kReps;
+  PrintTitle("Transition scale: sparse SSP matcher vs dense Hungarian (min "
+             "of " + std::to_string(reps) + ")");
   PrintRow({"instance", "nodes", "frags", "edges", "pack ms", "graph ms",
             "solve ms", "plan ms", "dense ms"});
 
   std::vector<SizeResult> results;
   for (const Instance& inst : instances) {
-    const SizeResult r = RunInstance(inst, &pool);
+    const SizeResult r = RunInstance(inst, reps, &pool);
     PrintRow({r.instance, std::to_string(r.nodes_new),
               std::to_string(r.fragments), std::to_string(r.edges),
-              Fmt(r.pack_ms), Fmt(r.graph_ms), Fmt(r.solve_ms), Fmt(r.plan_ms),
-              r.dense_ms < 0.0 ? std::string("(skipped)") : Fmt(r.dense_ms)});
-    if (r.dense_ms < 0.0) {
+              Fmt(r.pack.min_ms), Fmt(r.graph.min_ms), Fmt(r.solve.min_ms),
+              Fmt(r.plan.min_ms),
+              r.dense.min_ms < 0.0 ? std::string("(skipped)")
+                                   : Fmt(r.dense.min_ms)});
+    if (r.dense.min_ms < 0.0) {
       std::printf("  (dense Hungarian skipped at %zu nodes: O(n^3) "
                   "matrix is the infeasible regime)\n",
                   r.nodes_new);
@@ -301,7 +352,7 @@ int Run(bool smoke, const std::string& out_path) {
     // The headline SLO of the sweep: planning a 4096-node transition
     // stays interactive even though dense would take minutes.
     if (!smoke && inst.name == "sweep" && inst.target_nodes == 4096) {
-      NASHDB_CHECK_LE(r.plan_ms, 5'000.0)
+      NASHDB_CHECK_LE(r.plan.min_ms, 5'000.0)
           << "4096-node sparse plan exceeded the 5 s budget";
     }
     results.push_back(r);

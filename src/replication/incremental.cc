@@ -39,14 +39,18 @@ Result<ClusterConfig> RepackIncremental(const ReplicationParams& params,
   // they finish the repack empty, which decommissions them in elastic
   // mode. Pinned (partitioned) nodes also contribute no *routable*
   // coverage — their copies must not satisfy replica targets — but keep
-  // their placements (pre-seeded below).
-  std::vector<NodeData> coverage;
-  coverage.reserve(prev_nodes);
-  for (NodeId m = 0; m < prev_nodes; ++m) {
-    coverage.push_back(unavailable(m) || pinned(m)
-                           ? NodeData()
-                           : NodeData::Of(*previous, m));
-  }
+  // their placements (pre-seeded below). Both placement phases read every
+  // fragment's coverers from one index.
+  const CovererIndex coverers_of = [&] {
+    std::vector<NodeData> coverage;
+    coverage.reserve(prev_nodes);
+    for (NodeId m = 0; m < prev_nodes; ++m) {
+      coverage.push_back(unavailable(m) || pinned(m)
+                             ? NodeData()
+                             : NodeData::Of(*previous, m));
+    }
+    return CovererIndex(fragments, coverage);
+  }();
 
   // Working placement state. Slots beyond prev_nodes are fresh nodes.
   std::vector<std::vector<FlatFragmentId>> node_frags(prev_nodes);
@@ -99,15 +103,13 @@ Result<ClusterConfig> RepackIncremental(const ReplicationParams& params,
   // how many were placed. Preference order: previous nodes already
   // holding the data (emptiest first, so later fragments stay placeable),
   // then any existing node first-fit, then fresh nodes if allowed.
+  std::vector<std::size_t> coverers;
   auto place_replicas = [&](std::size_t idx, std::size_t count)
       -> std::size_t {
     const FragmentInfo& f = fragments[idx];
     std::size_t placed = 0;
 
-    std::vector<std::size_t> coverers;
-    for (std::size_t m = 0; m < prev_nodes; ++m) {
-      if (coverage[m].Covers(f.table, f.range)) coverers.push_back(m);
-    }
+    coverers.assign(coverers_of.begin(idx), coverers_of.end(idx));
     std::sort(coverers.begin(), coverers.end(),
               [&](std::size_t a, std::size_t b) {
                 return node_used[a] < node_used[b];

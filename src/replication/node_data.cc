@@ -1,6 +1,7 @@
 #include "replication/node_data.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace nashdb {
@@ -67,17 +68,49 @@ TupleCount NodeData::TuplesNotIn(const NodeData& other) const {
   return missing;
 }
 
-bool NodeData::Covers(TableId table, const TupleRange& range) const {
-  // First interval ordered after (table, range.start), then step back.
-  const auto after = std::upper_bound(
-      intervals_.begin(), intervals_.end(), std::make_pair(table, range.start),
-      [](const std::pair<TableId, TupleIndex>& key, const Interval& iv) {
-        if (key.first != iv.table) return key.first < iv.table;
-        return key.second < iv.range.start;
-      });
-  if (after == intervals_.begin()) return false;
-  const Interval& iv = *(after - 1);
-  return iv.table == table && range.end <= iv.range.end;
+CovererIndex::CovererIndex(const std::vector<FragmentInfo>& fragments,
+                           const std::vector<NodeData>& data) {
+  std::vector<std::uint32_t> order(fragments.size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (fragments[a].table != fragments[b].table) {
+      return fragments[a].table < fragments[b].table;
+    }
+    return fragments[a].range.start < fragments[b].range.start;
+  });
+  // Covered fragments node by node, then regrouped by fragment with a
+  // counting sort, which keeps each fragment's nodes ascending.
+  std::vector<std::uint32_t> covered;
+  std::vector<std::uint32_t> node_end(data.size());
+  off_.assign(fragments.size() + 1, 0);
+  for (std::size_t m = 0; m < data.size(); ++m) {
+    const std::vector<NodeData::Interval>& ivs = data[m].intervals();
+    std::size_t j = 0;
+    for (const std::uint32_t f : order) {
+      const FragmentInfo& frag = fragments[f];
+      while (j < ivs.size() &&
+             (ivs[j].table < frag.table ||
+              (ivs[j].table == frag.table &&
+               ivs[j].range.start <= frag.range.start))) {
+        ++j;
+      }
+      if (j > 0 && ivs[j - 1].table == frag.table &&
+          frag.range.end <= ivs[j - 1].range.end) {
+        covered.push_back(f);
+        ++off_[f + 1];
+      }
+    }
+    node_end[m] = static_cast<std::uint32_t>(covered.size());
+  }
+  for (std::size_t f = 0; f < fragments.size(); ++f) off_[f + 1] += off_[f];
+  std::vector<std::uint32_t> cursor(off_.begin(), off_.end() - 1);
+  nodes_.resize(covered.size());
+  std::size_t e = 0;
+  for (std::size_t m = 0; m < data.size(); ++m) {
+    for (; e < node_end[m]; ++e) {
+      nodes_[cursor[covered[e]]++] = static_cast<NodeId>(m);
+    }
+  }
 }
 
 }  // namespace nashdb

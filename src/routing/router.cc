@@ -20,8 +20,63 @@ Status NoLiveReplica(FlatFragmentId frag) {
 }
 
 // Largest scan the MaxOfMins batch core handles with stack-local state
-// (a wider scan falls back to the scratch-based rounds below).
+// (a wider scan takes MaxOfMinsWideCore).
 constexpr std::size_t kSmallScanRequests = 16;
+
+// Builds the scan's postings into the scratch (after NextScan): a dense
+// local id per candidate node in first-appearance order, each candidate
+// entry's local id in scan order (cand_lid_), and per local id the
+// (request, span position) entries holding it, ascending by request —
+// node l's span is post_[post_off_[l] .. post_off_[l + 1]). Every array
+// reuses the scratch's capacity across calls (§10 contract).
+NASHDB_HOT void BuildPostings(const RequestBatch& requests,
+                              RouterScratch* scratch) {
+  std::vector<NodeId>& call_nodes = scratch->call_nodes_;
+  std::vector<std::uint32_t>& cand_lid = scratch->cand_lid_;
+  std::vector<std::uint32_t>& off = scratch->post_off_;
+  std::uint32_t total = 0;
+  for (std::size_t i = 0; i < requests.count; ++i) {
+    total += requests.requests[i].cand_count;
+  }
+  call_nodes.clear();
+  off.clear();
+  // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
+  cand_lid.resize(total);
+  std::size_t e = 0;
+  for (std::size_t i = 0; i < requests.count; ++i) {
+    const FlatRequest& req = requests.requests[i];
+    const NodeId* cand = requests.cands(req);
+    for (std::uint32_t k = 0; k < req.cand_count; ++k) {
+      const std::uint32_t lid = scratch->LocalId(cand[k]);
+      cand_lid[e++] = lid;
+      // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
+      if (lid == off.size()) off.push_back(0);
+      ++off[lid];
+    }
+  }
+  std::uint32_t sum = 0;
+  for (std::uint32_t& v : off) {
+    const std::uint32_t cnt = v;
+    v = sum;
+    sum += cnt;
+  }
+  // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
+  off.push_back(total);
+  std::vector<RouterScratch::Posting>& post = scratch->post_;
+  // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
+  post.resize(total);
+  std::vector<std::uint32_t>& cursor = scratch->post_cursor_;
+  // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
+  cursor.assign(off.begin(), off.end() - 1);
+  e = 0;
+  for (std::size_t i = 0; i < requests.count; ++i) {
+    const std::uint32_t count = requests.requests[i].cand_count;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      post[cursor[cand_lid[e++]]++] =
+          RouterScratch::Posting{static_cast<std::uint32_t>(i), k};
+    }
+  }
+}
 
 // Shared batch loop (DESIGN.md §11): one scratch bind per block, then the
 // router's per-scan core. A core that reads the scratch must open every
@@ -115,6 +170,124 @@ Result<std::vector<RoutedRead>> ScanRouter::Route(
 
 namespace {
 
+// Offers candidate `lid`, at span position `pos` with adjusted wait `w`,
+// to a request's running minimum. The seed sweep keeps the first strict
+// minimum, so its (min, argmin) is the least wait below +inf and the
+// lowest position holding it, or (+inf, none) when no wait is below +inf.
+// Offering every candidate once, in any order, reaches the same state:
+// a lower wait wins, an equal one only from an earlier position, and a
+// request without an argmin has position 0, so an equal +inf offer never
+// gives it one.
+NASHDB_HOT inline void OfferMin(RouterScratch::RequestMin* r, double w,
+                                std::uint32_t lid, std::uint32_t pos) {
+  if (w < r->wait || (w == r->wait && pos < r->pos)) {
+    r->wait = w;
+    r->lid = lid;
+    r->pos = pos;
+  }
+}
+
+// Max-of-mins for scans wider than kSmallScanRequests (DESIGN.md §11):
+// the seed router's decisions, with each round touching only the
+// requests whose span holds the node just scheduled. Each request's
+// (min, argmin, position) lives in the scratch, and the scan's postings
+// name the requests holding each node. Scheduling a read moves one
+// node's adjusted wait, so a request holding it:
+// - whose argmin is another node takes it under OfferMin, O(1) — the
+//   other candidates' waits did not move;
+// - whose argmin it is keeps it when the wait fell or stayed, and is
+//   swept again when it rose (or became NaN), since another candidate
+//   may now be the minimum.
+NASHDB_HOT Status MaxOfMinsWideCore(const RequestBatch& requests,
+                                    double read_seconds_per_tuple,
+                                    double phi_s, RouterScratch* scratch,
+                                    std::vector<RoutedRead>* out) {
+  scratch->NextScan();
+  BuildPostings(requests, scratch);
+  const std::size_t n = requests.count;
+  const std::vector<NodeId>& nodes = scratch->call_nodes_;
+  const std::vector<std::uint32_t>& off = scratch->post_off_;
+  const RouterScratch::Posting* post = scratch->post_.data();
+  const std::uint32_t* cand_lid = scratch->cand_lid_.data();
+  std::vector<double>& wait = scratch->local_wait_;
+  std::vector<RouterScratch::RequestMin>& mins = scratch->req_min_;
+  // NASHDB_LINT_ALLOW(hot-alloc): per-scan state reuses scratch capacity
+  wait.resize(nodes.size());
+  for (std::size_t l = 0; l < nodes.size(); ++l) {
+    wait[l] = scratch->AdjustedWait(nodes[l], phi_s);
+  }
+  // NASHDB_LINT_ALLOW(hot-alloc): per-scan state reuses scratch capacity
+  mins.resize(n);
+  std::uint32_t begin = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    mins[i] = RouterScratch::RequestMin{
+        std::numeric_limits<double>::infinity(), RouterScratch::kNoLocalId,
+        0, begin};
+    begin += requests.requests[i].cand_count;
+  }
+  for (std::size_t l = 0; l < nodes.size(); ++l) {
+    for (std::uint32_t p = off[l]; p < off[l + 1]; ++p) {
+      OfferMin(&mins[post[p].req], wait[l], static_cast<std::uint32_t>(l),
+               post[p].pos);
+    }
+  }
+  // NASHDB_LINT_ALLOW(hot-alloc): scratch flags reuse capacity across scans
+  scratch->scheduled.assign(n, 0);
+  for (std::size_t round = 0; round < n; ++round) {
+    double best_min = -1.0;
+    std::size_t best_req = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (scratch->scheduled[i]) continue;
+      if (mins[i].wait > best_min) {
+        best_min = mins[i].wait;
+        best_req = i;
+      }
+    }
+    const std::uint32_t lb = mins[best_req].lid;
+    if (lb == RouterScratch::kNoLocalId) {
+      // No candidate waits below +inf, as in an empty span, whose
+      // infinite minimum wins round one — so that failure fires before
+      // any read of the scan was appended.
+      return NoLiveReplica(requests.requests[best_req].frag);
+    }
+    const NodeId bn = nodes[lb];
+    scratch->scheduled[best_req] = 1;
+    // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
+    out->push_back(RoutedRead{best_req, bn});
+    if (round + 1 == n) break;
+    scratch->MarkUsed(bn);
+    scratch->AddWait(bn,
+                     static_cast<double>(requests.requests[best_req].tuples) *
+                         read_seconds_per_tuple);
+    const double w = scratch->AdjustedWait(bn, phi_s);
+    wait[lb] = w;
+    for (std::uint32_t p = off[lb]; p < off[lb + 1]; ++p) {
+      const std::uint32_t i = post[p].req;
+      if (scratch->scheduled[i]) continue;
+      RouterScratch::RequestMin& r = mins[i];
+      if (r.lid != lb) {
+        OfferMin(&r, w, lb, post[p].pos);
+      } else if (w < r.wait) {
+        r.wait = w;
+      } else if (!(w == r.wait)) {
+        const std::uint32_t* lids = cand_lid + r.lid_begin;
+        r.wait = std::numeric_limits<double>::infinity();
+        r.lid = RouterScratch::kNoLocalId;
+        r.pos = 0;
+        for (std::uint32_t k = 0; k < requests.requests[i].cand_count; ++k) {
+          const double wk = wait[lids[k]];
+          if (wk < r.wait) {
+            r.wait = wk;
+            r.lid = lids[k];
+            r.pos = k;
+          }
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 // Max-of-mins core: the seed router's decisions (tests/seed_routers.h) —
 // node for node, tie for tie, float op for float op — cheaper (DESIGN.md
 // §11):
@@ -151,9 +324,9 @@ namespace {
 //   which wins the max-of-mins in round one before anything has been
 //   scheduled, so the failure surfaces with zero reads appended and the
 //   partial-commit contract intact.
-// - Wider scans take the scratch rounds, with candidate evaluation
-//   touching the epoch-stamped node state once per candidate
-//   (AdjustedWait) instead of twice (Wait + Used).
+// - Wider scans take MaxOfMinsWideCore, which keeps the same per-request
+//   minima in the scratch and finds the requests to update through the
+//   scan's postings instead of scanning every span.
 NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
                                      const WaitView& waits,
                                      double read_seconds_per_tuple,
@@ -241,48 +414,8 @@ NASHDB_HOT Status MaxOfMinsBatchCore(const RequestBatch& requests,
     return Status::OK();
   }
 
-  scratch->NextScan();
-  // NASHDB_LINT_ALLOW(hot-alloc): scratch flags reuse capacity across scans
-  scratch->scheduled.assign(requests.count, 0);
-  for (std::size_t round = 0; round < requests.count; ++round) {
-    double best_min = -1.0;
-    std::size_t best_req = requests.count;
-    NodeId best_node = kInvalidNode;
-    for (std::size_t i = 0; i < requests.count; ++i) {
-      if (scratch->scheduled[i]) continue;
-      const FlatRequest& req = requests.requests[i];
-      const NodeId* cand = requests.cands(req);
-      double min_wait = std::numeric_limits<double>::infinity();
-      NodeId min_node = kInvalidNode;
-      for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-        const NodeId m = cand[k];
-        const double w = scratch->AdjustedWait(m, phi_s);
-        if (w < min_wait) {
-          min_wait = w;
-          min_node = m;
-        }
-      }
-      if (min_wait > best_min) {
-        best_min = min_wait;
-        best_req = i;
-        best_node = min_node;
-      }
-    }
-    if (best_node == kInvalidNode) {
-      // Only an empty candidate span produces an infinite minimum, and an
-      // infinite minimum wins round one — so this fires before any read
-      // of the scan was appended.
-      return NoLiveReplica(requests.requests[best_req].frag);
-    }
-    scratch->scheduled[best_req] = 1;
-    scratch->MarkUsed(best_node);
-    scratch->AddWait(best_node,
-                     static_cast<double>(requests.requests[best_req].tuples) *
-                         read_seconds_per_tuple);
-    // NASHDB_LINT_ALLOW(hot-alloc): append into caller-reserved capacity
-    out->push_back(RoutedRead{best_req, best_node});
-  }
-  return Status::OK();
+  return MaxOfMinsWideCore(requests, read_seconds_per_tuple, phi_s, scratch,
+                           out);
 }
 
 }  // namespace
@@ -348,53 +481,14 @@ NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
   // NASHDB_LINT_ALLOW(hot-alloc): scratch flags reuse capacity across scans
   scratch->scheduled.assign(requests.count, 0);
 
-  // Build the node→requests postings lists for this call: one dense local
-  // id per candidate node (first-appearance order), then the request
-  // indices holding each node, ascending. Each round below computes a
-  // node's remaining cover by walking its postings — O(total candidate
-  // entries) per round instead of the seed router's
-  // O(requests² · |cand|) std::find sweeps.
-  std::vector<NodeId>& call_nodes = scratch->call_nodes_;
-  std::vector<std::uint32_t>& off = scratch->post_off_;
-  std::vector<std::uint32_t>& post = scratch->post_req_;
-  call_nodes.clear();
-  off.clear();
-  for (std::size_t i = 0; i < requests.count; ++i) {
-    const FlatRequest& req = requests.requests[i];
-    const NodeId* cand = requests.cands(req);
-    for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-      const std::uint32_t lid = scratch->LocalId(cand[k]);
-      // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
-      if (lid == off.size()) off.push_back(0);
-      ++off[lid];
-    }
-  }
-  const std::size_t local_count = call_nodes.size();
-  std::uint32_t total = 0;
-  for (std::uint32_t& v : off) {
-    const std::uint32_t cnt = v;
-    v = total;
-    total += cnt;
-  }
-  // Sentinel: node l's span is [off[l], off[l + 1]). All three arrays
-  // reuse the scratch's capacity across calls (§10 contract).
-  // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
-  off.push_back(total);
-  // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
-  post.resize(total);
-  {
-    std::vector<std::uint32_t>& cursor = scratch->post_cursor_;
-    // NASHDB_LINT_ALLOW(hot-alloc): postings lists reuse scratch capacity
-    cursor.assign(off.begin(), off.end() - 1);
-    for (std::size_t i = 0; i < requests.count; ++i) {
-      const FlatRequest& req = requests.requests[i];
-      const NodeId* cand = requests.cands(req);
-      for (std::uint32_t k = 0; k < req.cand_count; ++k) {
-        const std::uint32_t lid = scratch->LocalId(cand[k]);
-        post[cursor[lid]++] = static_cast<std::uint32_t>(i);
-      }
-    }
-  }
+  // The node→requests postings lists: each round below computes a node's
+  // remaining cover by walking its postings — O(total candidate entries)
+  // per round instead of the seed router's O(requests² · |cand|)
+  // std::find sweeps.
+  BuildPostings(requests, scratch);
+  const std::vector<std::uint32_t>& off = scratch->post_off_;
+  const std::vector<RouterScratch::Posting>& post = scratch->post_;
+  const std::size_t local_count = scratch->call_nodes_.size();
   if (scratch->round_stamp_.size() < local_count) {
     // NASHDB_LINT_ALLOW(hot-alloc): grows once to the largest call seen
     scratch->round_stamp_.resize(local_count, 0);
@@ -420,7 +514,7 @@ NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
         scratch->round_stamp_[lid] = scratch->round_epoch_;
         TupleCount cover = 0;
         for (std::uint32_t p = off[lid]; p < off[lid + 1]; ++p) {
-          const std::uint32_t j = post[p];
+          const std::uint32_t j = post[p].req;
           if (!scratch->scheduled[j]) cover += requests.requests[j].tuples;
         }
         if (cover > best_cover ||
@@ -433,7 +527,7 @@ NASHDB_HOT void GreedyScCore(const RequestBatch& requests,
     }
     NASHDB_DCHECK(best_node != kInvalidNode);
     for (std::uint32_t p = off[best_lid]; p < off[best_lid + 1]; ++p) {
-      const std::uint32_t j = post[p];
+      const std::uint32_t j = post[p].req;
       if (scratch->scheduled[j]) continue;
       scratch->scheduled[j] = 1;
       --remaining;

@@ -139,7 +139,9 @@ class RouterScratch {
   /// Per-request scheduled flags (sized per call by the router).
   std::vector<std::uint8_t> scheduled;
 
-  // --- Greedy set-cover state (postings lists, built per call) ---------
+  // --- Per-scan postings (Greedy SC, wide Max-of-mins), built per call --
+  static constexpr std::uint32_t kNoLocalId = 0xffffffffu;
+
   /// Dense local id per node touched this call, in first-appearance order.
   std::uint32_t LocalId(NodeId m) {
     NodeState& st = Touch(m);
@@ -150,16 +152,36 @@ class RouterScratch {
     return st.local_id;
   }
 
+  /// One candidate entry: request `req` lists the node at span position
+  /// `pos`.
+  struct Posting {
+    std::uint32_t req;
+    std::uint32_t pos;
+  };
+
   std::vector<NodeId> call_nodes_;       // local id -> NodeId
-  std::vector<std::uint32_t> post_off_;  // per local id: offset into post_req_
-  std::vector<std::uint32_t> post_req_;  // request indices, ascending per node
+  std::vector<std::uint32_t> cand_lid_;  // local id per candidate, scan order
+  std::vector<std::uint32_t> post_off_;  // per local id: offset into post_
+  std::vector<Posting> post_;            // ascending by request per node
   std::vector<std::uint32_t> post_cursor_;  // fill cursors (build pass 2)
   std::vector<std::uint64_t> round_stamp_;  // per local id, Greedy SC rounds
   std::uint64_t round_epoch_ = 0;
 
- private:
-  static constexpr std::uint32_t kNoLocalId = 0xffffffffu;
+  // --- Wide Max-of-mins state ------------------------------------------
+  /// A request's running minimum: the seed sweep's first strict minimum
+  /// over its span, as (wait, argmin local id, argmin span position). A
+  /// request with no candidate below +inf has (+inf, kNoLocalId, 0).
+  /// `lid_begin` indexes the request's candidates in cand_lid_.
+  struct RequestMin {
+    double wait;
+    std::uint32_t lid;
+    std::uint32_t pos;
+    std::uint32_t lid_begin;
+  };
+  std::vector<RequestMin> req_min_;
+  std::vector<double> local_wait_;  // per local id: span-adjusted wait
 
+ private:
   struct NodeState {
     std::uint64_t stamp = 0;
     double wait = 0.0;

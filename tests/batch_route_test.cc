@@ -5,14 +5,18 @@
 // RNG draw — under both frozen waits and live busy-until state mutated
 // between scans (the driver's enqueue-between-scans regime), at low
 // replication and at up to 128 candidates per request with idle nodes,
-// where the Max-of-mins sweep stops at its lower bound. Also pins the
-// sink ordering contract, the partial-commit guarantee on unroutable
-// scans, and the PowerOfTwo RNG-consumption contract per batch element.
+// where the Max-of-mins sweep stops at its lower bound, and on scans of
+// 17-150 requests over ~62-node spans, idle and saturated, where it takes
+// its incremental wide core. Also pins the sink ordering contract, the
+// partial-commit guarantee on unroutable scans, and the PowerOfTwo
+// RNG-consumption contract per batch element.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -356,6 +360,71 @@ TEST_P(BatchRouteTest, DeterministicRoutersMatchAtHighReplication) {
   }
 }
 
+// ------------------------------------------------ wide Max-of-mins scans
+
+/// One scan of `n_req` requests over `node_count` nodes, each candidate
+/// span `span` - 2 to `span` + 2 nodes in shuffled order, `lo` to `hi`
+/// tuples per read.
+std::vector<FragmentRequest> WideScan(Rng* rng, std::size_t n_req,
+                                      std::size_t node_count,
+                                      std::size_t span, TupleCount lo,
+                                      TupleCount hi) {
+  std::vector<FragmentRequest> scan;
+  for (std::size_t i = 0; i < n_req; ++i) {
+    std::vector<NodeId> all(node_count);
+    std::iota(all.begin(), all.end(), NodeId{0});
+    rng->Shuffle(&all);
+    all.resize(span - 2 + rng->Uniform(5));
+    scan.push_back(Req(static_cast<FlatFragmentId>(i),
+                       lo + rng->Uniform(hi - lo + 1), std::move(all)));
+  }
+  return scan;
+}
+
+/// Busy-until times (view time 0) of a saturated cluster: every node
+/// busy for at least a second, a third of them at one of three shared
+/// values, so candidates tie exactly and the least-loaded node is the
+/// argmin of many requests at once.
+std::vector<SimTime> SaturatedBusy(Rng* rng, std::size_t node_count) {
+  std::vector<SimTime> busy(node_count);
+  for (SimTime& b : busy) {
+    b = rng->Uniform(3) == 0 ? 1.0 + static_cast<double>(rng->Uniform(3))
+                             : 1.0 + 20.0 * rng->NextDouble();
+  }
+  return busy;
+}
+
+// Scans wider than 16 requests take the incremental core. Real
+// configurations' regime: ~130 nodes, ~62-node spans, blocks mixing wide
+// scans, idle-boundary waits and saturated ones. Saturated reads take
+// 1-10 s (tuples x read time >> phi), so scheduling one lifts a shared
+// argmin far above the other candidates and every request holding it
+// must be swept again.
+TEST_P(BatchRouteTest, MaxOfMinsMatchesSeedOnWideScans) {
+  Rng rng(GetParam());
+  MaxOfMinsRouter mm;
+  for (const std::size_t n_req : {17u, 32u, 100u, 150u}) {
+    for (const bool saturated : {false, true}) {
+      const std::size_t node_count = 126 + rng.Uniform(9);
+      const double phi = saturated ? 0.35 : 0.05 + rng.NextDouble();
+      const double rspt =
+          saturated ? 1e-5 : 1e-6 * static_cast<double>(1 + rng.Uniform(100));
+      const TupleCount lo = saturated ? 100'000 : 1;
+      const TupleCount hi = saturated ? 1'000'000 : 2000;
+      std::vector<std::vector<FragmentRequest>> scans;
+      scans.push_back(WideScan(&rng, n_req, node_count, 62, lo, hi));
+      scans.push_back(WideScan(&rng, 1 + rng.Uniform(16), node_count, 62, lo,
+                               hi));
+      scans.push_back(WideScan(&rng, n_req, node_count, 62, lo, hi));
+      const auto busy = saturated ? SaturatedBusy(&rng, node_count)
+                                  : BoundaryBusy(&rng, node_count, phi);
+      ExpectBatchMatchesSeed(SeedMaxOfMinsRoute, &mm, scans, busy, rspt,
+                             phi);
+      if (HasFailure()) return;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchRouteTest,
                          ::testing::Range<std::uint64_t>(1, 9));
 
@@ -482,6 +551,96 @@ TEST(BatchRouteEdgeTest, PartialCommitOnUnroutableScan) {
     EXPECT_EQ(sink.events[1].scan, 1u);
     // Only the committed scans' reads are in the output: 2 + 1.
     EXPECT_EQ(out.size(), 3u) << router->name();
+  }
+}
+
+TEST(BatchRouteEdgeTest, MaxOfMinsWideScanWithEmptySpanRollsBack) {
+  // Scans 0 and 1 route; scan 2 is 40 wide and request 23 has no live
+  // replica, so it fails before any of its reads is kept, and scan 3 is
+  // never routed.
+  Rng rng(17);
+  std::vector<std::vector<FragmentRequest>> scans;
+  scans.push_back(WideScan(&rng, 3, 130, 62, 1000, 100'000));
+  scans.push_back(WideScan(&rng, 30, 130, 62, 1000, 100'000));
+  scans.push_back(WideScan(&rng, 40, 130, 62, 1000, 100'000));
+  scans[2][23].frag = 9023;
+  scans[2][23].candidates.clear();
+  scans.push_back(WideScan(&rng, 20, 130, 62, 1000, 100'000));
+  const std::vector<SimTime> busy = SaturatedBusy(&rng, 130);
+
+  std::vector<RoutedRead> want;
+  std::vector<SimTime> seed_busy = busy;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const auto routed =
+        SeedMaxOfMinsRoute(scans[s], WaitsAt(seed_busy, 0.0), 1e-5, 0.35);
+    ASSERT_TRUE(routed.ok());
+    for (const RoutedRead& rr : *routed) {
+      seed_busy[rr.node] +=
+          static_cast<double>(scans[s][rr.request_index].tuples) * 1e-5 +
+          0.35;
+      want.push_back(rr);
+    }
+  }
+
+  const BatchSet bs = MakeBatch(scans);
+  std::vector<SimTime> live = busy;
+  RecordingSink rec;
+  MutatingSink mut(&bs.batch, &live, 1e-5);
+  struct BothSinks : BatchSink {
+    RecordingSink* rec;
+    MutatingSink* mut;
+    void OnScanRouted(std::size_t i, const RoutedRead* r,
+                      std::size_t n) override {
+      rec->OnScanRouted(i, r, n);
+      mut->OnScanRouted(i, r, n);
+    }
+  } sink;
+  sink.rec = &rec;
+  sink.mut = &mut;
+  MaxOfMinsRouter mm;
+  RouterScratch scratch;
+  std::vector<RoutedRead> out;
+  const WaitView view(live.data(), live.size(), 0.0);
+  const Status st =
+      mm.RouteBatchInto(bs.batch, view, 1e-5, 0.35, &scratch, &out, &sink);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("fragment 9023 "), std::string_view::npos)
+      << st.message();
+  ASSERT_EQ(rec.events.size(), 2u);
+  ASSERT_EQ(out.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i].request_index, want[i].request_index) << i;
+    EXPECT_EQ(out[i].node, want[i].node) << i;
+  }
+}
+
+TEST(BatchRouteEdgeTest, MaxOfMinsInfiniteWaitIsUnroutableAtEveryWidth) {
+  // A request whose every candidate waits +inf has no argmin, as an empty
+  // span has none: at every scan width, that request fails the scan
+  // (nothing here waits longer, so it is scheduled first) instead of
+  // being routed onto a node it ties with at +inf.
+  Rng rng(23);
+  for (const std::size_t n_req : {5u, 40u}) {
+    std::vector<FragmentRequest> scan =
+        WideScan(&rng, n_req, 130, 62, 1000, 100'000);
+    std::vector<SimTime> busy = SaturatedBusy(&rng, 130);
+    const std::size_t stuck = n_req / 2;
+    scan[stuck].frag = 7000;
+    scan[stuck].candidates = {3, 7, 9};
+    for (const NodeId m : scan[stuck].candidates) {
+      busy[m] = std::numeric_limits<SimTime>::infinity();
+    }
+    const BatchSet bs = MakeBatch({scan});
+    MaxOfMinsRouter mm;
+    RouterScratch scratch;
+    std::vector<RoutedRead> out;
+    const WaitView view(busy.data(), busy.size(), 0.0);
+    const Status st =
+        mm.RouteBatchInto(bs.batch, view, 1e-5, 0.35, &scratch, &out, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << n_req;
+    EXPECT_NE(st.message().find("fragment 7000 "), std::string_view::npos)
+        << st.message();
+    EXPECT_TRUE(out.empty()) << n_req;
   }
 }
 

@@ -1,6 +1,6 @@
 // Bitwise oracle suite for the reconfiguration round's three kernels: the
 // greedy fragmenter's split search and triplet merge, the dense Hungarian
-// solver, and the packer's coverage query. Each production kernel must
+// solver, and the packer's coverer index. Each production kernel must
 // reproduce its reference implementation exactly: every double compared
 // with EXPECT_EQ, whole assignment vectors and fragment lists, not only
 // costs.
@@ -10,12 +10,13 @@
 // search over a freshly collected candidate vector, a triplet merge that
 // recomputes three errors per triplet, the nested-vector Kuhn–Munkres that
 // allocates its slack and visited arrays per row, and a linear coverage
-// scan over every interval of a node.
+// scan over every interval of every node.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "common/random.h"
 #include "fragment/fragmenter.h"
 #include "fragment/prefix_stats.h"
+#include "replication/cluster_config.h"
 #include "replication/node_data.h"
 #include "transition/edge_cost.h"
 #include "transition/hungarian.h"
@@ -615,46 +617,159 @@ bool OracleCovers(const std::vector<NodeData::Interval>& intervals,
   return false;
 }
 
+FragmentInfo Frag(TableId table, TupleIndex start, TupleIndex end) {
+  FragmentInfo f;
+  f.table = table;
+  f.range = TupleRange{start, end};
+  f.replicas = 1;
+  return f;
+}
+
+// The CovererIndex over `data` must list, for every fragment, exactly the
+// nodes whose intervals contain it by the linear oracle, ascending.
+void ExpectOracleCoverers(const std::vector<FragmentInfo>& frags,
+                          const std::vector<NodeData>& data, int trial) {
+  const CovererIndex index(frags, data);
+  for (std::size_t f = 0; f < frags.size(); ++f) {
+    std::vector<NodeId> want;
+    for (std::size_t m = 0; m < data.size(); ++m) {
+      if (OracleCovers(data[m].intervals(), frags[f].table, frags[f].range)) {
+        want.push_back(static_cast<NodeId>(m));
+      }
+    }
+    const std::vector<NodeId> got(index.begin(f), index.end(f));
+    ASSERT_EQ(got, want) << "trial " << trial << " fragment " << f
+                         << " table " << frags[f].table << " ["
+                         << frags[f].range.start << ", "
+                         << frags[f].range.end << ")";
+  }
+}
+
 TEST(CoversOracleTest, RandomCoalescedIntervalSets) {
   Rng rng(301);
   for (int trial = 0; trial < 300; ++trial) {
     const TableId tables = 1 + static_cast<TableId>(rng.Uniform(4));
     const TupleCount n = 10 + rng.Uniform(trial % 3 == 0 ? 30 : 5000);
-    std::vector<NodeData::Interval> raw;
-    const std::size_t count = rng.Uniform(40);
-    for (std::size_t k = 0; k < count; ++k) {
-      const TupleIndex a = rng.Uniform(n);
-      const TupleIndex b = a + 1 + rng.Uniform(n / 4 + 1);
-      raw.push_back(NodeData::Interval{
-          static_cast<TableId>(rng.Uniform(tables)), TupleRange{a, b}});
-    }
-    const NodeData data = NodeData::FromIntervals(raw);
-    const std::vector<NodeData::Interval>& ivs = data.intervals();
-    for (std::size_t k = 1; k < ivs.size(); ++k) {
-      if (ivs[k].table == ivs[k - 1].table) {
-        ASSERT_LT(ivs[k - 1].range.end, ivs[k].range.start);
+    std::vector<NodeData> data;
+    const std::size_t node_count = 1 + rng.Uniform(5);
+    for (std::size_t m = 0; m < node_count; ++m) {
+      std::vector<NodeData::Interval> raw;
+      const std::size_t count = rng.Uniform(40);
+      for (std::size_t k = 0; k < count; ++k) {
+        const TupleIndex a = rng.Uniform(n);
+        const TupleIndex b = a + 1 + rng.Uniform(n / 4 + 1);
+        raw.push_back(NodeData::Interval{
+            static_cast<TableId>(rng.Uniform(tables)), TupleRange{a, b}});
+      }
+      data.push_back(NodeData::FromIntervals(raw));
+      const std::vector<NodeData::Interval>& ivs = data.back().intervals();
+      for (std::size_t k = 1; k < ivs.size(); ++k) {
+        if (ivs[k].table == ivs[k - 1].table) {
+          ASSERT_LT(ivs[k - 1].range.end, ivs[k].range.start);
+        }
       }
     }
-    auto check = [&](TableId t, const TupleRange& r) {
-      ASSERT_EQ(data.Covers(t, r), OracleCovers(ivs, t, r))
-          << "trial " << trial << " table " << t << " [" << r.start << ", "
-          << r.end << ")";
-    };
+    std::vector<FragmentInfo> frags;
     for (int q = 0; q < 100; ++q) {
       const TableId t = static_cast<TableId>(rng.Uniform(tables + 1));
       const TupleIndex a = rng.Uniform(n + n / 4);
-      check(t, TupleRange{a, a + 1 + rng.Uniform(n / 3 + 1)});
+      frags.push_back(Frag(t, a, a + 1 + rng.Uniform(n / 3 + 1)));
     }
     // Ranges at and just past every interval's edges.
-    for (const NodeData::Interval& iv : ivs) {
-      check(iv.table, iv.range);
-      check(iv.table, TupleRange{iv.range.start, iv.range.end + 1});
-      if (iv.range.start > 0) {
-        check(iv.table, TupleRange{iv.range.start - 1, iv.range.end});
+    for (const NodeData& d : data) {
+      for (const NodeData::Interval& iv : d.intervals()) {
+        frags.push_back(Frag(iv.table, iv.range.start, iv.range.end));
+        frags.push_back(Frag(iv.table, iv.range.start, iv.range.end + 1));
+        if (iv.range.start > 0) {
+          frags.push_back(Frag(iv.table, iv.range.start - 1, iv.range.end));
+        }
+        frags.push_back(Frag(iv.table, iv.range.end - 1, iv.range.end));
+        frags.push_back(Frag(iv.table + 1, iv.range.start, iv.range.end));
       }
-      check(iv.table, TupleRange{iv.range.end - 1, iv.range.end});
-      check(iv.table + 1, iv.range);
     }
+    rng.Shuffle(&frags);
+    ExpectOracleCoverers(frags, data, trial);
+    if (HasFailure()) return;
+  }
+}
+
+// The packer's own inputs: a random previous configuration of 1-4 tables
+// (adjacent fragments on one node coalesce), with crashed and partitioned
+// nodes contributing no coverage as RepackIncremental builds it. Queried
+// with the previous fragments themselves (PlanEmergencyRepair's input),
+// with a re-fragmentation that cuts at interval edges, one tuple off them
+// and at random, and with fragments of a table no node holds.
+TEST(CoversOracleTest, RandomPreviousConfigurations) {
+  Rng rng(302);
+  for (int trial = 0; trial < 200; ++trial) {
+    const TableId tables = 1 + static_cast<TableId>(rng.Uniform(4));
+    const std::size_t node_count = 1 + rng.Uniform(12);
+    std::vector<FragmentInfo> prev_frags;
+    std::vector<std::vector<TupleIndex>> cuts(tables);
+    for (TableId t = 0; t < tables; ++t) {
+      const TupleCount n = 4 + rng.Uniform(trial % 4 == 0 ? 20 : 2000);
+      cuts[t] = {0, n};
+      for (std::size_t k = rng.Uniform(12); k > 0; --k) {
+        cuts[t].push_back(1 + rng.Uniform(n - 1));
+      }
+      std::sort(cuts[t].begin(), cuts[t].end());
+      cuts[t].erase(std::unique(cuts[t].begin(), cuts[t].end()),
+                    cuts[t].end());
+      for (std::size_t k = 0; k + 1 < cuts[t].size(); ++k) {
+        prev_frags.push_back(Frag(t, cuts[t][k], cuts[t][k + 1]));
+      }
+    }
+    ReplicationParams params;
+    params.node_disk = 1'000'000;
+    ClusterConfig prev(params, prev_frags);
+    for (std::size_t m = 0; m < node_count; ++m) prev.AddNode();
+    std::vector<NodeId> nodes(node_count);
+    std::iota(nodes.begin(), nodes.end(), NodeId{0});
+    for (FlatFragmentId f = 0; f < prev_frags.size(); ++f) {
+      // Some fragments go unplaced, so no node covers them.
+      rng.Shuffle(&nodes);
+      const std::size_t copies = rng.Uniform(std::min<std::size_t>(
+          node_count + 1, 4));
+      for (std::size_t r = 0; r < copies; ++r) prev.Place(nodes[r], f);
+    }
+    std::vector<NodeData> data;
+    for (NodeId m = 0; m < node_count; ++m) {
+      const bool dead = rng.Bernoulli(0.15);
+      const bool pinned = rng.Bernoulli(0.15);
+      data.push_back(dead || pinned ? NodeData() : NodeData::Of(prev, m));
+    }
+    ExpectOracleCoverers(prev_frags, data, trial);
+
+    std::vector<FragmentInfo> next;
+    for (TableId t = 0; t <= tables; ++t) {
+      std::vector<TupleIndex> edges;
+      if (t < tables) {
+        for (const TupleIndex c : cuts[t]) {
+          if (rng.Bernoulli(0.5)) edges.push_back(c);
+          if (c > 0 && rng.Bernoulli(0.2)) edges.push_back(c - 1);
+          if (rng.Bernoulli(0.2)) edges.push_back(c + 1);
+        }
+        for (const NodeData& d : data) {
+          for (const NodeData::Interval& iv : d.intervals()) {
+            if (iv.table != t) continue;
+            edges.push_back(iv.range.start);
+            edges.push_back(iv.range.end);
+          }
+        }
+      }
+      const TupleIndex n = t < tables ? cuts[t].back() : 100;
+      edges.push_back(0);
+      edges.push_back(n);
+      for (std::size_t k = rng.Uniform(4); k > 0; --k) {
+        edges.push_back(rng.Uniform(n + 1));
+      }
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+      for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
+        next.push_back(Frag(t, edges[k], edges[k + 1]));
+      }
+    }
+    ExpectOracleCoverers(next, data, trial);
     if (HasFailure()) return;
   }
 }

@@ -63,7 +63,8 @@
 #              noise-level, the point is that the benches build against
 #              the current interfaces and run, the identity checks
 #              inside them pass (route identity for the data plane's
-#              sweep and its 128-node replication x load points,
+#              sweep, its 128-node replication x load points and its
+#              real2-shaped point of 17-150-request scans,
 #              sparse-vs-dense plan-cost identity for the transition
 #              sweep and its real2-sized and stream-shaped instances,
 #              each built on the graph accumulation its regime takes,
@@ -119,9 +120,11 @@ if [[ "${BENCH_SMOKE}" == "1" ]]; then
   cmake --build build -j "${JOBS}" --target bench_data_plane
   dp_out="BENCH_data_plane.json"
   ./build/bench/bench_data_plane --smoke --out="${dp_out}"
-  # Validate: parseable JSON covering the full shards x batch sweep and
-  # the replication x load points, with positive throughput and tails at
-  # every point.
+  # Validate: parseable JSON covering the full shards x batch sweep, the
+  # replication x load points and the real2-shaped point (scans wider
+  # than 16 requests at ~62 candidates, saturated, so routing takes the
+  # wide Max-of-mins core), with positive throughput and tails at every
+  # point.
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${dp_out}" <<'EOF'
 import json, sys
@@ -143,13 +146,21 @@ assert wide == {(r, l) for r in (4, 32, 126) for l in ("idle", "saturated")}, wi
 for p in doc["replication_load"]:
     assert p["nodes"] == 128 and p["scans_per_sec"] > 0, p
     assert p["p50_ns"] > 0 and p["p99_ns"] >= p["p50_ns"], p
+r2 = doc["real2_shape"]
+assert r2["nodes"] == 130 and r2["load"] == "saturated", r2
+assert r2["requests_per_scan"] > 16, r2
+assert 55 <= r2["candidates_per_request"] <= 70, r2
+assert r2["scans_per_sec"] > 0, r2
+assert r2["p50_ns"] > 0 and r2["p99_ns"] >= r2["p50_ns"], r2
 print("bench artifact OK:", len(points), "sweep points,", len(wide),
-      "replication x load points")
+      "replication x load points, real2 shape at",
+      r2["requests_per_scan"], "requests per scan")
 EOF
   else
     grep -q '"bench": "data_plane"' "${dp_out}"
     grep -q '"speedup_4shard_batch256_vs_baseline"' "${dp_out}"
     grep -q '"replication_load"' "${dp_out}"
+    grep -q '"real2_shape"' "${dp_out}"
     echo "bench artifact OK (grep fallback)"
   fi
   echo
@@ -162,7 +173,8 @@ EOF
   # real2-sized and the stream-shaped instance (the bench itself
   # CHECK-fails on any mismatch); and the graph build summed those two
   # overlap-rich instances in dense rows and every sweep point through
-  # the scatter (DESIGN.md 15.1).
+  # the scatter (DESIGN.md 15.1); every stage records its minimum and
+  # median over the instance's reps (one rep in smoke mode).
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${tr_out}" <<'EOF'
 import json, sys
@@ -173,6 +185,11 @@ assert doc["results"], doc
 for r in doc["results"]:
     assert r["nodes_new"] > 0 and r["fragments"] > 0, r
     assert r["plan_ms"] > 0 and r["validate_ms"] > 0, r
+    assert r["reps"] >= 1, r
+    for stage in ("pack", "graph", "solve", "plan", "validate", "dense"):
+        lo, mid = r[stage + "_ms"], r[stage + "_ms_median"]
+        skipped = stage == "dense" and not r["cost_identity_checked"]
+        assert (lo, mid) == (-1, -1) if skipped else 0 <= lo <= mid, r
     if r["instance"] == "sweep":
         assert r["graph_accumulation"] == "scatter", r
 for name in ("real2", "stream"):
@@ -188,6 +205,7 @@ EOF
     grep -q '"instance": "real2"' "${tr_out}"
     grep -q '"instance": "stream"' "${tr_out}"
     grep -q '"cost_identity_checked": true' "${tr_out}"
+    grep -q '"plan_ms_median"' "${tr_out}"
     echo "bench artifact OK (grep fallback)"
   fi
   echo

@@ -440,6 +440,20 @@ std::vector<ScheduledEpoch> BuildEpochSchedule(const Flags& f,
 
 namespace {
 
+/// Writes a run's metrics snapshot (--metrics) to `path`. Returns false,
+/// naming the path on stderr, when the file cannot be opened.
+bool WriteMetricsSnapshot(const std::string& path, const std::string& json) {
+  std::FILE* mf = std::fopen(path.c_str(), "w");
+  if (mf == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  std::fprintf(mf, "%s\n", json.c_str());
+  std::fclose(mf);
+  std::printf("metrics snapshot   : %s\n", path.c_str());
+  return true;
+}
+
 /// --scenario mode: load, run, report, and gate on the SLO assertions.
 /// Exit codes: 0 ok, 1 I/O, 2 malformed spec, 4 assertion violated.
 int RunScenarioMode(const Flags& f) {
@@ -480,6 +494,10 @@ int RunScenarioMode(const Flags& f) {
     std::fprintf(rf, "%s", out.report_json.c_str());
     std::fclose(rf);
     std::printf("report             : %s\n", f.report_path.c_str());
+  }
+  if (!f.metrics_path.empty() &&
+      !WriteMetricsSnapshot(f.metrics_path, r.metrics_json)) {
+    return 1;
   }
   if (!out.violations.empty()) {
     for (const std::string& v : out.violations) {
@@ -655,16 +673,9 @@ int main(int argc, char** argv) {
 
   const RunResult r = RunWorkload(wl, system.get(), router.get(), d);
   PrintSerialSummary(f, wl, r);
-  if (!f.metrics_path.empty() && !r.metrics_json.empty()) {
-    std::FILE* mf = std::fopen(f.metrics_path.c_str(), "w");
-    if (mf == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   f.metrics_path.c_str());
-      return 1;
-    }
-    std::fprintf(mf, "%s\n", r.metrics_json.c_str());
-    std::fclose(mf);
-    std::printf("metrics snapshot   : %s\n", f.metrics_path.c_str());
+  if (!f.metrics_path.empty() && !r.metrics_json.empty() &&
+      !WriteMetricsSnapshot(f.metrics_path, r.metrics_json)) {
+    return 1;
   }
   if (r.aborted_queries > 0) {
     std::fprintf(stderr,
