@@ -163,6 +163,9 @@ void AppendTrace(std::string* out, const ReconfigTrace& t) {
   AppendKey(out, "wall_ms");
   AppendDouble(out, t.replication_ms);
   out->append(", ");
+  AppendKey(out, "reused");
+  out->append(t.build_reused ? "true" : "false");
+  out->append(", ");
   AppendKey(out, "nash_equilibrium");
   out->append(t.nash_equilibrium ? "true" : "false");
   out->append(", ");
@@ -184,6 +187,9 @@ void AppendTrace(std::string* out, const ReconfigTrace& t) {
   out->append(", ");
   AppendKey(out, "plan_ms");
   AppendDouble(out, t.plan_ms);
+  out->append(", ");
+  AppendKey(out, "reused");
+  out->append(t.plan_reused ? "true" : "false");
   out->append(", ");
   AppendKey(out, "plan_used_sparse");
   out->append(t.plan_used_sparse ? "true" : "false");

@@ -125,6 +125,10 @@ struct ReconfigTrace {
   std::size_t nodes = 0;            ///< Provisioned node count.
   double disk_fill = 0.0;           ///< Stored tuples / (nodes * disk).
   double replication_ms = 0.0;      ///< Eq. 9 + hysteresis + packing wall.
+  /// The build's packing inputs repeated and it returned the previous
+  /// configuration unpacked (DESIGN.md §15.9); the economics above and
+  /// the verdict below are those of the build it reused.
+  bool build_reused = false;
   bool nash_equilibrium = false;    ///< CheckNashEquilibrium verdict.
   std::string nash_violation;       ///< First violated condition, if any.
 
@@ -133,6 +137,9 @@ struct ReconfigTrace {
   std::size_t nodes_added = 0;
   std::size_t nodes_removed = 0;
   double plan_ms = 0.0;             ///< Matching solve wall time.
+  /// The round kept the previous round's plan between the same two
+  /// configurations instead of planning (DESIGN.md §15.9).
+  bool plan_reused = false;
   bool plan_used_sparse = false;    ///< Sparse SSP vs dense Hungarian.
   std::size_t plan_graph_edges = 0; ///< Positive-overlap edges priced.
   std::uint64_t plan_solver_iterations = 0;  ///< Sparse Dijkstra settles.

@@ -6,6 +6,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "cluster/faults.h"
@@ -58,8 +59,8 @@ struct PendingBuild {
 /// that case a fresh record is appended so the transition stage is still
 /// covered for every round.
 void AnnotateTransition(SimTime sim_time_s, bool applied,
-                        const TransitionPlan& plan, double plan_ms,
-                        double total_ms) {
+                        const TransitionPlan& plan, bool plan_reused,
+                        double plan_ms, double total_ms) {
   metrics::Registry& reg = metrics::Registry::Global();
   if (!reg.enabled()) return;
   const auto fill = [&](metrics::ReconfigTrace& tr) {
@@ -70,6 +71,7 @@ void AnnotateTransition(SimTime sim_time_s, bool applied,
     tr.nodes_added = plan.nodes_added;
     tr.nodes_removed = plan.nodes_removed;
     tr.plan_ms = plan_ms;
+    tr.plan_reused = plan_reused;
     tr.plan_used_sparse = plan.stats.used_sparse;
     tr.plan_graph_edges = plan.stats.graph_edges;
     tr.plan_solver_iterations = plan.stats.solver_iterations;
@@ -267,7 +269,8 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     if (collect) {
       metrics::Count("sim.transitions");
       AnnotateTransition(/*sim_time_s=*/0.0, /*applied=*/true, bootstrap,
-                         plan_ms, MsSince(bootstrap_start));
+                         /*plan_reused=*/false, plan_ms,
+                         MsSince(bootstrap_start));
     }
     cur = std::make_unique<ConfigEpoch>(0, std::move(config));
   }
@@ -413,6 +416,14 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // after the kick: the stop-the-world round.
   std::unique_ptr<PendingBuild> pending_build;
 
+  // The last plan, kept when it was planned from `cur`'s configuration to
+  // a bit-identical one with no dead node. PlanTransition is a pure
+  // function of (old, new, dead), so while publishes keep bringing that
+  // same pair the kept plan is the one planning would return (DESIGN.md
+  // §15.9). Any other plan, and every emergency repair, drops it; so
+  // while it is kept, `cur` holds the configuration it was planned on.
+  std::optional<TransitionPlan> repeat_plan;
+
   // Kicks the next epoch's build at simulated-time `boundary`. Everything
   // that reads cluster state at the boundary (fault delivery, the dead
   // bitmap) happens here on the driver thread; the background task only
@@ -456,7 +467,25 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     // to the stall like the residual build wait above.
     const auto plan_start = std::chrono::steady_clock::now();
     const std::vector<bool>* dead = faults_on ? &pb.dead : nullptr;
-    const TransitionPlan plan = PlanTransition(cur->config(), next, dead);
+    const bool any_dead =
+        std::find(pb.dead.begin(), pb.dead.end(), true) != pb.dead.end();
+    const bool repeat = !any_dead && next.BitIdentical(cur->config());
+    const bool plan_reused = repeat && repeat_plan.has_value();
+    TransitionPlan plan;
+    if (plan_reused) {
+      plan = *repeat_plan;
+      // Validating builds: the kept plan must be what planning returns.
+      NASHDB_VALIDATE_OR_DIE(ValidateReusedPlan(
+          plan, PlanTransition(cur->config(), next, dead)));
+      metrics::Count("transition.reused_plans");
+    } else {
+      plan = PlanTransition(cur->config(), next, dead);
+      if (repeat) {
+        repeat_plan = plan;
+      } else {
+        repeat_plan.reset();
+      }
+    }
     NASHDB_VALIDATE_OR_DIE(ValidateConfig(next));
     NASHDB_VALIDATE_OR_DIE(ValidatePlan(plan, cur->config(), next, dead));
     const double plan_ms = collect ? MsSince(plan_start) : 0.0;
@@ -475,8 +504,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
       // is what replaces crashed machines, so a skip would leave the
       // crash unrepaired until the data happened to shift enough (the
       // adaptive-skip repair bug).
-      const bool any_dead =
-          std::find(pb.dead.begin(), pb.dead.end(), true) != pb.dead.end();
       apply = change >= options.adaptive_min_change ||
               next.node_count() != cur->config().node_count() || any_dead;
     }
@@ -504,7 +531,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
       metrics::Observe("sim.reconfig_stall_s", stall_s);
       const double round_ms = MsSince(pb.round_start);
       metrics::Observe("sim.reconfig_round_ms", round_ms);
-      AnnotateTransition(at, apply, plan, plan_ms, round_ms);
+      AnnotateTransition(at, apply, plan, plan_reused, plan_ms, round_ms);
     }
     pending_build.reset();
   };
@@ -549,6 +576,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     charge_interruptions(plan, at);
     cur = std::make_unique<ConfigEpoch>(cur->epoch() + 1,
                                         std::move(*repaired));
+    repeat_plan.reset();
     system->NoteAppliedConfig(cur->config());
     ++result.transitions;
     ++result.emergency_repairs;

@@ -20,7 +20,89 @@ std::unique_ptr<Fragmenter> MakeGreedy() {
   return std::make_unique<GreedyFragmenter>();
 }
 
+/// True when `params` and `fragments` are the packing inputs `config` was
+/// packed from: packing keeps the params and the fragment list it is
+/// given and decides only each fragment's `replicas`.
+bool SamePackingInputs(const ClusterConfig& config,
+                       const ReplicationParams& params,
+                       const std::vector<FragmentInfo>& fragments) {
+  if (!BitIdentical(config.params(), params) ||
+      config.fragments().size() != fragments.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    if (!SameFragmentInputs(config.fragments()[i], fragments[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+ClusterConfig DecideAndPack(const ReplicationParams& params,
+                            std::vector<FragmentInfo> fragments,
+                            const ClusterConfig* previous,
+                            std::size_t* ideal_replicas) {
+  DecideReplication(params, &fragments);
+  if (ideal_replicas != nullptr) {
+    *ideal_replicas = 0;
+    for (const FragmentInfo& f : fragments) *ideal_replicas += f.replicas;
+  }
+
+  // Replica-count hysteresis: keep (approximately) the previous count
+  // when the fresh Eq. 9 ideal only flutters around it — sampling noise
+  // in the scan window would otherwise turn into fragment copies at every
+  // transition. Fragment boundaries shift between reconfigurations, so
+  // the previous count of a new fragment is estimated as the
+  // overlap-weighted average of the previous fragments covering its
+  // range.
+  if (previous != nullptr) {
+    std::map<TableId, std::vector<const FragmentInfo*>> prev_by_table;
+    for (const FragmentInfo& f : previous->fragments()) {
+      prev_by_table[f.table].push_back(&f);
+    }
+    for (auto& [table, frags] : prev_by_table) {
+      (void)table;
+      std::sort(frags.begin(), frags.end(),
+                [](const FragmentInfo* a, const FragmentInfo* b) {
+                  return a->range.start < b->range.start;
+                });
+    }
+    for (FragmentInfo& f : fragments) {
+      auto it = prev_by_table.find(f.table);
+      if (it == prev_by_table.end()) continue;
+      double weighted = 0.0;
+      TupleCount covered = 0;
+      for (const FragmentInfo* p : it->second) {
+        if (p->range.start >= f.range.end) break;
+        const TupleCount overlap = p->range.Intersect(f.range).size();
+        if (overlap == 0) continue;
+        weighted +=
+            static_cast<double>(p->replicas) * static_cast<double>(overlap);
+        covered += overlap;
+      }
+      if (covered == 0) continue;
+      const double prev = weighted / static_cast<double>(covered);
+      const double diff = std::abs(static_cast<double>(f.replicas) - prev);
+      const double band = std::max(static_cast<double>(kReplicaHysteresis),
+                                   kReplicaHysteresisFrac * prev);
+      if (diff > 0.0 && diff <= band) {
+        std::size_t kept = static_cast<std::size_t>(prev + 0.5);
+        kept = std::max(kept, params.min_replicas);
+        if (params.max_replicas > 0) {
+          kept = std::min(kept, params.max_replicas);
+        }
+        f.replicas = kept;
+      }
+    }
+  }
+
+  Result<ClusterConfig> packed =
+      RepackIncremental(params, std::move(fragments), previous);
+  NASHDB_CHECK(packed.ok()) << packed.status().ToString();
+  return std::move(packed).value();
+}
 
 NashDbSystem::NashDbSystem(Dataset dataset, const NashDbOptions& options)
     : NashDbSystem(std::move(dataset), options, &MakeGreedy) {}
@@ -234,65 +316,27 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
   }
 
   const auto replication_start = std::chrono::steady_clock::now();
-  DecideReplication(params, &fragments);
-
-  if (collect) {
-    trace.fragments = fragments.size();
-    for (const FragmentInfo& f : fragments) trace.ideal_replicas += f.replicas;
+  // Replication is a pure function of the params, the fragments and the
+  // anchor. When the last build reproduced its anchor and this build's
+  // params and fragments equal its own, packing would return the anchor
+  // again, bit for bit: reuse it (DESIGN.md §15.9).
+  const bool reused = last_build_fixed_point_ &&
+                      SamePackingInputs(*last_config_, params, fragments);
+  if (reused) {
+    // Validating builds: the reuse must be what packing would return.
+    NASHDB_VALIDATE_OR_DIE(ValidateReusedConfig(
+        *last_config_,
+        DecideAndPack(params, std::move(fragments), last_config_.get())));
+  } else {
+    ClusterConfig packed = DecideAndPack(params, std::move(fragments),
+                                         last_config_.get(),
+                                         &last_ideal_replicas_);
+    last_build_fixed_point_ =
+        last_config_ != nullptr && packed.BitIdentical(*last_config_);
+    last_audit_.reset();
+    last_config_ = std::make_unique<ClusterConfig>(std::move(packed));
   }
-
-  // Replica-count hysteresis: keep (approximately) the previous count
-  // when the fresh Eq. 9 ideal only flutters around it — sampling noise
-  // in the scan window would otherwise turn into fragment copies at every
-  // transition. Fragment boundaries shift between reconfigurations, so
-  // the previous count of a new fragment is estimated as the
-  // overlap-weighted average of the previous fragments covering its
-  // range.
-  if (last_config_ != nullptr) {
-    std::map<TableId, std::vector<const FragmentInfo*>> prev_by_table;
-    for (const FragmentInfo& f : last_config_->fragments()) {
-      prev_by_table[f.table].push_back(&f);
-    }
-    for (auto& [table, frags] : prev_by_table) {
-      (void)table;
-      std::sort(frags.begin(), frags.end(),
-                [](const FragmentInfo* a, const FragmentInfo* b) {
-                  return a->range.start < b->range.start;
-                });
-    }
-    for (FragmentInfo& f : fragments) {
-      auto it = prev_by_table.find(f.table);
-      if (it == prev_by_table.end()) continue;
-      double weighted = 0.0;
-      TupleCount covered = 0;
-      for (const FragmentInfo* p : it->second) {
-        if (p->range.start >= f.range.end) break;
-        const TupleCount overlap = p->range.Intersect(f.range).size();
-        if (overlap == 0) continue;
-        weighted +=
-            static_cast<double>(p->replicas) * static_cast<double>(overlap);
-        covered += overlap;
-      }
-      if (covered == 0) continue;
-      const double prev = weighted / static_cast<double>(covered);
-      const double diff = std::abs(static_cast<double>(f.replicas) - prev);
-      const double band = std::max(static_cast<double>(kReplicaHysteresis),
-                                   kReplicaHysteresisFrac * prev);
-      if (diff > 0.0 && diff <= band) {
-        std::size_t kept = static_cast<std::size_t>(prev + 0.5);
-        kept = std::max(kept, params.min_replicas);
-        if (params.max_replicas > 0) {
-          kept = std::min(kept, params.max_replicas);
-        }
-        f.replicas = kept;
-      }
-    }
-  }
-
-  Result<ClusterConfig> packed =
-      RepackIncremental(params, std::move(fragments), last_config_.get());
-  NASHDB_CHECK(packed.ok()) << packed.status().ToString();
-  last_config_ = std::make_unique<ClusterConfig>(*packed);
+  const ClusterConfig& config = *last_config_;
 
   // Validating builds: the packed configuration must be structurally sound
   // and every replica count within the hysteresis band of its Eq. 9 ideal
@@ -303,14 +347,16 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
     ValidateOptions econ;
     econ.replica_slack_abs = kReplicaHysteresis;
     econ.replica_slack_frac = kReplicaHysteresisFrac;
-    NASHDB_VALIDATE_OR_DIE(ValidateConfig(*last_config_, pool_.get()));
-    NASHDB_VALIDATE_OR_DIE(ValidateReplicaEconomics(*last_config_, econ));
+    NASHDB_VALIDATE_OR_DIE(ValidateConfig(config, pool_.get()));
+    NASHDB_VALIDATE_OR_DIE(ValidateReplicaEconomics(config, econ));
   }
 #endif
 
   if (collect) {
-    const ClusterConfig& config = *last_config_;
     trace.replication_ms = MsSince(replication_start);
+    trace.build_reused = reused;
+    trace.fragments = config.fragments().size();
+    trace.ideal_replicas = last_ideal_replicas_;
     for (const FragmentInfo& f : config.fragments()) {
       trace.placed_replicas += f.replicas;
     }
@@ -322,24 +368,29 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
            static_cast<double>(params.node_disk));
     }
     // Definition 6.1 audit; min_replicas floors are exempt (they force
-    // replicas above the economic ideal by design).
-    const NashReport nash =
-        CheckNashEquilibrium(config, /*exempt_min_replicas=*/true);
-    trace.nash_equilibrium = nash.is_equilibrium;
-    trace.nash_violation = nash.violation;
+    // replicas above the economic ideal by design). A reused build keeps
+    // the verdict on the configuration it reuses.
+    if (!last_audit_) {
+      last_audit_ = CheckNashEquilibrium(config, /*exempt_min_replicas=*/true);
+    }
+    trace.nash_equilibrium = last_audit_->is_equilibrium;
+    trace.nash_violation = last_audit_->violation;
     metrics::Count("replication.builds");
-    if (!nash.is_equilibrium) metrics::Count("replication.nash_violations");
+    if (reused) metrics::Count("replication.reused_builds");
+    if (!trace.nash_equilibrium) metrics::Count("replication.nash_violations");
     metrics::SetGauge("replication.disk_fill", trace.disk_fill);
     metrics::SetGauge("replication.nodes",
                       static_cast<double>(trace.nodes));
     metrics::Observe("replication.decide_pack_ms", trace.replication_ms);
     metrics::Registry::Global().RecordReconfig(std::move(trace));
   }
-  return std::move(packed).value();
+  return config;
 }
 
 void NashDbSystem::NoteAppliedConfig(const ClusterConfig& config) {
   last_config_ = std::make_unique<ClusterConfig>(config);
+  last_build_fixed_point_ = false;
+  last_audit_.reset();
 }
 
 void NashDbSystem::Reset() {
@@ -347,6 +398,8 @@ void NashDbSystem::Reset() {
       std::make_unique<TupleValueEstimator>(options_.window_scans);
   fragmenters_.clear();
   last_config_.reset();
+  last_build_fixed_point_ = false;
+  last_audit_.reset();
 }
 
 }  // namespace nashdb

@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "engine/system.h"
 #include "fragment/fragmenter.h"
+#include "replication/nash.h"
 #include "replication/replication.h"
 #include "value/estimator.h"
 #include "workload/workload.h"
@@ -26,6 +28,16 @@ namespace nashdb {
 /// grows with the replica level.
 inline constexpr std::size_t kReplicaHysteresis = 1;
 inline constexpr double kReplicaHysteresisFrac = 0.3;
+
+/// The replication stage of a NashDB round (§6): Eq. 9 replica counts
+/// (DecideReplication), the replica-count hysteresis against `previous`,
+/// and incremental packing anchored on `previous` (nullptr at bootstrap).
+/// A pure function of its arguments. `ideal_replicas`, when given,
+/// receives the sum of the Eq. 9 counts before hysteresis.
+ClusterConfig DecideAndPack(const ReplicationParams& params,
+                            std::vector<FragmentInfo> fragments,
+                            const ClusterConfig* previous,
+                            std::size_t* ideal_replicas = nullptr);
 
 /// Configuration of the end-to-end NashDB controller.
 struct NashDbOptions {
@@ -82,7 +94,7 @@ class NashDbSystem : public DistributionSystem {
   /// Re-anchors incremental placement on `config`. The driver calls this
   /// after applying an emergency-repair configuration so the next
   /// BuildConfig packs against what the cluster actually holds instead of
-  /// the pre-failure layout.
+  /// the pre-failure layout. The next build packs in full.
   void NoteAppliedConfig(const ClusterConfig& config) override;
   void Reset() override;
 
@@ -125,6 +137,18 @@ class NashDbSystem : public DistributionSystem {
   std::unique_ptr<ThreadPool> pool_;
   /// Previous configuration, the anchor for incremental placement.
   std::unique_ptr<ClusterConfig> last_config_;
+  /// The last build packed `last_config_` from itself: its output equaled
+  /// the anchor it started from, and no NoteAppliedConfig or Reset has
+  /// replaced it since. A build whose packing inputs (params and
+  /// fragments, which `last_config_` carries) equal the last build's
+  /// then returns `*last_config_` without packing (DESIGN.md §15.9).
+  /// Written by the build, like `last_config_`, under the same contract.
+  bool last_build_fixed_point_ = false;
+  /// What a reused build's trace carries from the build it reuses: the
+  /// sum of its Eq. 9 ideals and its audit verdict (taken when a build
+  /// first needs it, since only builds with metrics on audit).
+  std::size_t last_ideal_replicas_ = 0;
+  std::optional<NashReport> last_audit_;
 };
 
 }  // namespace nashdb

@@ -514,4 +514,76 @@ Status ValidatePlan(const TransitionPlan& plan,
   return Status::OK();
 }
 
+Status ValidateReusedConfig(const ClusterConfig& reused,
+                            const ClusterConfig& packed) {
+  if (reused.BitIdentical(packed)) return Status::OK();
+  std::ostringstream os;
+  os << "reuse: the reused configuration differs from packing's output (";
+  if (!BitIdentical(reused.params(), packed.params())) {
+    os << "params";
+  } else if (reused.fragments().size() != packed.fragments().size() ||
+             reused.node_count() != packed.node_count()) {
+    os << reused.fragments().size() << " fragments on "
+       << reused.node_count() << " nodes vs " << packed.fragments().size()
+       << " on " << packed.node_count();
+  } else {
+    os << "same shape; first differing ";
+    bool found = false;
+    for (FlatFragmentId f = 0; f < reused.fragments().size() && !found;
+         ++f) {
+      const FragmentInfo& a = reused.fragment(f);
+      const FragmentInfo& b = packed.fragment(f);
+      if (!SameFragmentInputs(a, b) || a.replicas != b.replicas ||
+          reused.FragmentNodes(f) != packed.FragmentNodes(f)) {
+        os << "fragment " << f;
+        found = true;
+      }
+    }
+    for (NodeId m = 0; m < reused.node_count() && !found; ++m) {
+      if (reused.NodeFragments(m) != packed.NodeFragments(m) ||
+          reused.NodeUsage(m) != packed.NodeUsage(m)) {
+        os << "node " << m;
+        found = true;
+      }
+    }
+  }
+  os << ")";
+  return Status::Internal(os.str());
+}
+
+Status ValidateReusedPlan(const TransitionPlan& reused,
+                          const TransitionPlan& planned) {
+  std::ostringstream os;
+  if (reused.total_transfer_tuples != planned.total_transfer_tuples ||
+      reused.nodes_added != planned.nodes_added ||
+      reused.nodes_removed != planned.nodes_removed ||
+      reused.moves.size() != planned.moves.size()) {
+    os << "reuse: the reused plan's totals differ from planning's (transfer "
+       << reused.total_transfer_tuples << " vs "
+       << planned.total_transfer_tuples << ", added " << reused.nodes_added
+       << " vs " << planned.nodes_added << ", removed "
+       << reused.nodes_removed << " vs " << planned.nodes_removed
+       << ", moves " << reused.moves.size() << " vs "
+       << planned.moves.size() << ")";
+    return Status::Internal(os.str());
+  }
+  for (std::size_t i = 0; i < reused.moves.size(); ++i) {
+    const NodeTransition& a = reused.moves[i];
+    const NodeTransition& b = planned.moves[i];
+    if (a.old_node != b.old_node || a.new_node != b.new_node ||
+        a.transfer_tuples != b.transfer_tuples) {
+      os << "reuse: the reused plan's move #" << i
+         << " differs from planning's";
+      return Status::Internal(os.str());
+    }
+  }
+  if (reused.stats.used_sparse != planned.stats.used_sparse ||
+      reused.stats.graph_edges != planned.stats.graph_edges ||
+      reused.stats.solver_iterations != planned.stats.solver_iterations) {
+    return Status::Internal(
+        "reuse: the reused plan's solver stats differ from planning's");
+  }
+  return Status::OK();
+}
+
 }  // namespace nashdb

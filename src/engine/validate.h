@@ -106,6 +106,21 @@ Status ValidatePlan(const TransitionPlan& plan,
                     const std::vector<bool>* old_node_dead = nullptr,
                     ThreadPool* pool = nullptr);
 
+/// Round reuse (DESIGN.md §15.9): a reused result must be exactly what
+/// the stage would have computed. `reused` is the configuration a build
+/// returned without packing, `packed` the packing code's output on the
+/// same inputs; OK only when they are bit-identical (ClusterConfig::
+/// BitIdentical), else the first difference is named.
+Status ValidateReusedConfig(const ClusterConfig& reused,
+                            const ClusterConfig& packed);
+
+/// As ValidateReusedConfig for a transition plan the driver reused:
+/// `planned` is PlanTransition's output on the same (old, new, dead). OK
+/// only when the totals, the solver stats and every move (old node, new
+/// node, transfer) agree, in order.
+Status ValidateReusedPlan(const TransitionPlan& reused,
+                          const TransitionPlan& planned);
+
 /// True when this build runs the validators after every BuildConfig /
 /// PlanTransition (the NASHDB_VALIDATE CMake option).
 constexpr bool ValidationEnabled() {

@@ -1,10 +1,38 @@
 #include "replication/cluster_config.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/logging.h"
 
 namespace nashdb {
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+ClusterConfig::ClusterConfig(
+    ReplicationParams params, std::vector<FragmentInfo> fragments,
+    std::vector<std::vector<FlatFragmentId>> node_fragments,
+    std::vector<TupleCount> node_usage)
+    : params_(params),
+      fragments_(std::move(fragments)),
+      node_fragments_(std::move(node_fragments)),
+      fragment_nodes_(fragments_.size()),
+      node_usage_(std::move(node_usage)) {
+  for (std::size_t f = 0; f < fragments_.size(); ++f) {
+    fragment_nodes_[f].reserve(fragments_[f].replicas);
+  }
+  for (NodeId node = 0; node < node_fragments_.size(); ++node) {
+    for (FlatFragmentId fid : node_fragments_[node]) {
+      fragment_nodes_[fid].push_back(node);
+    }
+  }
+}
 
 TupleCount ClusterConfig::NodeUsage(NodeId node) const {
   return node_usage_[node];
@@ -41,6 +69,20 @@ void ClusterConfig::Place(NodeId node, FlatFragmentId frag) {
   fragment_nodes_[frag].push_back(node);
 }
 
+bool ClusterConfig::BitIdentical(const ClusterConfig& other) const {
+  if (!nashdb::BitIdentical(params_, other.params_)) return false;
+  if (fragments_.size() != other.fragments_.size()) return false;
+  for (std::size_t f = 0; f < fragments_.size(); ++f) {
+    if (!SameFragmentInputs(fragments_[f], other.fragments_[f]) ||
+        fragments_[f].replicas != other.fragments_[f].replicas) {
+      return false;
+    }
+  }
+  return node_usage_ == other.node_usage_ &&
+         node_fragments_ == other.node_fragments_ &&
+         fragment_nodes_ == other.fragment_nodes_;
+}
+
 bool ClusterConfig::Valid() const {
   std::vector<std::size_t> replica_counts(fragments_.size(), 0);
   for (NodeId node = 0; node < node_fragments_.size(); ++node) {
@@ -62,6 +104,18 @@ bool ClusterConfig::Valid() const {
     if (replica_counts[f] != fragments_[f].replicas) return false;
   }
   return true;
+}
+
+bool BitIdentical(const ReplicationParams& a, const ReplicationParams& b) {
+  return SameBits(a.node_cost, b.node_cost) && a.node_disk == b.node_disk &&
+         a.window_scans == b.window_scans &&
+         a.min_replicas == b.min_replicas && a.max_replicas == b.max_replicas;
+}
+
+bool SameFragmentInputs(const FragmentInfo& a, const FragmentInfo& b) {
+  return a.table == b.table && a.index_in_table == b.index_in_table &&
+         a.range.start == b.range.start && a.range.end == b.range.end &&
+         SameBits(a.value, b.value);
 }
 
 }  // namespace nashdb

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "replication/replication.h"
 
@@ -74,6 +75,13 @@ class ClusterConfig {
   /// effects on violation.
   bool Valid() const;
 
+  /// True when both are the same configuration bit for bit: params,
+  /// fragments (`value` and `node_cost` by their bits), every node's
+  /// fragment list and usage, and every fragment's node list, all in
+  /// order. A reconfiguration round reuses an earlier result only on this
+  /// test (DESIGN.md §15.9).
+  bool BitIdentical(const ClusterConfig& other) const;
+
   /// Test-only seam: overwrites the economic parameters in place. The
   /// checked mutators (Place) refuse to *build* invariant-violating
   /// states, so the ValidateConfig corruption tests (engine/validate.h)
@@ -82,12 +90,31 @@ class ClusterConfig {
   void SetParamsForTest(const ReplicationParams& params) { params_ = params; }
 
  private:
+  /// Fills the configuration from a placement BuildConfigFromPlacement has
+  /// already checked (known fragments, no duplicate on a node, usage
+  /// within node_disk, `replicas` equal to the placed counts): one pass,
+  /// with none of Place's per-replica checks.
+  ClusterConfig(ReplicationParams params, std::vector<FragmentInfo> fragments,
+                std::vector<std::vector<FlatFragmentId>> node_fragments,
+                std::vector<TupleCount> node_usage);
+  friend Result<ClusterConfig> BuildConfigFromPlacement(
+      const ReplicationParams& params, std::vector<FragmentInfo> fragments,
+      const std::vector<std::vector<FlatFragmentId>>& node_fragments);
+
   ReplicationParams params_;
   std::vector<FragmentInfo> fragments_;
   std::vector<std::vector<FlatFragmentId>> node_fragments_;
   std::vector<std::vector<NodeId>> fragment_nodes_;
   std::vector<TupleCount> node_usage_;
 };
+
+/// Bit-exact equality of economic parameters (`node_cost` by its bits).
+bool BitIdentical(const ReplicationParams& a, const ReplicationParams& b);
+
+/// Bit-exact equality of everything a fragment carries into replication:
+/// table, index, range and `value` by its bits. `replicas`, which
+/// replication decides, is not compared.
+bool SameFragmentInputs(const FragmentInfo& a, const FragmentInfo& b);
 
 }  // namespace nashdb
 

@@ -208,22 +208,28 @@ Result<ClusterConfig> BuildConfigFromPlacement(
     fragments[i].replicas = achieved[i];
   }
 
-  ClusterConfig config(params, std::move(fragments));
-  for (const auto& frags : node_fragments) {
-    const NodeId node = config.AddNode();
+  // Per node, in list order: a duplicate, then the capacity. Nodes are
+  // visited one at a time, so a fragment is already on the current node
+  // exactly when the current node is its last holder so far: the
+  // duplicate check is one stamp per fragment, not a scan of the node.
+  std::vector<NodeId> last_holder(fragments.size(), kInvalidNode);
+  std::vector<TupleCount> usage(node_fragments.size(), 0);
+  for (NodeId node = 0; node < node_fragments.size(); ++node) {
     TupleCount used = 0;
-    for (FlatFragmentId fid : frags) {
-      if (config.Holds(node, fid)) {
+    for (FlatFragmentId fid : node_fragments[node]) {
+      if (last_holder[fid] == node) {
         return Status::InvalidArgument("duplicate replica on one node");
       }
-      used += config.fragment(fid).size();
+      last_holder[fid] = node;
+      used += fragments[fid].size();
       if (used > params.node_disk) {
         return Status::InvalidArgument("node over capacity");
       }
-      config.Place(node, fid);
     }
+    usage[node] = used;
   }
-  return config;
+  return ClusterConfig(params, std::move(fragments), node_fragments,
+                       std::move(usage));
 }
 
 }  // namespace nashdb

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,26 @@ FragmentInfo Frag(TableId table, FragmentId idx, TupleIndex a, TupleIndex b,
   f.value = value;
   f.replicas = replicas;
   return f;
+}
+
+/// The placement built the checked way: AddNode and Place, replica by
+/// replica, in list order.
+ClusterConfig ByPlace(const ReplicationParams& params,
+                      std::vector<FragmentInfo> fragments,
+                      const std::vector<std::vector<FlatFragmentId>>& nodes) {
+  std::vector<std::size_t> placed(fragments.size(), 0);
+  for (const auto& list : nodes) {
+    for (FlatFragmentId fid : list) ++placed[fid];
+  }
+  for (std::size_t f = 0; f < fragments.size(); ++f) {
+    fragments[f].replicas = placed[f];
+  }
+  ClusterConfig config(params, std::move(fragments));
+  for (const auto& list : nodes) {
+    const NodeId node = config.AddNode();
+    for (FlatFragmentId fid : list) config.Place(node, fid);
+  }
+  return config;
 }
 
 // ---------------------------------------------------------------- Eq. 9
@@ -216,6 +237,33 @@ TEST(ClusterConfigTest, PlaceAndLookup) {
   EXPECT_TRUE(config.Valid());
 }
 
+TEST(ClusterConfigTest, BitIdenticalComparesEveryFieldByBits) {
+  const auto params = Params(5.0, 100, 50);
+  const std::vector<FragmentInfo> frags = {Frag(0, 0, 0, 40, 0.5),
+                                           Frag(0, 1, 40, 80, 0.25)};
+  const std::vector<std::vector<FlatFragmentId>> nodes = {{0, 1}, {1}};
+  const ClusterConfig base = ByPlace(params, frags, nodes);
+  EXPECT_TRUE(base.BitIdentical(ByPlace(params, frags, nodes)));
+
+  // node_cost and value compare by their bits: -0.0 is not 0.0.
+  EXPECT_FALSE(ByPlace(Params(0.0, 100, 50), frags, nodes)
+                   .BitIdentical(ByPlace(Params(-0.0, 100, 50), frags, nodes)));
+  EXPECT_FALSE(base.BitIdentical(ByPlace(Params(5.0, 100, 51), frags, nodes)));
+  EXPECT_FALSE(
+      base.BitIdentical(ByPlace(Params(5.0, 100, 50, 1), frags, nodes)));
+  std::vector<FragmentInfo> value = frags;
+  value[1].value = std::nextafter(0.25, 1.0);
+  EXPECT_FALSE(base.BitIdentical(ByPlace(params, value, nodes)));
+  std::vector<FragmentInfo> index = frags;
+  index[1].index_in_table = 7;
+  EXPECT_FALSE(base.BitIdentical(ByPlace(params, index, nodes)));
+
+  // The same replicas per fragment on other node lists or in another order.
+  EXPECT_FALSE(base.BitIdentical(ByPlace(params, frags, {{1, 0}, {1}})));
+  EXPECT_FALSE(base.BitIdentical(ByPlace(params, frags, {{1}, {0, 1}})));
+  EXPECT_FALSE(base.BitIdentical(ByPlace(params, frags, {{0, 1}, {1}, {}})));
+}
+
 TEST(ClusterConfigTest, CostPerPeriod) {
   const auto p = Params(12.5, 1000, 50);
   ClusterConfig config(p, {});
@@ -321,6 +369,21 @@ TEST(PlacementBuilderTest, RejectsDuplicateOnNode) {
   std::vector<FragmentInfo> frags = {Frag(0, 0, 0, 300, 1.0)};
   auto config = BuildConfigFromPlacement(p, frags, {{0, 0}});
   EXPECT_FALSE(config.ok());
+  EXPECT_EQ(config.status().message(), "duplicate replica on one node");
+  // A fragment on two nodes is fine; twice on the second node is not.
+  std::vector<FragmentInfo> two = {Frag(0, 0, 0, 10, 1.0),
+                                   Frag(0, 1, 10, 20, 1.0)};
+  auto later = BuildConfigFromPlacement(p, two, {{1}, {0, 1, 1}});
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(later.status().message(), "duplicate replica on one node");
+  // A duplicate reached before the node overflows is the one reported.
+  auto first = BuildConfigFromPlacement(Params(5.0, 500, 50),
+                                        {Frag(0, 0, 0, 300, 1.0),
+                                         Frag(0, 1, 300, 600, 1.0)},
+                                        {{0, 0, 1}});
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().message(), "duplicate replica on one node");
 }
 
 TEST(PlacementBuilderTest, RejectsOverCapacity) {
@@ -329,6 +392,81 @@ TEST(PlacementBuilderTest, RejectsOverCapacity) {
                                      Frag(0, 1, 300, 600, 1.0)};
   auto config = BuildConfigFromPlacement(p, frags, {{0, 1}});
   EXPECT_FALSE(config.ok());
+  EXPECT_EQ(config.status().message(), "node over capacity");
+  auto later = BuildConfigFromPlacement(p, frags, {{0}, {1}, {1, 0}});
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(later.status().message(), "node over capacity");
+  // An overflow reached before a duplicate is the one reported.
+  auto first = BuildConfigFromPlacement(p, frags, {{0, 1, 1}});
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().message(), "node over capacity");
+}
+
+TEST(PlacementBuilderTest, RejectsUnknownFragmentBeforeAnyNodeCheck) {
+  const auto p = Params(5.0, 500, 50);
+  std::vector<FragmentInfo> frags = {Frag(0, 0, 0, 300, 1.0),
+                                     Frag(0, 1, 300, 600, 1.0)};
+  // The node before the unknown id holds a duplicate and is over
+  // capacity; the unknown id is still what is reported.
+  auto config = BuildConfigFromPlacement(p, frags, {{0, 1, 0}, {2}});
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.status().message(),
+            "placement references unknown fragment");
+}
+
+// The one-pass builder against the Place path: same node lists, fragment
+// lists, usage and replica counts, on random valid placements.
+TEST(PlacementBuilderTest, MatchesPlacePathOnRandomPlacements) {
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    const TupleCount disk = 100 + rng.Uniform(200);
+    const std::size_t n_frags = 1 + rng.Uniform(40);
+    std::vector<FragmentInfo> frags;
+    TupleIndex start = 0;
+    for (std::size_t f = 0; f < n_frags; ++f) {
+      // Sizes from 0 (an empty fragment) to the whole disk.
+      const TupleCount size = rng.Uniform(disk + 1);
+      frags.push_back(Frag(static_cast<TableId>(f % 3),
+                           static_cast<FragmentId>(f), start, start + size,
+                           rng.NextDouble()));
+      start += size;
+    }
+    // Each node takes a random subset of the fragments in random order,
+    // as long as it fits; some nodes stay empty.
+    std::vector<std::vector<FlatFragmentId>> nodes(rng.Uniform(25));
+    for (auto& list : nodes) {
+      std::vector<FlatFragmentId> order(n_frags);
+      for (std::size_t f = 0; f < n_frags; ++f) {
+        order[f] = static_cast<FlatFragmentId>(f);
+      }
+      rng.Shuffle(&order);
+      const std::size_t want = rng.Uniform(n_frags + 1);
+      TupleCount used = 0;
+      for (FlatFragmentId fid : order) {
+        if (list.size() == want) break;
+        if (used + frags[fid].size() > disk) continue;
+        used += frags[fid].size();
+        list.push_back(fid);
+      }
+    }
+    const auto p = Params(5.0, disk, 50);
+    auto built = BuildConfigFromPlacement(p, frags, nodes);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const ClusterConfig oracle = ByPlace(p, frags, nodes);
+    ASSERT_EQ(built->node_count(), oracle.node_count());
+    for (NodeId m = 0; m < oracle.node_count(); ++m) {
+      EXPECT_EQ(built->NodeFragments(m), oracle.NodeFragments(m));
+      EXPECT_EQ(built->NodeUsage(m), oracle.NodeUsage(m));
+    }
+    for (FlatFragmentId f = 0; f < n_frags; ++f) {
+      EXPECT_EQ(built->FragmentNodes(f), oracle.FragmentNodes(f));
+      EXPECT_EQ(built->fragment(f).replicas, oracle.fragment(f).replicas);
+    }
+    EXPECT_TRUE(built->BitIdentical(oracle)) << "trial " << trial;
+    EXPECT_TRUE(built->Valid());
+  }
 }
 
 }  // namespace
