@@ -37,14 +37,6 @@ bool ConsumeDouble(std::string_view* s, double* out) {
   return true;
 }
 
-bool ConsumeNodeId(std::string_view* s, NodeId* out) {
-  if (!ConsumePrefix(s, "n")) return false;
-  double v = 0.0;
-  if (!ConsumeDouble(s, &v) || v != std::floor(v)) return false;
-  *out = static_cast<NodeId>(v);
-  return true;
-}
-
 /// Parses "nID" (node-scoped) or "rID" (rack-scoped), filling exactly one
 /// of `node` / `rack` and leaving the other kInvalidNode.
 bool ConsumeTarget(std::string_view* s, NodeId* node, NodeId* rack) {

@@ -15,14 +15,12 @@ namespace nashdb {
 /// configuration is epoch 0; every applied transition (periodic round or
 /// emergency repair) produces the next epoch.
 ///
-/// Immutable-after-publish contract: a ConfigEpoch is assembled on one
-/// thread (the driver loop, or the sharded driver's producer) and is
-/// frozen from the moment it becomes reachable by a data plane
-/// (engine/data_plane.h) — the serial driver's pointer swap, or the
-/// release-store of the sharded driver's epoch-chain link that holds it.
+/// Immutable-after-publish contract: a ConfigEpoch is assembled on the
+/// driver loop and is frozen from the moment it becomes reachable by the
+/// data plane (engine/data_plane.h) through the driver's pointer swap.
 /// After that edge no field is ever written, so any number of reader
-/// threads may route against it without locks; the epoch a plane routes
-/// against is the epoch its records carry (QueryRecord::epoch).
+/// threads may route against it without locks; the epoch the plane
+/// routes against is the epoch its records carry (QueryRecord::epoch).
 ///
 /// The bundle is pinned in place (no copy/move): ConfigIndex holds a
 /// pointer to the ClusterConfig it indexes, so relocating the config

@@ -22,9 +22,9 @@ namespace nashdb {
 /// Epoch contract (DESIGN.md §12): an index may carry the epoch number of
 /// the configuration it was built from. The index is immutable after
 /// construction — once a ConfigEpoch bundle holding it is published to
-/// the query path (serial swap or the sharded driver's atomic epoch
-/// chain), no thread may mutate it or the ClusterConfig it points at, so
-/// concurrent readers need no synchronization beyond the publish edge.
+/// the query path (the driver's pointer swap), no thread may mutate it or
+/// the ClusterConfig it points at, so concurrent readers need no
+/// synchronization beyond the publish edge.
 class ConfigIndex {
  public:
   explicit ConfigIndex(const ClusterConfig& config, std::uint64_t epoch = 0);

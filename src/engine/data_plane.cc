@@ -22,7 +22,7 @@ void AppendScans(const ScanBatch& src, std::size_t first, std::size_t last,
 }  // namespace
 
 DataPlane::DataPlane(const DriverOptions& options, ClusterSim* sim,
-                     ScanRouter* router, const LivenessOverlay* liveness,
+                     ScanRouter* router, const LivenessOverlay& liveness,
                      RunResult* result)
     : options_(options),
       sim_(sim),
@@ -39,9 +39,7 @@ DataPlane::DataPlane(const DriverOptions& options, ClusterSim* sim,
                           static_cast<double>(
                               options.overload.max_pending_queries))
                     : 0),
-      span_stamp_(sim->node_count(), 0) {
-  NASHDB_CHECK(!faults_on_ || liveness != nullptr);
-}
+      span_stamp_(sim->node_count(), 0) {}
 
 bool DataPlane::Shed(const TimedQuery& tq, std::uint64_t epoch) {
   if (!overload_on_) return false;
@@ -91,8 +89,8 @@ Status DataPlane::Route(ScanBatch* batch, SimTime at) {
   // With faults on, a block holds one query whose scans all route at
   // `at`; when some node is down then, the resolved spans are filtered
   // to the routable candidates first.
-  if (faults_on_ && liveness_->AnyDeadAt(at)) {
-    liveness_->FilterLive(at, batch, &live_cands_);
+  if (faults_on_ && liveness_.AnyDeadAt(at)) {
+    liveness_.FilterLive(at, batch, &live_cands_);
   }
   WaitView waits(sim_->BusyUntil().data(), sim_->node_count(), at);
   bound_ = batch;

@@ -24,12 +24,9 @@ class Counter;
 class Histogram;
 }  // namespace metrics
 
-/// The query path of both drivers (DESIGN.md §11): admission into a
-/// block of pending queries, resolve, route, the commit of every read
-/// into the sim, and each query's record. The serial driver runs one
-/// plane; each shard of the sharded driver runs its own, as a fault-free,
-/// metrics-off serial run would. The plane branches on the run's options,
-/// never on which driver owns it.
+/// The driver's query path (DESIGN.md §11): admission into a block of
+/// pending queries, resolve, route, the commit of every read into the
+/// sim, and each query's record.
 ///
 /// A block is routed with one RouteBatchInto call, and the plane is its
 /// BatchSink: each scan's reads are committed before the next scan's
@@ -45,10 +42,9 @@ class DataPlane final : private BatchSink {
   /// Routes with `router`, enqueues the reads into `sim` (which already
   /// holds the bootstrap configuration) and adds every record to
   /// `result`, as `options` say. `liveness` filters the candidates when
-  /// faults are on (it may be null otherwise). All must outlive the
-  /// plane.
+  /// faults are on. All must outlive the plane.
   DataPlane(const DriverOptions& options, ClusterSim* sim, ScanRouter* router,
-            const LivenessOverlay* liveness, RunResult* result);
+            const LivenessOverlay& liveness, RunResult* result);
 
   DataPlane(const DataPlane&) = delete;
   DataPlane& operator=(const DataPlane&) = delete;
@@ -94,7 +90,7 @@ class DataPlane final : private BatchSink {
   const DriverOptions& options_;
   ClusterSim* const sim_;
   ScanRouter* const router_;
-  const LivenessOverlay* const liveness_;
+  const LivenessOverlay& liveness_;
   RunResult* const result_;
   const double spt_;  // simulated seconds per tuple read
   const bool collect_;

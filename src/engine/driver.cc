@@ -403,7 +403,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // --- The query path (DESIGN.md §10–§11): admission, routing, commit
   // and record finalization all run through the data plane; this loop
   // decides only when its block flushes around a reconfiguration round.
-  DataPlane plane(options, &sim, router, &liveness, &result);
+  DataPlane plane(options, &sim, router, liveness, &result);
 
   // --- Reconfiguration rounds (paper §6–§7, DESIGN.md §12). Each round is
   // a *kick* at the boundary — flush, deliver faults, snapshot the

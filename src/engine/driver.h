@@ -265,8 +265,7 @@ struct RunResult {
 
   /// Counts a finished query into the totals and aggregates above, and
   /// appends it to `records` when `keep_record`. The one way a record
-  /// enters a result: the data plane calls it in admission order, and the
-  /// sharded merge in workload order.
+  /// enters a result: the data plane calls it in admission order.
   void AddRecord(const QueryRecord& record, bool keep_record);
 
   /// Queries that ran to completion.

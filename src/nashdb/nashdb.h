@@ -31,7 +31,6 @@
 #include "engine/config_index.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
-#include "engine/sharded_driver.h"
 #include "engine/system.h"
 #include "fragment/fragmenter.h"
 #include "fragment/prefix_stats.h"

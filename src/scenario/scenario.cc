@@ -63,8 +63,8 @@ bool ParseUint(std::string_view v, std::uint64_t* out) {
   return true;
 }
 
-// The most reconfiguration threads a spec may ask for (the same cap as
-// nashdb_sim's --shards): NashDbSystem starts exactly that many workers.
+// The most reconfiguration threads a spec may ask for: NashDbSystem
+// starts exactly that many workers, so a typo must not start thousands.
 constexpr std::uint64_t kMaxReconfigThreads = 64;
 
 bool ParseBool(std::string_view v, bool* out) {

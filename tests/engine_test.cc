@@ -1,4 +1,6 @@
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
 #include "replication/nash.h"
+#include "routing/scan_batch.h"
 #include "workload/synthetic.h"
 #include "workload/tpch.h"
 
@@ -223,6 +226,61 @@ TEST(ConfigIndexTest, EmptyScanYieldsNoRequests) {
   scan.table = 0;
   scan.range = TupleRange{10, 10};
   EXPECT_TRUE(index.RequestsFor(scan).empty());
+}
+
+/// 80 Bernoulli queries over four hours on a 3 GB table.
+Workload ShardedWorkload() {
+  BernoulliOptions wopts;
+  wopts.db_gb = 3.0;
+  wopts.num_queries = 80;
+  wopts.arrival_span_s = 4.0 * 3600.0;
+  return MakeBernoulliWorkload(wopts);
+}
+
+/// The configuration NashDB builds after observing the whole workload.
+ClusterConfig BuildEpoch(const Workload& workload) {
+  NashDbOptions opts;
+  opts.window_scans = 30;
+  opts.block_tuples = 100000;
+  opts.node_disk = 2000000;
+  NashDbSystem sys(workload.dataset, opts);
+  for (const TimedQuery& tq : workload.queries) sys.Observe(tq.query);
+  return sys.BuildConfig();
+}
+
+TEST(ConfigIndexTest, ResolveBatchMatchesPerScanResolution) {
+  // ConfigIndex::ResolveBatchInto must produce, per scan, exactly the
+  // requests the seed RequestsFor resolves — same fragments, same order,
+  // same candidate nodes (spans into the index's one pool).
+  const Workload workload = ShardedWorkload();
+  const ClusterConfig config = BuildEpoch(workload);
+  const ConfigIndex index(config);
+
+  ScanBatch batch;
+  std::vector<const Scan*> scans;
+  for (const TimedQuery& tq : workload.queries) {
+    for (const Scan& scan : tq.query.scans) {
+      batch.AddScan(tq.query.id, scan);
+      scans.push_back(&scan);
+    }
+  }
+  index.ResolveBatchInto(&batch);
+  ASSERT_EQ(batch.req_off.size(), scans.size() + 1);
+
+  for (std::size_t i = 0; i < scans.size(); ++i) {
+    const std::vector<FragmentRequest> want = index.RequestsFor(*scans[i]);
+    const RequestBatch got = batch.ScanRequests(i);
+    ASSERT_EQ(got.count, want.size()) << "scan " << i;
+    for (std::size_t r = 0; r < got.count; ++r) {
+      const FlatRequest& req = got.requests[r];
+      EXPECT_EQ(req.frag, want[r].frag);
+      EXPECT_EQ(req.tuples, want[r].tuples);
+      const NodeId* cand = got.cands(req);
+      EXPECT_EQ(std::vector<NodeId>(cand, cand + req.cand_count),
+                want[r].candidates)
+          << "scan " << i << " request " << r;
+    }
+  }
 }
 
 // ------------------------------------------------------------- baselines

@@ -1,18 +1,13 @@
-// Shared pieces of the sharded pinned-digest tests: an FNV-1a digest of a
-// run's whole output, and the TPC-H regime the digests are taken on.
+// Shared pieces of the pinned-digest tests: an FNV-1a digest of a run's
+// whole output, and the TPC-H regime the driver goldens are taken on.
 
 #ifndef NASHDB_TESTS_GOLDEN_RUN_H_
 #define NASHDB_TESTS_GOLDEN_RUN_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "engine/driver.h"
-#include "engine/nashdb_system.h"
-#include "engine/sharded_driver.h"
-#include "replication/cluster_config.h"
 #include "workload/tpch.h"
 
 namespace nashdb {
@@ -37,28 +32,24 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-/// Every field of every record, in declaration order.
-inline void AddRecords(const std::vector<QueryRecord>& records, Fnv1a* f) {
-  f->Add(std::uint64_t{records.size()});
-  for (const QueryRecord& q : records) {
-    f->Add(std::uint64_t{q.id});
-    f->Add(q.price);
-    f->Add(q.arrival);
-    f->Add(q.completion);
-    f->Add(q.latency_s);
-    f->Add(std::uint64_t{q.span});
-    f->Add(std::uint64_t{q.tuples_read});
-    f->Add(std::uint64_t{q.retries});
-    f->Add(std::uint64_t{q.epoch});
-    f->Add(std::uint64_t{q.aborted});
-    f->Add(std::uint64_t{q.shed});
-  }
-}
-
-/// Every record and every RunResult total, in declaration order.
+/// Every field of every record, then every RunResult total, in
+/// declaration order.
 inline std::uint64_t DigestRun(const RunResult& r) {
   Fnv1a f;
-  AddRecords(r.records, &f);
+  f.Add(std::uint64_t{r.records.size()});
+  for (const QueryRecord& q : r.records) {
+    f.Add(std::uint64_t{q.id});
+    f.Add(q.price);
+    f.Add(q.arrival);
+    f.Add(q.completion);
+    f.Add(q.latency_s);
+    f.Add(std::uint64_t{q.span});
+    f.Add(std::uint64_t{q.tuples_read});
+    f.Add(std::uint64_t{q.retries});
+    f.Add(std::uint64_t{q.epoch});
+    f.Add(std::uint64_t{q.aborted});
+    f.Add(std::uint64_t{q.shed});
+  }
   f.Add(std::uint64_t{r.total_queries});
   f.Add(r.total_cost);
   f.Add(std::uint64_t{r.transferred_tuples});
@@ -82,24 +73,10 @@ inline std::uint64_t DigestRun(const RunResult& r) {
   return f.hash();
 }
 
-/// The merged run plus each shard's own totals.
-inline std::uint64_t DigestSharded(const ShardedRunResult& r) {
-  Fnv1a f;
-  f.Add(DigestRun(r.merged));
-  for (const ShardResult& s : r.shards) {
-    f.Add(std::uint64_t{s.shard});
-    AddRecords(s.records, &f);
-    f.Add(std::uint64_t{s.read_tuples});
-    f.Add(s.makespan_s);
-  }
-  return f.hash();
-}
-
 /// query_path_golden_test's TPC-H regime: 120 queries of ~6 scans over
-/// two hours on 8 tables (so they spread over the shards), fragments of
-/// 500 tuples with up to 3 replicas on ~11 nodes, and disks slow enough
-/// (kGoldenTuplesPerSecond) that queues build and every router chooses
-/// differently.
+/// two hours on 8 tables, fragments of 500 tuples with up to 3 replicas
+/// on ~11 nodes, and disks slow enough (kGoldenTuplesPerSecond) that
+/// queues build and every router chooses differently.
 inline const Workload& GoldenTpchWorkload() {
   static const Workload workload = [] {
     TpchOptions o;
@@ -113,24 +90,6 @@ inline const Workload& GoldenTpchWorkload() {
 }
 
 constexpr double kGoldenTuplesPerSecond = 150.0;
-
-/// The configuration NashDB builds after observing the first `observe`
-/// queries of GoldenTpchWorkload().
-inline ClusterConfig BuildGoldenTpchConfig(std::size_t observe) {
-  const Workload& workload = GoldenTpchWorkload();
-  NashDbOptions opts;
-  opts.window_scans = 60;
-  opts.block_tuples = 500;
-  opts.node_disk = 8000;
-  opts.node_cost = 0.5;
-  opts.max_replicas = 3;
-  opts.reconfig_threads = 1;
-  NashDbSystem sys(workload.dataset, opts);
-  for (std::size_t i = 0; i < observe && i < workload.queries.size(); ++i) {
-    sys.Observe(workload.queries[i].query);
-  }
-  return sys.BuildConfig();
-}
 
 }  // namespace nashdb
 

@@ -6,9 +6,12 @@
 // (multi-scan spans), and a crash schedule that, with repair off, forces
 // retries and aborts, with admission control on, sheds, and with more
 // retries and fast disks, lets a retried scan succeed mid-query so the
-// rest of the query resumes. One more Max-of-mins case runs the streaming
-// workload's regime: 128 nodes, ~127 candidates per request, nearly every
-// read at zero wait, and scans of 1 to more than 16 fragments.
+// rest of the query resumes. A single-epoch mode observes the whole
+// workload up front and routes it against that one configuration, with
+// no round: the data plane alone. One more Max-of-mins case runs the
+// streaming workload's regime: 128 nodes, ~127 candidates per request,
+// nearly every read at zero wait, and scans of 1 to more than 16
+// fragments.
 //
 // The digests were captured from the driver before its query path and
 // reconfiguration round were unified, and at capture time every case
@@ -27,7 +30,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -38,10 +40,10 @@
 #include "cluster/faults.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
+#include "golden_run.h"
 #include "routing/router.h"
 #include "routing/scan_batch.h"
 #include "workload/streaming.h"
-#include "workload/tpch.h"
 
 namespace nashdb {
 namespace {
@@ -57,20 +59,26 @@ enum Mode {
   // and the query resumes while nodes sit idle, so the time the rest of
   // the query routes at is visible in the records.
   kFaultsNoRepairPatient,
+  // Fault-free, the whole workload observed before the bootstrap build,
+  // and no reconfiguration: one epoch for the run.
+  kSingleEpoch,
 };
 
 constexpr SimTime kInterval = 1800.0;
 
-// Golden digests at the default zero build window, [router][mode].
-constexpr std::uint64_t kGolden[4][5] = {
+// Golden digests at the default zero build window, [router][mode]. The
+// single-epoch column equals the merged records and totals of the
+// one-shard runs of the sharded driver the repository once had, whose
+// query path was then an independent copy.
+constexpr std::uint64_t kGolden[4][6] = {
     {0xaca67443b845d0fdULL, 0x7ea45bd5aa6af897ULL, 0x4260605bb3840406ULL,
-     0x8dd6d4a6c2a61b59ULL, 0xad6ff103ba3a28afULL},
+     0x8dd6d4a6c2a61b59ULL, 0xad6ff103ba3a28afULL, 0x40a46dd3dffb3122ULL},
     {0x9d9c41c1d9effb5dULL, 0xe773a6989e8255c9ULL, 0xb5407d0546deaeb3ULL,
-     0xf7ad4bb09e387f83ULL, 0xa58775f9fee20fcaULL},
+     0xf7ad4bb09e387f83ULL, 0xa58775f9fee20fcaULL, 0xb9bd2dff0831fc7aULL},
     {0x48c9e3f682ad008bULL, 0x501463ca834b246cULL, 0xd586f8f39483a584ULL,
-     0x211101c67521b7f9ULL, 0x93585a59242b946fULL},
+     0x211101c67521b7f9ULL, 0x93585a59242b946fULL, 0xf4e62ff6e91acdebULL},
     {0x8dc36aaaacfa8630ULL, 0xd1ca278ad6e28215ULL, 0xd3555bfbfe2cb269ULL,
-     0x6bd065a12e645cf6ULL, 0x9acb5fbb6e829d55ULL},
+     0x6bd065a12e645cf6ULL, 0x9acb5fbb6e829d55ULL, 0xe73886630fb41eb5ULL},
 };
 
 // Golden digests with a 900 s build window (queries inside the window
@@ -85,77 +93,6 @@ constexpr std::uint64_t kWindowGolden[4][5] = {
     {0x71c6d0b7f8e510dcULL, 0xf963d6fc124ce7d6ULL, 0xc4d5fb016cb08cc6ULL,
      0x67597bbdc61edfe7ULL, 0x6e01d6da1c5d63e6ULL},
 };
-
-/// FNV-1a over the raw bytes of each field, in declaration order.
-class Fnv1a {
- public:
-  void Add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void Add(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    Add(bits);
-  }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-std::uint64_t Digest(const RunResult& r) {
-  Fnv1a f;
-  f.Add(std::uint64_t{r.records.size()});
-  for (const QueryRecord& q : r.records) {
-    f.Add(std::uint64_t{q.id});
-    f.Add(q.price);
-    f.Add(q.arrival);
-    f.Add(q.completion);
-    f.Add(q.latency_s);
-    f.Add(std::uint64_t{q.span});
-    f.Add(std::uint64_t{q.tuples_read});
-    f.Add(std::uint64_t{q.retries});
-    f.Add(std::uint64_t{q.epoch});
-    f.Add(std::uint64_t{q.aborted});
-    f.Add(std::uint64_t{q.shed});
-  }
-  f.Add(std::uint64_t{r.total_queries});
-  f.Add(r.total_cost);
-  f.Add(std::uint64_t{r.transferred_tuples});
-  f.Add(std::uint64_t{r.bootstrap_transfer_tuples});
-  f.Add(std::uint64_t{r.read_tuples});
-  f.Add(std::uint64_t{r.transitions});
-  f.Add(std::uint64_t{r.transitions_skipped});
-  f.Add(r.makespan_s);
-  f.Add(std::uint64_t{r.final_nodes});
-  f.Add(std::uint64_t{r.crashes});
-  f.Add(std::uint64_t{r.partitions});
-  f.Add(std::uint64_t{r.aborted_queries});
-  f.Add(std::uint64_t{r.scan_retries});
-  f.Add(std::uint64_t{r.shed_queries});
-  f.Add(std::uint64_t{r.emergency_repairs});
-  f.Add(std::uint64_t{r.repair_transfer_tuples});
-  f.Add(r.last_fault_time_s);
-  f.Add(r.last_disruption_time_s);
-  f.Add(r.completed_latency_sum_s);
-  f.Add(r.completed_span_sum);
-  return f.hash();
-}
-
-const Workload& GoldenWorkload() {
-  static const Workload workload = [] {
-    TpchOptions o;
-    o.db_gb = 3.0;
-    o.num_queries = 120;
-    o.price = 1.0;
-    o.arrival_span_s = 2.0 * 3600.0;
-    return MakeTpchWorkload(o);
-  }();
-  return workload;
-}
 
 std::unique_ptr<ScanRouter> MakeRouter(Router router) {
   switch (router) {
@@ -173,7 +110,7 @@ std::unique_ptr<ScanRouter> MakeRouter(Router router) {
 
 RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
                     SimTime build_window_s = 0.0) {
-  const Workload& workload = GoldenWorkload();
+  const Workload& workload = GoldenTpchWorkload();
   NashDbOptions opts;
   opts.window_scans = 60;
   opts.block_tuples = 500;
@@ -184,11 +121,14 @@ RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
   NashDbSystem sys(workload.dataset, opts);
   const std::unique_ptr<ScanRouter> scan_router = MakeRouter(router);
   DriverOptions d;
-  d.sim.tuples_per_second = 150.0;
+  d.sim.tuples_per_second = kGoldenTuplesPerSecond;
   d.reconfigure_interval_s = kInterval;
   d.route_batch_size = route_batch_size;
   d.online_build_window_s = build_window_s;
-  if (mode != kFaultFree) {
+  if (mode == kSingleEpoch) {
+    d.warmup_observe = true;
+    d.periodic_reconfigure = false;
+  } else if (mode != kFaultFree) {
     d.faults.spec = *FaultSpec::Parse(
         "crash@2000:n0:for=600;crash@4000:n1;crash@6000:n2:for=900;"
         "mttf=7200;mttr=1800");
@@ -206,7 +146,7 @@ RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
 /// The counts that make `mode` worth pinning.
 void ExpectExercised(const RunResult& r, Mode mode) {
   std::size_t multi_scan = 0;
-  for (const TimedQuery& tq : GoldenWorkload().queries) {
+  for (const TimedQuery& tq : GoldenTpchWorkload().queries) {
     multi_scan += tq.query.scans.size() > 1;
   }
   EXPECT_GT(multi_scan, 0u);
@@ -214,7 +154,9 @@ void ExpectExercised(const RunResult& r, Mode mode) {
   std::size_t multi_span = 0;
   for (const QueryRecord& q : r.records) multi_span += q.span > 1;
   EXPECT_GT(multi_span, 0u);
-  if (mode != kFaultFree) {
+  if (mode == kSingleEpoch) {
+    EXPECT_EQ(r.transitions, 1u);
+  } else if (mode != kFaultFree) {
     EXPECT_GT(r.crashes, 0u);
   }
   if (mode == kFaults) {
@@ -244,7 +186,7 @@ void ExpectExercised(const RunResult& r, Mode mode) {
 void ExpectGolden(Router router, Mode mode) {
   for (const std::size_t batch : {std::size_t{64}, std::size_t{1}}) {
     const RunResult r = RunGolden(router, mode, batch);
-    EXPECT_EQ(Digest(r), kGolden[router][mode])
+    EXPECT_EQ(DigestRun(r), kGolden[router][mode])
         << "router " << router << " mode " << mode << " batch " << batch;
     ExpectExercised(r, mode);
   }
@@ -315,12 +257,25 @@ TEST(QueryPathGoldenTest, PowerOfTwoRetriesThenResumes) {
   ExpectGolden(kPowerOfTwo, kFaultsNoRepairPatient);
 }
 
+TEST(QueryPathGoldenTest, MaxOfMinsSingleEpoch) {
+  ExpectGolden(kMaxOfMins, kSingleEpoch);
+}
+TEST(QueryPathGoldenTest, ShortestQueueSingleEpoch) {
+  ExpectGolden(kShortestQueue, kSingleEpoch);
+}
+TEST(QueryPathGoldenTest, GreedyScSingleEpoch) {
+  ExpectGolden(kGreedySc, kSingleEpoch);
+}
+TEST(QueryPathGoldenTest, PowerOfTwoSingleEpoch) {
+  ExpectGolden(kPowerOfTwo, kSingleEpoch);
+}
+
 // Block boundaries at odd places (blocks of 7 split queries mid-way;
 // blocks of 256 span a whole reconfiguration interval) never change the
 // records.
 void ExpectBatchSizeInvariant(Router router) {
   for (const std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
-    EXPECT_EQ(Digest(RunGolden(router, kFaultFree, batch)),
+    EXPECT_EQ(DigestRun(RunGolden(router, kFaultFree, batch)),
               kGolden[router][kFaultFree])
         << "batch " << batch;
   }
@@ -356,7 +311,7 @@ std::uint64_t PublishedBy(SimTime arrival, SimTime window) {
 void ExpectWindowGolden(Router router, Mode mode) {
   for (const std::size_t batch : {std::size_t{64}, std::size_t{1}}) {
     const RunResult r = RunGolden(router, mode, batch, 900.0);
-    EXPECT_EQ(Digest(r), kWindowGolden[router][mode])
+    EXPECT_EQ(DigestRun(r), kWindowGolden[router][mode])
         << "router " << router << " mode " << mode << " batch " << batch;
     ExpectExercised(r, mode);
   }
@@ -417,12 +372,13 @@ TEST(OnlineReconfigGoldenTest, ScalarPathFaultFree) {
 
 // ------------------------------- high replication (stream's regime)
 
-// Golden digests of the high-replication case, [fault-free, faults], at
-// the default zero build window.
-// Captured from the driver before the Max-of-mins sweep stopped at its
-// lower bound.
-constexpr std::uint64_t kHighReplicationGolden[2] = {0x963a32203710f42aULL,
-                                                     0x39864d3240f70f66ULL};
+// Golden digests of the high-replication case, [fault-free, faults,
+// single epoch], at the default zero build window. The first two were
+// captured from the driver before the Max-of-mins sweep stopped at its
+// lower bound; the single-epoch one equals the one-shard sharded run, as
+// kGolden's single-epoch column does.
+constexpr std::uint64_t kHighReplicationGolden[3] = {
+    0x963a32203710f42aULL, 0x39864d3240f70f66ULL, 0xd41d77dff02df768ULL};
 
 /// Forwards every call to a MaxOfMinsRouter and tallies the regime the
 /// driver's blocks route in: scans by request count (1, 2, 3-16, > 16),
@@ -528,6 +484,10 @@ RunResult RunHighReplication(Mode mode, std::size_t route_batch_size,
   d.reconfigure_interval_s = 60.0;
   d.prewarm_scans = 250;
   d.route_batch_size = route_batch_size;
+  if (mode == kSingleEpoch) {
+    d.warmup_observe = true;
+    d.periodic_reconfigure = false;
+  }
   if (mode == kFaults) {
     d.faults.spec = *FaultSpec::Parse(
         "crash@50:n0:for=60;crash@120:n1;crash@200:n2:for=90");
@@ -540,7 +500,8 @@ void ExpectHighReplicationGolden(Mode mode) {
   for (const std::size_t batch : {std::size_t{64}, std::size_t{1}}) {
     RegimeProbe probe;
     const RunResult r = RunHighReplication(mode, batch, &probe);
-    EXPECT_EQ(Digest(r), kHighReplicationGolden[mode == kFaults])
+    const int column = mode == kFaults ? 1 : mode == kSingleEpoch ? 2 : 0;
+    EXPECT_EQ(DigestRun(r), kHighReplicationGolden[column])
         << "mode " << mode << " batch " << batch;
     EXPECT_GE(r.final_nodes, 64u);
     std::size_t multi_span = 0;
@@ -565,6 +526,9 @@ TEST(QueryPathGoldenTest, MaxOfMinsHighReplicationFaultFree) {
 }
 TEST(QueryPathGoldenTest, MaxOfMinsHighReplicationUnderFaults) {
   ExpectHighReplicationGolden(kFaults);
+}
+TEST(QueryPathGoldenTest, MaxOfMinsHighReplicationSingleEpoch) {
+  ExpectHighReplicationGolden(kSingleEpoch);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "cluster/faults.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
-#include "engine/sharded_driver.h"
 #include "routing/router.h"
 #include "scenario/scenario.h"
 #include "workload/streaming.h"
@@ -542,32 +540,6 @@ TEST(ScenarioDeterminismTest, IdenticalAcrossRunsAndReconfigThreads) {
   // The overload + fault scenario actually exercised both subsystems.
   EXPECT_GT(a.result.shed_queries, 0u);
   EXPECT_GT(a.result.crashes + a.result.partitions, 0u);
-}
-
-// Satellite (d): the phased stream drives the fault-free sharded data
-// plane to the same merged records at 1 and 4 shards.
-TEST(ScenarioDeterminismTest, PhasedWorkloadShardIndependent) {
-  PhasedStreamOptions o = SmallStream();
-  PhasedQueryStream stream(o);
-  const Workload wl = stream.Materialize();
-
-  NashDbOptions no;
-  no.window_scans = 100;
-  no.block_tuples = 1000;
-  no.node_cost = 5.0;
-  no.node_disk = 10'000;
-  NashDbSystem system(wl.dataset, no);
-  for (const TimedQuery& tq : wl.queries) system.Observe(tq.query);
-  const ClusterConfig config = system.BuildConfig();
-
-  const auto factory = [] { return std::make_unique<MaxOfMinsRouter>(); };
-  ShardedDriverOptions so;
-  so.shards = 1;
-  const ShardedRunResult one = RunSharded(wl, config, factory, so);
-  so.shards = 4;
-  const ShardedRunResult four = RunSharded(wl, config, factory, so);
-  ExpectSameRecords(one.merged.records, four.merged.records);
-  EXPECT_EQ(one.merged.total_queries, four.merged.total_queries);
 }
 
 // ----------------------------------- stream vs materialized bit-identity

@@ -239,8 +239,12 @@ TEST(PlannerTest, PrefersSimilarNodes) {
   const TransitionPlan plan = PlanTransition(old_config, new_config);
   EXPECT_EQ(plan.total_transfer_tuples, 0u);
   for (const NodeTransition& move : plan.moves) {
-    if (move.old_node == 0) EXPECT_EQ(move.new_node, 1u);
-    if (move.old_node == 1) EXPECT_EQ(move.new_node, 0u);
+    if (move.old_node == 0) {
+      EXPECT_EQ(move.new_node, 1u);
+    }
+    if (move.old_node == 1) {
+      EXPECT_EQ(move.new_node, 0u);
+    }
   }
 }
 

@@ -9,14 +9,12 @@
 # Usage: tools/check.sh [--quick | --static | --bench-smoke]
 #   --quick    in the sanitizer passes, run only the targeted labels
 #              (ctest -L 'tsan|online|transition' for TSan,
-#              -L 'faults|plane|value|control' for ASan/UBSan) instead of
-#              the full suite. The online label marks the
-#              online-reconfiguration suites (epoch publish concurrent
-#              with routing, DESIGN.md 12); the transition label marks the
-#              control-plane matching / packing / validation suites
-#              (DESIGN.md 15); the plane label marks the sharded
-#              data-plane suites, whose shard threads run the data plane
-#              (DESIGN.md 11); the value label marks the value estimator's
+#              -L 'faults|value|control' for ASan/UBSan) instead of the
+#              full suite. The online label marks the online
+#              reconfiguration suites (background builds racing the
+#              admission loop, DESIGN.md 12); the transition label marks
+#              the control-plane matching / packing / validation suites
+#              (DESIGN.md 15); the value label marks the value estimator's
 #              store-vs-tree differential suite (DESIGN.md 10); the
 #              control label marks the control-plane kernel suites
 #              (fragmenter, prefix sums, packer, matching) and their
@@ -120,11 +118,10 @@ if [[ "${BENCH_SMOKE}" == "1" ]]; then
   cmake --build build -j "${JOBS}" --target bench_data_plane
   dp_out="BENCH_data_plane.json"
   ./build/bench/bench_data_plane --smoke --out="${dp_out}"
-  # Validate: parseable JSON covering the full shards x batch sweep, the
-  # replication x load points and the real2-shaped point (scans wider
-  # than 16 requests at ~62 candidates, saturated, so routing takes the
-  # wide Max-of-mins core), with positive throughput and tails at every
-  # point.
+  # Validate: parseable JSON covering the batch sweep, the replication x
+  # load points and the real2-shaped point (scans wider than 16 requests
+  # at ~62 candidates, saturated, so routing takes the wide Max-of-mins
+  # core), with positive throughput and tails at every point.
   if command -v python3 >/dev/null 2>&1; then
     python3 - "${dp_out}" <<'EOF'
 import json, sys
@@ -132,15 +129,12 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["bench"] == "data_plane", doc
 assert doc["baseline_scans_per_sec"] > 0, doc
-assert doc["speedup_4shard_batch256_vs_baseline"] > 0, doc
-points = {(p["shards"], p["batch"]) for p in doc["sweep"]}
-want = {(s, b) for s in (1, 2, 4, 8) for b in (1, 16, 64, 256)}
-assert points == want, points ^ want
+points = {p["batch"] for p in doc["sweep"]}
+assert points == {1, 16, 64, 256}, points
+assert len(doc["sweep"]) == len(points), doc["sweep"]
 for p in doc["sweep"]:
     assert p["scans_per_sec"] > 0, p
-    assert len(p["per_shard"]) == p["shards"], p
-    for st in p["per_shard"]:
-        assert st["p50_ns"] > 0 and st["p99_ns"] >= st["p50_ns"], st
+    assert p["p50_ns"] > 0 and p["p99_ns"] >= p["p50_ns"], p
 wide = {(p["replicas_mean"], p["load"]) for p in doc["replication_load"]}
 assert wide == {(r, l) for r in (4, 32, 126) for l in ("idle", "saturated")}, wide
 for p in doc["replication_load"]:
@@ -158,7 +152,7 @@ print("bench artifact OK:", len(points), "sweep points,", len(wide),
 EOF
   else
     grep -q '"bench": "data_plane"' "${dp_out}"
-    grep -q '"speedup_4shard_batch256_vs_baseline"' "${dp_out}"
+    grep -q '"sweep"' "${dp_out}"
     grep -q '"replication_load"' "${dp_out}"
     grep -q '"real2_shape"' "${dp_out}"
     echo "bench artifact OK (grep fallback)"
@@ -325,28 +319,16 @@ sanitized_pass() {
 
 sanitized_pass tsan thread 'tsan|online|transition'
 
-# The sharded data plane's real concurrency — one SPSC ring per shard,
-# consumers against a shared read-only epoch — under TSan: one tpch run
-# with 4 shards. Races here would never surface in the single-threaded
-# tier-1 tests.
+# Online reconfiguration under TSan (DESIGN.md 12): the driver runs a
+# fault scenario with background epoch builds (BuildConfigAsync racing
+# the admission loop for a 600 s window at every boundary). Races here
+# would never surface in the single-threaded tier-1 tests.
 echo
-echo "== TSan sharded-driver run (--shards=4) =="
+echo "== TSan online reconfiguration run (--build-window --faults) =="
 cmake --build build-tsan -j "${JOBS}" --target nashdb_sim
-./build-tsan/tools/nashdb_sim --workload=tpch --shards=4 --batch=64 \
-    >/dev/null
-echo "sharded driver: clean under TSan"
-
-# Online reconfiguration under TSan (DESIGN.md 12): the serial control
-# plane runs the fault scenario with background epoch builds
-# (BuildConfigAsync racing the admission loop), then the sharded data
-# plane publishes epochs over the release/acquire chain while 4 shards
-# route. Both concurrency surfaces are exercised by one command.
-echo
-echo "== TSan online-reconfig run (--online-reconfig --faults --shards=4) =="
 ./build-tsan/tools/nashdb_sim --workload=bernoulli --scale=0.05 \
-    --online-reconfig --build-window=600 \
-    --faults='crash@7200:n0:for=1800;mttf=43200;mttr=3600' \
-    --shards=4 --batch=64 >/dev/null
+    --build-window=600 \
+    --faults='crash@7200:n0:for=1800;mttf=43200;mttr=3600' >/dev/null
 echo "online reconfiguration: clean under TSan"
 
 # One full chaos scenario under TSan: correlated rack failure with
@@ -360,9 +342,9 @@ echo "== TSan scenario run (rack_failure.scn) =="
     >/dev/null
 echo "scenario engine: clean under TSan"
 
-sanitized_pass asan address 'faults|plane|value|control' \
+sanitized_pass asan address 'faults|value|control' \
     ASAN_OPTIONS=halt_on_error=1
-sanitized_pass ubsan undefined 'faults|plane|value|control' \
+sanitized_pass ubsan undefined 'faults|value|control' \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 echo

@@ -24,8 +24,8 @@ time instead of by a flaky golden diff three PRs later:
   hot-alloc             Functions marked NASHDB_HOT
                         (common/thread_annotations.h) — the steady-state
                         query path: RouteBatchInto and its router cores /
-                        ResolveBatchInto / WaitView, the data plane's
-                        per-read commit and the SPSC ring ops; and the
+                        ResolveBatchInto / WaitView and the data plane's
+                        per-read commit; and the
                         control-plane kernels: the greedy split search,
                         the dense Hungarian's row step and the sparse
                         solver's heap, relax and augment — must

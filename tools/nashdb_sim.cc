@@ -50,9 +50,7 @@ struct Flags {
   std::string report_path;          // write the scenario JSON report here
   std::uint64_t seed = 0;           // seed for all stochastic components
   bool no_repair = false;           // disable emergency re-replication
-  std::size_t shards = 1;           // driver shards (1 = serial driver)
   std::size_t batch = 64;           // scans per routed block
-  bool online = false;              // sharded online epoch replay
   double build_window_s = 0.0;      // kick-to-publish delay (sim seconds)
   bool help = false;
 };
@@ -80,23 +78,13 @@ void PrintHelp() {
       "\n"
       "Data plane (DESIGN.md 11):\n"
       "  --batch=N          scans per routed block (RouteBatchInto block\n"
-      "                     size; default 64, 1 = per-scan routing, at\n"
-      "                     most 65536; never changes results, only\n"
-      "                     throughput)\n"
-      "  --shards=N         per-core driver shards (at most 64), each\n"
-      "                     consuming from a lock-free SPSC ring and\n"
-      "                     routing against one shared configuration\n"
-      "                     epoch. Default 1 = the serial elastic\n"
-      "                     driver. N > 1 runs the fault-free\n"
-      "                     single-epoch data plane (the\n"
-      "                     configuration is built once from the whole\n"
-      "                     workload; no reconfiguration) and is\n"
-      "                     incompatible with --faults, --adaptive, and\n"
-      "                     --metrics\n"
+      "                     size; default 64, 1 = per-scan routing; >= 1\n"
+      "                     and at most 65536; never changes results,\n"
+      "                     only throughput)\n"
       "\n"
       "Reconfiguration rounds (DESIGN.md 12):\n"
       "  --build-window=S   simulated seconds between a boundary, where\n"
-      "                     the serial driver kicks the next\n"
+      "                     the driver kicks the next\n"
       "                     configuration's build onto a background\n"
       "                     thread, and its publish, applied at the\n"
       "                     boundary's simulated time; queries inside the\n"
@@ -105,12 +93,6 @@ void PrintHelp() {
       "                     stop-the-world round). The summary's\n"
       "                     'reconfig stall' line shows the wall-clock the\n"
       "                     admission loop lost. Must be >= 0\n"
-      "  --online-reconfig  with --shards=N>1, replay a prefix-derived\n"
-      "                     epoch schedule, publishing epochs while the\n"
-      "                     shards route; if --faults is also given, the\n"
-      "                     serial elastic control plane runs first under\n"
-      "                     the faults and the fault-free sharded replay\n"
-      "                     follows. No effect on the serial driver\n"
       "\n"
       "Fault injection (DESIGN.md 8):\n"
       "  --faults=SPEC      semicolon-separated clauses:\n"
@@ -170,9 +152,8 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-// Upper bounds on the flags that size threads and buffers: a typo must not
-// start thousands of shard threads or buffer a whole workload per block.
-constexpr std::uint64_t kMaxShards = 64;
+// Upper bound on the flag that sizes the routing buffers: a typo must not
+// buffer a whole workload per block.
 constexpr std::uint64_t kMaxBatch = 65536;
 
 // An unsigned flag's value: digits only (no sign, no space, no suffix) and
@@ -227,8 +208,6 @@ Flags ParseFlags(int argc, char** argv) {
       f.adaptive = true;
     } else if (std::strcmp(a, "--no-repair") == 0) {
       f.no_repair = true;
-    } else if (std::strcmp(a, "--online-reconfig") == 0) {
-      f.online = true;
     } else if (ParseFlag(a, "--build-window", &v)) {
       f.build_window_s = ParseReal("--build-window", v);
     } else if (ParseFlag(a, "--workload", &f.workload) ||
@@ -258,8 +237,6 @@ Flags ParseFlags(int argc, char** argv) {
       f.interval_s = ParseReal("--interval", v);
     } else if (ParseFlag(a, "--seed", &v)) {
       f.seed = ParseUnsigned("--seed", v);
-    } else if (ParseFlag(a, "--shards", &v)) {
-      f.shards = ParseUnsigned("--shards", v, kMaxShards);
     } else if (ParseFlag(a, "--batch", &v)) {
       f.batch = ParseUnsigned("--batch", v, kMaxBatch);
     } else {
@@ -374,7 +351,7 @@ std::unique_ptr<ScanRouter> BuildRouter(const Flags& f) {
   std::exit(2);
 }
 
-void PrintSerialSummary(const Flags& f, const Workload& wl,
+void PrintSummary(const Flags& f, const Workload& wl,
                         const RunResult& r) {
   std::printf("workload           : %s (%zu queries, %lu tuples)\n",
               wl.name.c_str(), wl.queries.size(),
@@ -407,38 +384,6 @@ void PrintSerialSummary(const Flags& f, const Workload& wl,
                 static_cast<double>(r.repair_transfer_tuples) / 1000.0);
   }
 }
-
-/// Prefix-derived epoch schedule for the sharded online data plane: the
-/// bootstrap is built from the first interval's arrivals, then one epoch
-/// per subsequent boundary, each built from exactly the queries arriving
-/// before it (no lookahead) and activating at the boundary — the data
-/// plane's replay of what the serial control loop would publish.
-std::vector<ScheduledEpoch> BuildEpochSchedule(const Flags& f,
-                                               const Workload& wl,
-                                               DistributionSystem* system,
-                                               ClusterConfig* bootstrap) {
-  std::size_t qi = 0;
-  const auto observe_until = [&](SimTime t) {
-    while (qi < wl.queries.size() && wl.queries[qi].arrival < t) {
-      system->Observe(wl.queries[qi++].query);
-    }
-  };
-  observe_until(f.interval_s);
-  *bootstrap = system->BuildConfig();
-  std::vector<ScheduledEpoch> schedule;
-  const SimTime last_arrival =
-      wl.queries.empty() ? 0.0 : wl.queries.back().arrival;
-  for (SimTime b = 2.0 * f.interval_s; b <= last_arrival;
-       b += f.interval_s) {
-    observe_until(b);
-    schedule.push_back({system->BuildConfig(), b});
-  }
-  return schedule;
-}
-
-}  // namespace
-
-namespace {
 
 /// Writes a run's metrics snapshot (--metrics) to `path`. Returns false,
 /// naming the path on stderr, when the file cannot be opened.
@@ -531,7 +476,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   // The estimator needs room for one scan, fragments and nodes room for
-  // one tuple; zero would abort deep inside the system's constructor.
+  // one tuple; zero would abort deep inside the system's constructor. A
+  // routed block holds at least one scan.
   if (flags.window == 0) {
     std::fprintf(stderr, "--window must be a positive number of scans\n");
     return 2;
@@ -542,6 +488,10 @@ int main(int argc, char** argv) {
   }
   if (flags.node_disk == 0) {
     std::fprintf(stderr, "--node-disk must be a positive number of tuples\n");
+    return 2;
+  }
+  if (flags.batch == 0) {
+    std::fprintf(stderr, "--batch must be a positive number of scans\n");
     return 2;
   }
   if (!flags.scenario.empty()) {
@@ -561,23 +511,6 @@ int main(int argc, char** argv) {
                 flags_resolved.node_cost);
   }
   const Flags& f = flags_resolved;
-  if (f.shards < 1 || f.batch < 1) {
-    std::fprintf(stderr, "--shards and --batch must be >= 1\n");
-    return 2;
-  }
-  if (f.shards > 1 && (f.adaptive || !f.metrics_path.empty())) {
-    std::fprintf(stderr,
-                 "--shards=N>1 runs the sharded data plane; "
-                 "drop --adaptive/--metrics\n");
-    return 2;
-  }
-  if (f.shards > 1 && !f.faults.empty() && !f.online) {
-    std::fprintf(stderr,
-                 "--shards=N>1 is fault-free; combine --faults with "
-                 "--online-reconfig to run the serial control plane under "
-                 "the faults first, or drop --faults\n");
-    return 2;
-  }
   auto system = BuildSystem(f, wl.dataset);
   auto router = BuildRouter(f);
 
@@ -605,74 +538,8 @@ int main(int argc, char** argv) {
   d.online_build_window_s = f.build_window_s;
   d.route_batch_size = f.batch;
 
-  if (f.shards > 1) {
-    if (!f.faults.empty()) {
-      // Control plane first: the serial elastic loop runs the whole
-      // workload under the fault scenario (the sharded data plane below
-      // is fault-free by construction).
-      std::printf("== control plane: serial run under faults ==\n");
-      const RunResult r = RunWorkload(wl, system.get(), router.get(), d);
-      PrintSerialSummary(f, wl, r);
-      std::printf(
-          "\n== data plane: sharded online epoch replay (fault-free) ==\n");
-    }
-    // Fresh observation state for the data plane (the control run above
-    // fed the shared system its own observations).
-    auto ssys = BuildSystem(f, wl.dataset);
-    ShardedDriverOptions so;
-    so.shards = f.shards;
-    so.batch_size = f.batch;
-    so.sim = d.sim;
-    so.phi_s = d.phi_s;
-    const auto factory = [&f] { return BuildRouter(f); };
-    ShardedRunResult sr;
-    if (f.online) {
-      // Sharded online data plane: epochs published while shards route.
-      ClusterConfig boot;
-      const std::vector<ScheduledEpoch> schedule =
-          BuildEpochSchedule(f, wl, ssys.get(), &boot);
-      sr = RunShardedOnline(wl, boot, schedule, factory, so);
-    } else {
-      // Single-epoch data plane: one configuration built from the whole
-      // workload, then N per-core shards route their partitions against
-      // it.
-      for (const TimedQuery& tq : wl.queries) ssys->Observe(tq.query);
-      const ClusterConfig config = ssys->BuildConfig();
-      sr = RunSharded(wl, config, factory, so);
-    }
-    const RunResult& r = sr.merged;
-    std::printf("workload           : %s (%zu queries, %lu tuples)\n",
-                wl.name.c_str(), wl.queries.size(),
-                static_cast<unsigned long>(wl.dataset.TotalTuples()));
-    std::printf("system / router    : %s / %s (%zu shards, batch %zu%s)\n",
-                f.system.c_str(), f.router.c_str(), f.shards, f.batch,
-                f.online ? ", online epochs" : "");
-    std::printf("mean latency       : %10.1f s\n", r.MeanLatency());
-    std::printf("p50 / p95 / p99    : %10.1f / %.1f / %.1f s\n",
-                r.TailLatency(50), r.TailLatency(95), r.TailLatency(99));
-    std::printf("mean query span    : %10.2f nodes\n", r.MeanSpan());
-    std::printf("total cost         : %10.1f cents\n", r.total_cost);
-    std::printf("cluster size       : %10zu nodes\n", r.final_nodes);
-    std::printf("epochs published   : %10zu (bootstrap + %zu transitions)\n",
-                r.transitions, r.transitions - 1);
-    std::printf("data moved         : %10.1f GB (bootstrap %.1f GB)\n",
-                static_cast<double>(r.transferred_tuples) / 1000.0,
-                static_cast<double>(r.bootstrap_transfer_tuples) / 1000.0);
-    std::printf("data served        : %10.1f GB\n",
-                static_cast<double>(r.read_tuples) / 1000.0);
-    std::printf("makespan           : %10.1f h\n", r.makespan_s / 3600.0);
-    for (const ShardResult& s : sr.shards) {
-      std::printf("  shard %-2zu         : %7zu queries, %8.1f GB served, "
-                  "makespan %.1f h\n",
-                  s.shard, s.records.size(),
-                  static_cast<double>(s.read_tuples) / 1000.0,
-                  s.makespan_s / 3600.0);
-    }
-    return 0;
-  }
-
   const RunResult r = RunWorkload(wl, system.get(), router.get(), d);
-  PrintSerialSummary(f, wl, r);
+  PrintSummary(f, wl, r);
   if (!f.metrics_path.empty() && !r.metrics_json.empty() &&
       !WriteMetricsSnapshot(f.metrics_path, r.metrics_json)) {
     return 1;
