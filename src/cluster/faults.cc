@@ -227,25 +227,13 @@ std::vector<FaultEvent> FaultScheduler::AdvanceTo(SimTime now,
   NASHDB_DCHECK(now >= clock_) << "fault clock moved backwards";
   std::vector<FaultEvent> delivered;
   for (;;) {
-    // Earliest pending event; strict < keeps the scripted > crash >
-    // straggle priority on exact ties, so replays are stable.
-    enum { kScripted, kStochCrash, kStochStraggle } src = kScripted;
-    SimTime t = next_scripted_ < spec_.scripted.size()
-                    ? spec_.scripted[next_scripted_].time
-                    : kNeverRecovers;
-    if (next_crash_ < t) {
-      t = next_crash_;
-      src = kStochCrash;
-    }
-    if (next_straggle_ < t) {
-      t = next_straggle_;
-      src = kStochStraggle;
-    }
+    Source src = Source::kScripted;
+    const SimTime t = NextEvent(&src);
     if (t > now) break;
     clock_ = t;
 
     FaultEvent ev;
-    if (src == kScripted) {
+    if (src == Source::kScripted) {
       // Applies one node-resolved event; returns false (and counts a
       // drop) when the target's state makes it a no-op.
       const auto deliver_one = [&](const FaultEvent& e) -> bool {
@@ -311,7 +299,7 @@ std::vector<FaultEvent> FaultScheduler::AdvanceTo(SimTime now,
         delivered.push_back(ev);
       }
       continue;
-    } else if (src == kStochCrash) {
+    } else if (src == Source::kStochCrash) {
       next_crash_ = DrawExponential(spec_.mttf_s);
       const NodeId victim = PickLiveVictim(*sim, t);
       if (victim == kInvalidNode) {

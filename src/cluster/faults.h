@@ -134,6 +134,14 @@ class FaultScheduler {
   /// not go backwards across calls.
   std::vector<FaultEvent> AdvanceTo(SimTime now, ClusterSim* sim);
 
+  /// Time of the earliest event not yet delivered, over the scripted,
+  /// stochastic-crash and straggle sources (kNeverRecovers when none is
+  /// left): the time of the first event the next AdvanceTo(now) delivers,
+  /// which it does exactly when this is not above `now`. Stochastic
+  /// events are drawn as their predecessors are delivered, so this never
+  /// draws.
+  SimTime NextEventTime() const { return NextEvent(nullptr); }
+
   /// Indices of `plan->moves` whose transfer is interrupted and must
   /// restart once, for a transition applied at `now`: every move with a
   /// non-empty transfer when a scripted `interrupt@T <= now` is pending,
@@ -144,6 +152,27 @@ class FaultScheduler {
   const FaultStats& stats() const { return stats_; }
 
  private:
+  enum class Source { kScripted, kStochCrash, kStochStraggle };
+  /// The earliest pending event's time, and in `*src` (when non-null) its
+  /// source. Strict < keeps the scripted > crash > straggle priority on
+  /// exact ties, so replays are stable.
+  SimTime NextEvent(Source* src) const {
+    Source s = Source::kScripted;
+    SimTime t = next_scripted_ < spec_.scripted.size()
+                    ? spec_.scripted[next_scripted_].time
+                    : kNeverRecovers;
+    if (next_crash_ < t) {
+      t = next_crash_;
+      s = Source::kStochCrash;
+    }
+    if (next_straggle_ < t) {
+      t = next_straggle_;
+      s = Source::kStochStraggle;
+    }
+    if (src != nullptr) *src = s;
+    return t;
+  }
+
   /// Next stochastic crash/straggle onset times (kNeverRecovers = model
   /// disabled or exhausted).
   SimTime DrawExponential(double mean_s);

@@ -221,11 +221,7 @@ Histogram::Histogram(std::vector<double> bounds)
 }
 
 void Histogram::Observe(double x) {
-  // First bound >= x: bounds are inclusive ("le") upper bounds, so a
-  // sample equal to a bound lands in that bound's bucket.
-  const std::size_t b =
-      std::lower_bound(bounds_.begin(), bounds_.end(), x) - bounds_.begin();
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
+  buckets_[BucketIndex(bounds_, x)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(&sum_, x);
   AtomicMin(&min_, x);
@@ -251,6 +247,29 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
     out[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return out;
+}
+
+void Histogram::Merge(const LocalHistogram& local) {
+  NASHDB_CHECK(local.bounds_ == bounds_) << "merged histogram bounds differ";
+  for (std::size_t i = 0; i < local.buckets_.size(); ++i) {
+    buckets_[i].fetch_add(local.buckets_[i], std::memory_order_relaxed);
+  }
+  count_.fetch_add(local.count_, std::memory_order_relaxed);
+  AtomicAdd(&sum_, local.sum_);
+  AtomicMin(&min_, local.min_);
+  AtomicMax(&max_, local.max_);
+}
+
+// ---- LocalHistogram ---------------------------------------------------
+
+LocalHistogram::LocalHistogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {
+  if (bounds_.empty()) bounds_ = DefaultBounds();
+  NASHDB_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
+      << "histogram bounds must ascend";
+  buckets_.assign(bounds_.size() + 1, 0);
 }
 
 // ---- Registry ---------------------------------------------------------
@@ -457,6 +476,12 @@ void Observe(std::string_view name, double value) {
   Registry& r = Registry::Global();
   if (!r.enabled()) return;
   r.histogram(name)->Observe(value);
+}
+
+void Merge(std::string_view name, const LocalHistogram& local) {
+  Registry& r = Registry::Global();
+  if (!r.enabled() || local.count() == 0) return;
+  r.histogram(name, local.bounds())->Merge(local);
 }
 
 ScopedTimerMs::ScopedTimerMs(const char* histogram_name)

@@ -1,6 +1,7 @@
 #ifndef NASHDB_COMMON_METRICS_H_
 #define NASHDB_COMMON_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -62,12 +63,24 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
+class LocalHistogram;
+
+/// The bucket of `x` among ascending inclusive upper `bounds`: the first
+/// bound >= x, so a sample equal to a bound lands in that bound's bucket;
+/// bounds.size() is the overflow bucket (NaN lands in bucket 0).
+inline std::size_t BucketIndex(const std::vector<double>& bounds, double x) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), x) - bounds.begin());
+}
+
 /// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds;
 /// one implicit overflow bucket catches everything above the last bound.
 /// Observe() is lock-free (per-bucket atomic counters; sum/min/max via CAS
 /// loops), so pool workers may record concurrently.
 class Histogram {
  public:
+  /// Empty `bounds` means the default geometric decade buckets
+  /// (1e-3 .. 1e6).
   explicit Histogram(std::vector<double> bounds);
 
   void Observe(double x);
@@ -82,6 +95,13 @@ class Histogram {
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   std::vector<std::uint64_t> bucket_counts() const;
 
+  /// Adds the samples `local` holds: counts and buckets add, min and max
+  /// combine, and `local`'s sum is added to this one. `local`'s bounds
+  /// must be this histogram's. Into an empty histogram the result equals
+  /// observing `local`'s sequence directly, bit for bit: the sum starts
+  /// from 0.0 either way, and a sum begun at +0.0 is never -0.0.
+  void Merge(const LocalHistogram& local);
+
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
@@ -90,6 +110,38 @@ class Histogram {
   /// +/-infinity sentinels until the first sample; accessors mask them.
   std::atomic<double> min_;
   std::atomic<double> max_;
+};
+
+/// A histogram with one writer: Histogram's bounds and bucket search in
+/// plain fields, so a hot path owned by one thread records without
+/// atomics and hands its samples to the registry once, through
+/// metrics::Merge (DESIGN.md §7).
+class LocalHistogram {
+ public:
+  /// Empty `bounds` means Histogram's default buckets.
+  explicit LocalHistogram(std::vector<double> bounds = {});
+
+  void Observe(double x) {
+    ++buckets_[BucketIndex(bounds_, x)];
+    ++count_;
+    sum_ += x;
+    if (x < min_) min_ = x;
+    if (x > max_) max_ = x;
+  }
+
+  std::uint64_t count() const { return count_; }
+  const std::vector<double>& bounds() const { return bounds_; }
+
+ private:
+  friend class Histogram;
+
+  std::vector<double> bounds_;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  /// +/-infinity sentinels until the first sample, as in Histogram.
+  double min_;
+  double max_;
 };
 
 /// Structured record of one reconfiguration round, covering every pipeline
@@ -223,6 +275,10 @@ inline bool Enabled() { return Registry::Global().enabled(); }
 void Count(std::string_view name, std::uint64_t n = 1);
 void SetGauge(std::string_view name, double value);
 void Observe(std::string_view name, double value);
+/// Adds `local`'s samples to the named histogram (created with `local`'s
+/// bounds). An empty `local` registers nothing, so a snapshot lists only
+/// what the run recorded.
+void Merge(std::string_view name, const LocalHistogram& local);
 
 /// A named counter recorded through a cached pointer, for per-event call
 /// sites held by an object that may outlive a run (e.g. the estimator of

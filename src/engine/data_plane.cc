@@ -39,16 +39,25 @@ DataPlane::DataPlane(const DriverOptions& options, ClusterSim* sim,
                           static_cast<double>(
                               options.overload.max_pending_queries))
                     : 0),
+      horizon_(kNeverRecovers),
       span_stamp_(sim->node_count(), 0) {}
 
 bool DataPlane::Shed(const TimedQuery& tq, std::uint64_t epoch) {
   if (!overload_on_) return false;
   const SimTime now = tq.arrival;
+  const std::size_t budget = options_.overload.max_pending_queries;
   while (!inflight_.empty() && inflight_.top() <= now) inflight_.pop();
+  // Each pending query is in flight at `now` unless it completes by then,
+  // so below the budget with all of them counted nothing is shed.
+  if (inflight_.size() + pending_.size() < budget) return false;
+  if (!pending_.empty()) {
+    Flush();
+    while (!inflight_.empty() && inflight_.top() <= now) inflight_.pop();
+  }
   const std::size_t pending_now = inflight_.size();
   // Deterministic drop policy: price-selective below the hard cap,
   // everything past it.
-  const bool shed = pending_now >= options_.overload.max_pending_queries &&
+  const bool shed = pending_now >= budget &&
                     (pending_now >= hard_cap_ ||
                      tq.query.price < options_.overload.shed_keep_price);
   if (!shed) return false;
@@ -66,8 +75,17 @@ bool DataPlane::Shed(const TimedQuery& tq, std::uint64_t epoch) {
 }
 
 void DataPlane::Admit(const TimedQuery& tq, const ConfigEpoch& epoch) {
-  NASHDB_DCHECK(pending_.empty() || epoch_ == &epoch);
-  epoch_ = &epoch;
+  NASHDB_DCHECK(pending_.empty() ||
+                tq.arrival >= pending_.back().record.arrival)
+      << "arrivals must not decrease";
+  // The block is filtered at its first arrival (Route), so it must not
+  // span a recovery or heal.
+  if (tq.arrival >= horizon_) Flush();
+  if (pending_.empty()) {
+    epoch_ = &epoch;
+    if (faults_on_) horizon_ = liveness_.NextChangeAfter(tq.arrival);
+  }
+  NASHDB_DCHECK(epoch_ == &epoch);
   PendingQuery pq;
   pq.record.id = tq.query.id;
   pq.record.price = tq.query.price;
@@ -78,17 +96,15 @@ void DataPlane::Admit(const TimedQuery& tq, const ConfigEpoch& epoch) {
   pending_.push_back(std::move(pq));
   const std::size_t slot = pending_.size() - 1;
   for (const Scan& scan : tq.query.scans) block_.AddScan(slot, scan);
-  if (faults_on_ || overload_on_ ||
-      block_.size() >= options_.route_batch_size) {
-    Flush();
-  }
+  if (block_.size() >= options_.route_batch_size) Flush();
 }
 
 Status DataPlane::Route(ScanBatch* batch, SimTime at) {
   epoch_->index().ResolveBatchInto(batch);
-  // With faults on, a block holds one query whose scans all route at
-  // `at`; when some node is down then, the resolved spans are filtered
-  // to the routable candidates first.
+  // With faults on, every scan of the block arrives before the routable
+  // set changes after `at` (Admit), so when some node is down at `at`
+  // the resolved spans are filtered once, to the candidates routable at
+  // each scan's own arrival.
   if (faults_on_ && liveness_.AnyDeadAt(at)) {
     liveness_.FilterLive(at, batch, &live_cands_);
   }
@@ -137,44 +153,59 @@ void DataPlane::Flush() {
   if (pending_.empty()) return;
   // A coverage gap resumes through RouteBatchInto's partial commit: the
   // scans before the failing one stay committed, the failing scan
-  // retries alone, and the query's remaining scans resume as a new block
-  // at its arrival.
+  // retries alone, and the rest of the block resumes as a new block at
+  // its first query's arrival. An abort skips the rest of its query.
   while (!block_.empty()) {
     const Status status =
         Route(&block_, pending_[block_.ids[0]].record.arrival);
     if (status.ok()) break;
     NASHDB_CHECK(faults_on_) << status.message();
     const std::size_t failed = routed_;
-    if (!RetryScan(failed)) break;
+    std::size_t resume = failed + 1;
+    if (!RetryScan(failed)) {
+      while (resume < block_.size() &&
+             block_.ids[resume] == block_.ids[failed]) {
+        ++resume;
+      }
+    }
     spare_.Clear();
-    AppendScans(block_, failed + 1, block_.size(), &spare_);
+    AppendScans(block_, resume, block_.size(), &spare_);
     std::swap(block_, spare_);
   }
+  // Every later Shed pops the completions at or before its arrival, which
+  // is at least the last pending arrival, before it counts the heap; so
+  // those need no push.
+  const SimTime popped_by = pending_.back().record.arrival;
   for (PendingQuery& pq : pending_) {
     pq.record.completion = pq.completion;
     pq.record.latency_s = pq.completion - pq.record.arrival;
     if (pq.record.aborted) {
       if (collect_) metrics::Count("faults.query_aborts");
     } else if (collect_) {
-      if (queries_metric_ == nullptr) {
-        metrics::Registry& reg = metrics::Registry::Global();
-        queries_metric_ = reg.counter("routing.queries");
-        span_metric_ = reg.histogram("routing.span");
-        latency_metric_ = reg.histogram("routing.latency_s");
-      }
-      queries_metric_->Inc();
-      span_metric_->Observe(static_cast<double>(pq.record.span));
-      latency_metric_->Observe(pq.record.latency_s);
+      ++queries_;
+      span_.Observe(static_cast<double>(pq.record.span));
+      latency_.Observe(pq.record.latency_s);
     }
     // Reads enqueued before an abort still occupy their nodes, so the
     // makespan advances either way, and the query held an admission slot
     // until its last enqueued read finished.
     result_->makespan_s = std::max(result_->makespan_s, pq.completion);
-    if (overload_on_) inflight_.push(pq.completion);
+    if (overload_on_ && pq.completion > popped_by) {
+      inflight_.push(pq.completion);
+    }
     result_->AddRecord(pq.record, options_.keep_records);
   }
   pending_.clear();
   block_.Clear();
+  horizon_ = kNeverRecovers;
+}
+
+void DataPlane::MergeMetrics() const {
+  if (requests_ > 0) metrics::Count("routing.requests", requests_);
+  if (queries_ > 0) metrics::Count("routing.queries", queries_);
+  metrics::Merge("routing.queue_wait_s", queue_wait_);
+  metrics::Merge("routing.span", span_);
+  metrics::Merge("routing.latency_s", latency_);
 }
 
 NASHDB_HOT void DataPlane::OnScanRouted(std::size_t scan_index,
@@ -195,9 +226,10 @@ NASHDB_HOT void DataPlane::OnScanRouted(std::size_t scan_index,
     if (first_use) ++pq.record.span;
     const TupleCount tuples = reqs[rr.request_index].tuples;
     if (collect_) {
-      if (requests_metric_ == nullptr) ResolveReadMetrics();
-      requests_metric_->Inc();
-      queue_wait_metric_->Observe(sim_->WaitSeconds(rr.node, at));
+      ++requests_;
+      // The view reads the sim's busy-until array at `at`: this is
+      // sim_->WaitSeconds(rr.node, at).
+      queue_wait_.Observe(view_->At(rr.node));
     }
     const SimTime done = sim_->EnqueueRead(rr.node, tuples, at, first_use);
     pq.completion = std::max(pq.completion, done);
@@ -207,12 +239,6 @@ NASHDB_HOT void DataPlane::OnScanRouted(std::size_t scan_index,
   if (routed_ < bound_->size()) {
     view_->set_at(pending_[bound_->ids[routed_]].record.arrival);
   }
-}
-
-void DataPlane::ResolveReadMetrics() {
-  metrics::Registry& reg = metrics::Registry::Global();
-  requests_metric_ = reg.counter("routing.requests");
-  queue_wait_metric_ = reg.histogram("routing.queue_wait_s");
 }
 
 }  // namespace nashdb

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/sim.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "engine/config_epoch.h"
@@ -19,11 +20,6 @@
 
 namespace nashdb {
 
-namespace metrics {
-class Counter;
-class Histogram;
-}  // namespace metrics
-
 /// The driver's query path (DESIGN.md §11): admission into a block of
 /// pending queries, resolve, route, the commit of every read into the
 /// sim, and each query's record.
@@ -31,12 +27,19 @@ class Histogram;
 /// A block is routed with one RouteBatchInto call, and the plane is its
 /// BatchSink: each scan's reads are committed before the next scan's
 /// waits are first read, so the records are the same at any block size.
-/// The block flushes when full, and its owner flushes it before every
-/// configuration change, so a block never spans epochs. With faults or
-/// overload on, every query is its own block, flushed at its admission,
-/// so fault delivery, repairs and the shed decision see exactly the state
-/// its routing leaves behind. Buffers are reused for the whole run: the
-/// steady state allocates nothing.
+/// The block flushes when full, before a query that arrives once the
+/// routable set has changed (the whole block is filtered at its first
+/// arrival), and, with admission control on, before a shed decision the
+/// block's completions could tip. Its owner flushes it before every
+/// configuration change, so a block never spans epochs, and before
+/// delivering a fault, so fault delivery and repairs see exactly the
+/// state routing leaves behind. Faults and overload route in the same
+/// multi-query blocks as a fault-free run. Buffers are reused for the
+/// whole run: the steady state allocates nothing.
+///
+/// The routing.* metrics accumulate in plain per-run fields, written only
+/// by the driver thread, and reach the registry once, through
+/// MergeMetrics.
 class DataPlane final : private BatchSink {
  public:
   /// Routes with `router`, enqueues the reads into `sim` (which already
@@ -51,19 +54,37 @@ class DataPlane final : private BatchSink {
 
   /// Admission control (OverloadOptions): when the policy is active and
   /// drops `tq` at its arrival, adds its shed record, stamped `epoch`, to
-  /// the result and returns true. Otherwise returns false.
+  /// the result and returns true. Otherwise returns false. The pending
+  /// block's queries hold admission slots their unrouted completions do
+  /// not show yet, so when they could bring the in-flight count to the
+  /// budget the block is flushed first; a shed therefore always finds
+  /// the block empty, and its record keeps its admission-order place.
   bool Shed(const TimedQuery& tq, std::uint64_t epoch);
 
-  /// Admits `tq` to be routed against `epoch`, flushing the block when
-  /// it is full (and after every query with faults or overload on). The
-  /// queries of one block share an epoch: flush before `epoch` changes.
+  /// Admits `tq` to be routed against `epoch`. Flushes the pending block
+  /// first when `tq` arrives at or after the routable set's next change
+  /// (LivenessOverlay::NextChangeAfter of the block's first arrival),
+  /// and after admitting when the block is full. The queries of one
+  /// block share an epoch: flush before `epoch` changes.
   void Admit(const TimedQuery& tq, const ConfigEpoch& epoch);
 
   /// Routes the pending block and finalizes its records in admission
-  /// order. A coverage gap (faults only) retries the failing scan alone
-  /// with backoff, then resumes the query's remaining scans; without
-  /// faults every candidate span is non-empty, so a failure is a bug.
+  /// order. A coverage gap (faults only) commits the block's prefix,
+  /// retries the failing scan alone with backoff, then resumes the rest
+  /// of the block at its first query's arrival; an abort drops only that
+  /// query's remaining scans. Without faults every candidate span is
+  /// non-empty, so a failure is a bug.
   void Flush();
+
+  /// True when no query is pending.
+  bool empty() const { return pending_.empty(); }
+
+  /// Adds the run's routing.* metrics to the registry: the counters
+  /// routing.requests and routing.queries, and the histograms
+  /// routing.queue_wait_s, routing.span and routing.latency_s. A metric
+  /// the run never recorded is not registered. Call once, after the last
+  /// Flush of a metrics-on run.
+  void MergeMetrics() const;
 
  private:
   /// A query whose scans sit in the pending block.
@@ -76,8 +97,9 @@ class DataPlane final : private BatchSink {
   /// Resolves `batch` against the pending queries' epoch and routes it,
   /// its first scan at simulated time `at`.
   Status Route(ScanBatch* batch, SimTime at);
-  /// Backs off and retries scan `failed` of the (one-query) block alone;
-  /// false once the query aborts.
+  /// Backs off and retries scan `failed` of the block alone, as a
+  /// one-scan block resolved and filtered again at each attempt time;
+  /// false once its query aborts.
   bool RetryScan(std::size_t failed);
 
   /// The commit: enqueues the reads of scan `scan_index` of the bound
@@ -85,7 +107,6 @@ class DataPlane final : private BatchSink {
   /// the next scan's arrival.
   void OnScanRouted(std::size_t scan_index, const RoutedRead* reads,
                     std::size_t count) override;
-  void ResolveReadMetrics();
 
   const DriverOptions& options_;
   ClusterSim* const sim_;
@@ -99,6 +120,9 @@ class DataPlane final : private BatchSink {
   const std::size_t hard_cap_;  // overload: shed everything from here
 
   const ConfigEpoch* epoch_ = nullptr;  // of the pending queries
+  /// The routable set's next change after the block's first arrival
+  /// (+inf while the block is empty or faults are off).
+  SimTime horizon_;
   ScanBatch block_;  // ids are pending-query slots
   ScanBatch spare_;  // one-scan retry block, then the resumed remainder
   std::vector<PendingQuery> pending_;
@@ -119,19 +143,19 @@ class DataPlane final : private BatchSink {
   /// back (a block holds each query's scans contiguously).
   std::vector<std::uint64_t> span_stamp_;
 
-  /// Completion times of the admitted queries, popped at each arrival:
-  /// the exact, simulated-time in-flight count of admission control.
+  /// Completion times of the routed queries, popped at each arrival: the
+  /// exact, simulated-time in-flight count of admission control. A flush
+  /// pushes only completions after its last arrival, since every later
+  /// arrival would pop the others first.
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<SimTime>>
       inflight_;
 
-  /// routing.* handles, resolved when a metrics-on run first records
-  /// one, so the snapshot lists only what the run recorded. Valid until
-  /// the next Registry::Reset(), which only a run's start calls.
-  metrics::Counter* requests_metric_ = nullptr;
-  metrics::Histogram* queue_wait_metric_ = nullptr;
-  metrics::Counter* queries_metric_ = nullptr;
-  metrics::Histogram* span_metric_ = nullptr;
-  metrics::Histogram* latency_metric_ = nullptr;
+  // routing.* accumulators of a metrics-on run (MergeMetrics).
+  std::uint64_t requests_ = 0;
+  std::uint64_t queries_ = 0;
+  metrics::LocalHistogram queue_wait_;
+  metrics::LocalHistogram span_;
+  metrics::LocalHistogram latency_;
 };
 
 }  // namespace nashdb

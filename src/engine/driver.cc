@@ -289,6 +289,13 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // Event-driven mirror of per-node routability (DESIGN.md §10).
   LivenessOverlay liveness;
   liveness.SyncFrom(sim);
+
+  // --- The query path (DESIGN.md §10–§11): admission, routing, commit
+  // and record finalization all run through the data plane; this loop
+  // decides only when its block flushes around a fault delivery or a
+  // reconfiguration round.
+  DataPlane plane(options, &sim, router, liveness, &result);
+
   // Crash delivery times not yet resolved by a repair/transition, for the
   // faults.time_to_repair_s histogram.
   std::vector<SimTime> pending_crashes;
@@ -302,10 +309,14 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // faults delivered) must clamp rather than rewind the scheduler's clock.
   SimTime fault_clock = 0.0;
 
-  // Delivers every fault due by `at` into the sim.
+  // Delivers every fault due by `at` into the sim. An event changes the
+  // state routing reads, so the pending block routes first, against the
+  // state before it (DESIGN.md §11); with none due, nothing changes.
   const auto deliver_faults = [&](SimTime at) {
     if (!fault_sched) return;
     fault_clock = std::max(fault_clock, at);
+    if (fault_sched->NextEventTime() > fault_clock) return;
+    plane.Flush();
     bool any = false;
     for (const FaultEvent& ev : fault_sched->AdvanceTo(fault_clock, &sim)) {
       if (ev.type == FaultType::kCrash) pending_crashes.push_back(ev.time);
@@ -399,11 +410,6 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
       }
     }
   };
-
-  // --- The query path (DESIGN.md §10–§11): admission, routing, commit
-  // and record finalization all run through the data plane; this loop
-  // decides only when its block flushes around a reconfiguration round.
-  DataPlane plane(options, &sim, router, liveness, &result);
 
   // --- Reconfiguration rounds (paper §6–§7, DESIGN.md §12). Each round is
   // a *kick* at the boundary — flush, deliver faults, snapshot the
@@ -553,6 +559,9 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
       pending_partition = false;
       return;
     }
+    // Acting needs a crash or partition delivered since the last check,
+    // and every delivery flushed the block first.
+    NASHDB_DCHECK(plane.empty());
     if (collect) metrics::Count("faults.coverage_lost_events");
     const std::vector<bool> dead = dead_bitmap(at);
     const std::vector<bool> partitioned = partitioned_bitmap(at);
@@ -656,6 +665,7 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
     }
   }
   if (collect) {
+    plane.MergeMetrics();
     metrics::SetGauge("sim.makespan_s", result.makespan_s);
     metrics::SetGauge("sim.final_nodes",
                       static_cast<double>(result.final_nodes));

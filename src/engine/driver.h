@@ -134,10 +134,11 @@ struct DriverOptions {
   /// Fault injection + failure handling; inactive by default.
   FaultOptions faults;
 
-  /// Admission control + load shedding; inactive by default. Like
-  /// faults, an active overload policy makes every query its own routed
-  /// block, flushed at admission: the shed decision needs the exact
-  /// completion time of every query admitted before it.
+  /// Admission control + load shedding; inactive by default. The shed
+  /// decision needs the exact completion time of every query admitted
+  /// before it, so the data plane flushes its pending block before a
+  /// decision those queries could tip: when the in-flight count plus the
+  /// block's queries reaches max_pending_queries (DESIGN.md §11).
   OverloadOptions overload;
 
   /// Keep the per-query records on RunResult::records. Disable for
@@ -149,10 +150,12 @@ struct DriverOptions {
 
   /// Scans per routed block (DESIGN.md §11). The data plane gathers up
   /// to this many scans across consecutive queries and routes them with
-  /// one RouteBatchInto call; the driver flushes early before every
-  /// reconfiguration round so a block never spans a configuration change.
-  /// Fault and overload runs route one block per query regardless. Block
-  /// size never changes results (golden digests at 64 and 1).
+  /// one RouteBatchInto call. A block ends early before every
+  /// reconfiguration round (it never spans a configuration change), before
+  /// a fault is delivered, where the routable set changes, and before a
+  /// shed decision its queries could tip. Block size never changes
+  /// results (golden digests at 64 and 1, and at 7 and 256 with and
+  /// without faults).
   std::size_t route_batch_size = 64;
 
   /// Simulated seconds between a reconfiguration boundary and the publish

@@ -17,6 +17,15 @@ void LivenessOverlay::SyncFrom(const ClusterSim& sim) {
   }
 }
 
+SimTime LivenessOverlay::NextChangeAfter(SimTime at) const {
+  SimTime next = kNeverRecovers;
+  if (!AnyDeadAt(at)) return next;
+  for (const SimTime until : routable_until_) {
+    if (until > at) next = std::min(next, until);
+  }
+  return next;
+}
+
 void LivenessOverlay::FilterLive(SimTime at, ScanBatch* batch,
                                  std::vector<NodeId>* pool) const {
   NASHDB_DCHECK(batch->cand_pool != pool->data() || pool->empty());

@@ -43,6 +43,14 @@ class LivenessOverlay {
     return at >= routable_until_[m];
   }
 
+  /// The first time after `at` at which the routable set changes without
+  /// a new SyncFrom: the least routable-until time above `at`, or +inf
+  /// when every node is routable at `at`. Every time in [at, this) sees
+  /// the routable set `at` sees, which is what lets the data plane filter
+  /// a whole block at its first arrival (DESIGN.md §11). O(node_count)
+  /// while some node is down, O(1) otherwise.
+  SimTime NextChangeAfter(SimTime at) const;
+
   /// Rewrites the freshly resolved `*batch` (ConfigIndex::
   /// ResolveBatchInto: spans into the index's pool) in place so each
   /// request keeps only its candidates routable at `at`, in their

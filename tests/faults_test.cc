@@ -1,3 +1,4 @@
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -184,6 +185,71 @@ TEST(FaultSchedulerTest, StochasticHistoryReplaysExactlyForSameSeed) {
     EXPECT_DOUBLE_EQ(a[i].time, b[i].time) << i;
     EXPECT_DOUBLE_EQ(a[i].factor, b[i].factor) << i;
     EXPECT_DOUBLE_EQ(a[i].duration_s, b[i].duration_s) << i;
+  }
+}
+
+// NextEventTime peeks at what AdvanceTo delivers next: walking the
+// history one event time at a time, nothing is delivered just before the
+// peeked time, the first event delivered at it carries that time, and
+// once delivered the peek has moved past it. Scripted interrupts are
+// never dropped, and eight nodes always leave a live stochastic victim,
+// so every peeked time delivers an event.
+TEST(FaultSchedulerTest, NextEventTimeIsTheNextDeliveredEventsTime) {
+  ClusterSim sim = BootstrappedSim(8);
+  FaultScheduler sched(
+      *FaultSpec::Parse("mttf=500;mttr=200;straggle-every=800;interrupt@300;"
+                        "interrupt@1700;interrupt@2600"),
+      42);
+  std::size_t by_type[3] = {};  // interrupt, crash, slowdown
+  for (int i = 0; i < 40; ++i) {
+    const SimTime next = sched.NextEventTime();
+    ASSERT_LT(next, kNeverRecovers);
+    EXPECT_TRUE(sched.AdvanceTo(std::nextafter(next, 0.0), &sim).empty())
+        << "event " << i;
+    const std::vector<FaultEvent> delivered = sched.AdvanceTo(next, &sim);
+    ASSERT_FALSE(delivered.empty()) << "event " << i;
+    EXPECT_EQ(delivered.front().time, next) << "event " << i;
+    EXPECT_GT(sched.NextEventTime(), next) << "event " << i;
+    for (const FaultEvent& ev : delivered) {
+      by_type[ev.type == FaultType::kInterrupt ? 0
+              : ev.type == FaultType::kCrash   ? 1
+                                               : 2] += 1;
+    }
+  }
+  for (const std::size_t n : by_type) EXPECT_GT(n, 0u);
+  // After AdvanceTo(t), the next event lies beyond t.
+  for (const SimTime t : {30000.0, 30000.5, 45000.0}) {
+    sched.AdvanceTo(t, &sim);
+    EXPECT_GT(sched.NextEventTime(), t);
+  }
+  // With no source left the peek is +inf.
+  FaultScheduler scripted_only(*FaultSpec::Parse("interrupt@10"), 1);
+  EXPECT_EQ(scripted_only.NextEventTime(), 10.0);
+  scripted_only.AdvanceTo(10.0, &sim);
+  EXPECT_EQ(scripted_only.NextEventTime(), kNeverRecovers);
+}
+
+// A scripted event tied with a stochastic one is delivered first, and
+// the peek is their shared time. The tie is built from the stochastic
+// onset a same-seeded scheduler peeks at.
+TEST(FaultSchedulerTest, NextEventTimeKeepsTheTieOrder) {
+  for (const char* model : {"mttf=500", "straggle-every=800"}) {
+    const FaultSpec stochastic = *FaultSpec::Parse(model);
+    const SimTime onset = FaultScheduler(stochastic, 42).NextEventTime();
+    FaultSpec spec = stochastic;
+    FaultEvent tied;
+    tied.time = onset;
+    tied.type = FaultType::kInterrupt;
+    spec.scripted.push_back(tied);
+    FaultScheduler sched(spec, 42);
+    EXPECT_EQ(sched.NextEventTime(), onset) << model;
+    ClusterSim sim = BootstrappedSim(4);
+    const std::vector<FaultEvent> delivered = sched.AdvanceTo(onset, &sim);
+    ASSERT_EQ(delivered.size(), 2u) << model;
+    EXPECT_EQ(delivered[0].type, FaultType::kInterrupt) << model;
+    EXPECT_NE(delivered[1].type, FaultType::kInterrupt) << model;
+    EXPECT_EQ(delivered[1].time, onset) << model;
+    EXPECT_GT(sched.NextEventTime(), onset) << model;
   }
 }
 

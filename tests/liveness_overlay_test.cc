@@ -150,6 +150,44 @@ TEST(LivenessOverlayTest, FilterLiveDropsDeadAndPartitionedKeepingOrder) {
   EXPECT_FALSE(overlay.AnyDeadAt(80.0));
 }
 
+// The routable set's next change after `at`: +inf while every node is
+// routable, otherwise the least routable-until time above `at`, as of the
+// last SyncFrom.
+TEST(LivenessOverlayTest, NextChangeIsTheLeastRoutableUntilAboveAt) {
+  const ClusterConfig config = MakeConfig();
+  LivenessOverlay overlay;
+  ClusterSim sim((ClusterSimOptions()));
+  sim.ApplyConfig(config, 0.0, nullptr);
+  overlay.SyncFrom(sim);
+  EXPECT_EQ(overlay.NextChangeAfter(0.0), kNeverRecovers);
+  EXPECT_EQ(overlay.NextChangeAfter(500.0), kNeverRecovers);
+
+  // Node 1 crashed until 50, node 2 partitioned until 80.
+  sim = MakeSim(config);
+  overlay.SyncFrom(sim);
+  EXPECT_EQ(overlay.NextChangeAfter(0.0), 50.0);
+  EXPECT_EQ(overlay.NextChangeAfter(49.5), 50.0);
+  EXPECT_EQ(overlay.NextChangeAfter(50.0), 80.0);
+  EXPECT_EQ(overlay.NextChangeAfter(79.5), 80.0);
+  EXPECT_EQ(overlay.NextChangeAfter(80.0), kNeverRecovers);
+
+  // Node 3 crashes at 100 until 130 and node 0 for good: a node that
+  // never recovers adds no change.
+  sim.FailNode(3, 100.0, 130.0);
+  sim.FailNode(0, 100.0, kNeverRecovers);
+  EXPECT_EQ(overlay.NextChangeAfter(100.0), kNeverRecovers);  // not synced
+  overlay.SyncFrom(sim);
+  EXPECT_EQ(overlay.NextChangeAfter(100.0), 130.0);
+  EXPECT_EQ(overlay.NextChangeAfter(130.0), kNeverRecovers);
+  EXPECT_TRUE(overlay.AnyDeadAt(130.0));
+
+  // A partition of node 1 until 110 comes before node 3's recovery.
+  sim.PartitionNode(1, 100.0, 110.0);
+  overlay.SyncFrom(sim);
+  EXPECT_EQ(overlay.NextChangeAfter(100.0), 110.0);
+  EXPECT_EQ(overlay.NextChangeAfter(110.0), 130.0);
+}
+
 TEST(LivenessOverlayTest, RoutingAFilteredBlockCommitsUpToTheGap) {
   const ClusterConfig config = MakeConfig();
   const ConfigIndex index(config);

@@ -1,6 +1,9 @@
 #include "common/metrics.h"
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,6 +177,74 @@ TEST_F(MetricsTest, SnapshotJsonShape) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+/// Every field of two histograms, the doubles compared by their bits.
+void ExpectSameHistogram(const Histogram& got, const Histogram& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.count(), want.count()) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sum()),
+            std::bit_cast<std::uint64_t>(want.sum()))
+      << what << ": " << got.sum() << " vs " << want.sum();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.min()),
+            std::bit_cast<std::uint64_t>(want.min()))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max()),
+            std::bit_cast<std::uint64_t>(want.max()))
+      << what;
+  EXPECT_EQ(got.bounds(), want.bounds()) << what;
+  EXPECT_EQ(got.bucket_counts(), want.bucket_counts()) << what;
+}
+
+// A LocalHistogram merged into an empty registry histogram is the
+// histogram that observing its sequence directly builds: count, sum to
+// the bit (in an order where rounding shows), min, max and every bucket,
+// with a sample on a bound, zeros of both signs, negatives, +inf and
+// NaN, at the default and at explicit bounds.
+TEST_F(MetricsTest, LocalHistogramMergesAsIfObservedDirectly) {
+  Registry::Global().Enable();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> sequences = {
+      {0.1, 0.2, 0.3, 1e-3, 1e16, 1.0, -1e16, 0.7, 10.0},
+      {1.0, 0.0, -0.0, -3.5, 2.5e-4, 7.0, 1e7, -1e-9},
+      {-0.0, 5.0, inf, 100.0, -2.0},
+      {nan, 0.5, 1.0, inf, -7.0, 1e6},
+      {-0.0},
+      {nan},
+  };
+  const std::vector<std::vector<double>> bound_sets = {{},
+                                                       {1.0, 10.0, 100.0}};
+  int name = 0;
+  for (const std::vector<double>& bounds : bound_sets) {
+    for (const std::vector<double>& seq : sequences) {
+      const std::string what = "test.merged" + std::to_string(name++);
+      Histogram direct(bounds);
+      LocalHistogram local(bounds);
+      for (const double x : seq) {
+        direct.Observe(x);
+        local.Observe(x);
+      }
+      EXPECT_EQ(local.count(), seq.size()) << what;
+      Merge(what, local);
+      const Histogram* merged = Registry::Global().histogram(what);
+      ExpectSameHistogram(*merged, direct, what);
+    }
+  }
+  EXPECT_EQ(Registry::Global().metric_count(),
+            sequences.size() * bound_sets.size());
+
+  // An empty accumulator registers nothing, enabled or not.
+  Merge("test.empty", LocalHistogram());
+  EXPECT_EQ(Registry::Global().metric_count(),
+            sequences.size() * bound_sets.size());
+  Registry::Global().Disable();
+  LocalHistogram one;
+  one.Observe(1.0);
+  Merge("test.disabled", one);
+  Registry::Global().Enable();
+  EXPECT_EQ(Registry::Global().metric_count(),
+            sequences.size() * bound_sets.size());
 }
 
 TEST_F(MetricsTest, ResetDropsEverything) {

@@ -38,12 +38,15 @@
 #include <gtest/gtest.h>
 
 #include "cluster/faults.h"
+#include "common/query.h"
 #include "engine/driver.h"
 #include "engine/nashdb_system.h"
 #include "golden_run.h"
+#include "replication/cluster_config.h"
 #include "routing/router.h"
 #include "routing/scan_batch.h"
 #include "workload/streaming.h"
+#include "workload/workload.h"
 
 namespace nashdb {
 namespace {
@@ -108,8 +111,10 @@ std::unique_ptr<ScanRouter> MakeRouter(Router router) {
   return std::make_unique<PowerOfTwoRouter>(1234);
 }
 
-RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
-                    SimTime build_window_s = 0.0) {
+/// The golden setup of `mode`, routed by `scan_router`.
+RunResult RunGoldenWith(ScanRouter* scan_router, Mode mode,
+                        std::size_t route_batch_size,
+                        SimTime build_window_s = 0.0) {
   const Workload& workload = GoldenTpchWorkload();
   NashDbOptions opts;
   opts.window_scans = 60;
@@ -119,7 +124,6 @@ RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
   opts.max_replicas = 3;
   opts.reconfig_threads = 1;
   NashDbSystem sys(workload.dataset, opts);
-  const std::unique_ptr<ScanRouter> scan_router = MakeRouter(router);
   DriverOptions d;
   d.sim.tuples_per_second = kGoldenTuplesPerSecond;
   d.reconfigure_interval_s = kInterval;
@@ -140,7 +144,14 @@ RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
     d.faults.max_scan_retries = 8;
     d.sim.tuples_per_second = 15000.0;
   }
-  return RunWorkload(workload, &sys, scan_router.get(), d);
+  return RunWorkload(workload, &sys, scan_router, d);
+}
+
+RunResult RunGolden(Router router, Mode mode, std::size_t route_batch_size,
+                    SimTime build_window_s = 0.0) {
+  const std::unique_ptr<ScanRouter> scan_router = MakeRouter(router);
+  return RunGoldenWith(scan_router.get(), mode, route_batch_size,
+                       build_window_s);
 }
 
 /// The counts that make `mode` worth pinning.
@@ -271,13 +282,17 @@ TEST(QueryPathGoldenTest, PowerOfTwoSingleEpoch) {
 }
 
 // Block boundaries at odd places (blocks of 7 split queries mid-way;
-// blocks of 256 span a whole reconfiguration interval) never change the
-// records.
+// blocks of 256 span a whole reconfiguration interval, or a fault run's
+// stretch between fault events and liveness changes) never change the
+// records, with or without faults and admission control.
 void ExpectBatchSizeInvariant(Router router) {
-  for (const std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
-    EXPECT_EQ(DigestRun(RunGolden(router, kFaultFree, batch)),
-              kGolden[router][kFaultFree])
-        << "batch " << batch;
+  for (const Mode mode : {kFaultFree, kFaults, kFaultsNoRepair,
+                          kFaultsNoRepairAdmission, kFaultsNoRepairPatient}) {
+    for (const std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
+      EXPECT_EQ(DigestRun(RunGolden(router, mode, batch)),
+                kGolden[router][mode])
+          << "mode " << mode << " batch " << batch;
+    }
   }
 }
 
@@ -292,6 +307,147 @@ TEST(QueryPathGoldenTest, GreedyScBatchSizeInvariant) {
 }
 TEST(QueryPathGoldenTest, PowerOfTwoBatchSizeInvariant) {
   ExpectBatchSizeInvariant(kPowerOfTwo);
+}
+
+/// Forwards every block to a MaxOfMinsRouter and counts the blocks, and
+/// the failed blocks that hold scans of more than one query: a coverage
+/// gap inside a multi-query block, whose failing scan the data plane
+/// then retries alone.
+class BlockCounter : public ScanRouter {
+ public:
+  std::size_t calls = 0;
+  std::size_t multi_query_failures = 0;
+
+  std::string_view name() const override { return inner_.name(); }
+  Status RouteBatchInto(const ScanBatch& batch, const WaitView& waits,
+                        double read_seconds_per_tuple, double phi_s,
+                        RouterScratch* scratch, std::vector<RoutedRead>* out,
+                        BatchSink* sink) override {
+    ++calls;
+    const Status status = inner_.RouteBatchInto(
+        batch, waits, read_seconds_per_tuple, phi_s, scratch, out, sink);
+    if (!status.ok() && batch.ids.front() != batch.ids.back()) {
+      ++multi_query_failures;
+    }
+    return status;
+  }
+
+ private:
+  MaxOfMinsRouter inner_;
+};
+
+// Fault runs route in multi-query blocks: at block 64 they make fewer
+// routing calls than they admit queries, with the records still those
+// the goldens pin. With repair on, every
+// coverage gap is repaired as its crash is delivered, so no scan retries;
+// with repair off, a coverage gap is met inside a block of several
+// queries and retried there.
+TEST(QueryPathGoldenTest, FaultRunsRouteInMultiQueryBlocks) {
+  for (const Mode mode : {kFaults, kFaultsNoRepairPatient}) {
+    BlockCounter counter;
+    const RunResult r = RunGoldenWith(&counter, mode, 64);
+    EXPECT_EQ(DigestRun(r), kGolden[kMaxOfMins][mode]) << "mode " << mode;
+    EXPECT_LT(counter.calls, r.total_queries - r.shed_queries)
+        << "mode " << mode;
+    if (mode == kFaultsNoRepairPatient) {
+      EXPECT_GT(r.scan_retries, 0u);
+      EXPECT_GT(counter.multi_query_failures, 0u);
+    }
+  }
+}
+
+// --------------------------------- where a multi-query block flushes (§11)
+
+constexpr TupleCount kFixedFragment = 100;
+
+/// Provisions the same four nodes on every build, for one table of four
+/// 100-tuple fragments: f0 on {0, 1, 2}, f1 on {3, 1}, f2 on node 2
+/// alone, f3 on {1, 3, 0}. A read of f2 is routable only while node 2 is.
+class FixedSystem : public DistributionSystem {
+ public:
+  std::string_view name() const override { return "fixed"; }
+  void Observe(const Query& query) override { (void)query; }
+  ClusterConfig BuildConfig() override {
+    ReplicationParams params;
+    params.node_disk = 4 * kFixedFragment;
+    params.window_scans = 10;
+    const std::vector<std::vector<NodeId>> homes = {
+        {0, 1, 2}, {3, 1}, {2}, {1, 3, 0}};
+    std::vector<FragmentInfo> frags;
+    for (std::size_t i = 0; i < homes.size(); ++i) {
+      FragmentInfo f;
+      f.index_in_table = static_cast<FragmentId>(i);
+      f.range = TupleRange{i * kFixedFragment, (i + 1) * kFixedFragment};
+      f.replicas = homes[i].size();
+      frags.push_back(f);
+    }
+    ClusterConfig config(params, std::move(frags));
+    for (std::size_t m = 0; m < 4; ++m) config.AddNode();
+    for (std::size_t f = 0; f < homes.size(); ++f) {
+      for (const NodeId m : homes[f]) config.Place(m, f);
+    }
+    return config;
+  }
+  void Reset() override {}
+};
+
+/// One-scan queries at (arrival, fragment), each reading most of its
+/// fragment, routed at `batch` under `faults` with no round and no repair.
+RunResult RunFixed(const char* faults,
+                   const std::vector<std::pair<SimTime, std::size_t>>& reads,
+                   std::size_t batch, BlockCounter* counter) {
+  Workload wl;
+  wl.dataset.tables.push_back(TableSpec{0, "t", 4 * kFixedFragment});
+  for (std::size_t q = 0; q < reads.size(); ++q) {
+    const TupleIndex start = reads[q].second * kFixedFragment;
+    TimedQuery tq;
+    tq.arrival = reads[q].first;
+    tq.query = MakeQuery(q, 1.0, {{0, TupleRange{start + 10, start + 90}}});
+    wl.queries.push_back(tq);
+  }
+  FixedSystem system;
+  DriverOptions d;
+  d.periodic_reconfigure = false;
+  d.sim.tuples_per_second = 100.0;
+  d.route_batch_size = batch;
+  d.faults.spec = *FaultSpec::Parse(faults);
+  d.faults.emergency_repair = false;
+  return RunWorkload(wl, &system, counter, d);
+}
+
+// A fault delivered while a block is pending lands after the block's
+// queries route: the two f2 reads that arrive before node 2 crashes
+// still read it, at block 64 as at block 1, and the crash is where the
+// first block ends.
+TEST(QueryPathGoldenTest, BlockFlushesBeforeADueFault) {
+  const std::vector<std::pair<SimTime, std::size_t>> reads = {
+      {10.0, 2}, {20.0, 2}, {30.0, 0}};
+  BlockCounter one;
+  const RunResult per_query = RunFixed("crash@25:n2:for=100", reads, 1, &one);
+  EXPECT_EQ(per_query.crashes, 1u);
+  EXPECT_EQ(per_query.scan_retries, 0u);
+  EXPECT_EQ(one.calls, 3u);
+  BlockCounter blocks;
+  const RunResult r = RunFixed("crash@25:n2:for=100", reads, 64, &blocks);
+  EXPECT_EQ(DigestRun(r), DigestRun(per_query));
+  EXPECT_EQ(blocks.calls, 2u);
+}
+
+// A block is filtered at its first arrival, so it ends where the
+// routable set changes: node 2 recovers at 15, between a query at 6 and
+// an f2 read at 20, which then routes to node 2 without a retry.
+TEST(QueryPathGoldenTest, BlockFlushesAtTheNextLivenessChange) {
+  const std::vector<std::pair<SimTime, std::size_t>> reads = {
+      {6.0, 0}, {20.0, 2}, {21.0, 0}};
+  BlockCounter one;
+  const RunResult per_query = RunFixed("crash@5:n2:for=10", reads, 1, &one);
+  EXPECT_EQ(per_query.crashes, 1u);
+  EXPECT_EQ(per_query.scan_retries, 0u);
+  EXPECT_EQ(one.calls, 3u);
+  BlockCounter blocks;
+  const RunResult r = RunFixed("crash@5:n2:for=10", reads, 64, &blocks);
+  EXPECT_EQ(DigestRun(r), DigestRun(per_query));
+  EXPECT_EQ(blocks.calls, 2u);
 }
 
 // ------------------------------------------ reconfiguration rounds (§12)
