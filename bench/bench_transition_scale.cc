@@ -1,15 +1,16 @@
 // Control-plane scale bench (DESIGN.md "Scalable control plane"): sweeps
 // cluster sizes 64 -> 8192 nodes through the full transition pipeline —
-// parallel BFFD packing, sparse overlap-graph construction, the sparse
+// BFFD packing, sparse overlap-graph construction, the sparse
 // successive-shortest-paths matcher, and the streaming validators — and
 // emits machine-readable BENCH_transition.json next to the human table.
 //
 // Exactness gate: on every instance small enough for the dense Hungarian
-// solver (<= kDenseCap nodes) both solvers run and the bench CHECK-fails
-// unless their plan costs are bit-identical (integer tuple counts, so
-// "equal" means equal). Past the cap the dense O(n^3) matrix is the
-// infeasible regime the sparse solver exists for; the full sweep asserts
-// the 4096-node instance plans in under five seconds.
+// solver (<= kDenseCap nodes) both PlanDense and PlanSparse run and
+// the bench CHECK-fails unless their plan costs are bit-identical
+// (integer tuple counts, so "equal" means equal). Past the cap the dense
+// O(n^3) matrix is the infeasible regime the sparse solver exists for;
+// the full sweep asserts the 4096-node instance plans in under five
+// seconds.
 //
 // Besides the synthetic sweep (1-2 replicas per fragment, ~30-40 overlap
 // edges per node) every run, smoke included, plans two instances in the
@@ -81,9 +82,10 @@ struct SizeResult {
   Timing graph;                     // overlap graph build
   bool graph_dense_rows = false;    // dense rows (else the scatter)
   Timing solve;                     // sparse matcher alone
-  Timing plan;                      // end-to-end PlanTransition (sparse)
+  Timing plan;                      // graph build + PlanSparse
   Timing validate;                  // ValidateConfig + ValidatePlan
-  Timing dense;                     // skipped past kDenseCap
+  Timing dense;                     // graph build + PlanDense; skipped
+                                    // past kDenseCap
   bool identity_checked = false;
 };
 
@@ -189,8 +191,7 @@ SizeResult RunInstance(const Instance& inst, std::size_t reps,
 
   // Old epoch (pack untimed: the timed pack below covers the same code).
   auto old_frags = EpochFragments(&rng, inst);
-  auto old_config =
-      PackReplicasBffd(Params(inst.disk), std::move(old_frags), pool);
+  auto old_config = PackReplicasBffd(Params(inst.disk), std::move(old_frags));
   NASHDB_CHECK(old_config.ok()) << old_config.status().ToString();
 
   // New epoch: re-tiled boundaries and re-rolled replica counts over the
@@ -199,7 +200,7 @@ SizeResult RunInstance(const Instance& inst, std::size_t reps,
   r.fragments = new_frags.size();
   std::optional<Result<ClusterConfig>> packed;
   r.pack = TimeReps(reps, [&] {
-    packed.emplace(PackReplicasBffd(Params(inst.disk), new_frags, pool));
+    packed.emplace(PackReplicasBffd(Params(inst.disk), new_frags));
   });
   NASHDB_CHECK(packed->ok()) << packed->status().ToString();
   const ClusterConfig& new_config = packed->value();
@@ -228,12 +229,10 @@ SizeResult RunInstance(const Instance& inst, std::size_t reps,
 
   // End-to-end sparse plan (re-runs graph + solve: this is the number a
   // control plane actually pays per reconfiguration).
-  TransitionPlannerOptions sparse_opts;
-  sparse_opts.solver = TransitionSolver::kSparse;
   std::optional<TransitionPlan> sparse;
   r.plan = TimeReps(reps, [&] {
     sparse.emplace(
-        PlanTransition(*old_config, new_config, nullptr, sparse_opts));
+        PlanSparse(BuildTransitionGraph(*old_config, new_config, nullptr)));
   });
   r.transfer_tuples = sparse->total_transfer_tuples;
   NASHDB_CHECK_EQ(sparse->total_transfer_tuples,
@@ -250,12 +249,10 @@ SizeResult RunInstance(const Instance& inst, std::size_t reps,
 
   // Cost-identity gate against the paper-verbatim dense solver.
   if (std::max(r.nodes_old, r.nodes_new) <= kDenseCap) {
-    TransitionPlannerOptions dense_opts;
-    dense_opts.solver = TransitionSolver::kDense;
     std::optional<TransitionPlan> dense;
     r.dense = TimeReps(reps, [&] {
       dense.emplace(
-          PlanTransition(*old_config, new_config, nullptr, dense_opts));
+          PlanDense(BuildTransitionGraph(*old_config, new_config, nullptr)));
     });
     NASHDB_CHECK_EQ(dense->total_transfer_tuples,
                     sparse->total_transfer_tuples)

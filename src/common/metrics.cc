@@ -132,12 +132,6 @@ void AppendTrace(std::string* out, const ReconfigTrace& t) {
   AppendKey(out, "wall_ms");
   AppendDouble(out, t.frag_ms);
   out->append(", ");
-  AppendKey(out, "dc_runs");
-  AppendU64(out, t.frag_dc_runs);
-  out->append(", ");
-  AppendKey(out, "quadratic_runs");
-  AppendU64(out, t.frag_quadratic_runs);
-  out->append(", ");
   AppendKey(out, "threads");
   AppendU64(out, t.threads);
   out->append(", ");

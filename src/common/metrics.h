@@ -166,8 +166,6 @@ struct ReconfigTrace {
   std::size_t fragments = 0;        ///< Emitted fragments (post disk carve).
   double scheme_error = 0.0;        ///< Summed Eq. 4 error over tables.
   double frag_ms = 0.0;             ///< Wall time of the parallel fan-out.
-  std::size_t frag_dc_runs = 0;     ///< OptimalFragmenter D&C solves.
-  std::size_t frag_quadratic_runs = 0;  ///< O(k m^2) reference solves.
   std::size_t threads = 1;          ///< Resolved reconfig_threads.
   double thread_utilization = 0.0;  ///< sum(task ms) / (threads * wall ms).
 

@@ -144,8 +144,8 @@ struct DriverOptions {
   /// Keep the per-query records on RunResult::records. Disable for
   /// streaming scenario runs (10⁷–10⁸ queries) so memory stays constant:
   /// the aggregate fields (total/aborted/shed counts, latency sums and
-  /// the bounded latency histogram) are maintained either way and the
-  /// RunResult accessors fall back to them when records are empty.
+  /// the bounded latency histogram) are maintained either way, and the
+  /// RunResult accessors read them (TailLatency when records are empty).
   bool keep_records = true;
 
   /// Scans per routed block (DESIGN.md §11). The data plane gathers up
@@ -246,9 +246,10 @@ struct RunResult {
   /// retried (-1 = none).
   SimTime last_disruption_time_s = -1.0;
   /// Streaming latency/span aggregates over completed queries,
-  /// maintained for every run (they are what the accessors below use
-  /// when `records` is empty). The histogram gives bounded-memory
-  /// percentiles within 4% relative error (LogHistogram).
+  /// maintained for every run: the means below read the sums, and
+  /// TailLatency reads the histogram when `records` is empty. The
+  /// histogram gives bounded-memory percentiles within 4% relative error
+  /// (LogHistogram).
   double completed_latency_sum_s = 0.0;
   double completed_span_sum = 0.0;
   LogHistogram latency_histogram;
@@ -259,9 +260,10 @@ struct RunResult {
   std::string metrics_json;
 
   /// Latency/span aggregates over *completed* queries (aborted and shed
-  /// records are skipped — neither has a meaningful latency). Exact
-  /// (record-based) when records were kept; streaming-aggregate-based
-  /// (TailLatency: bucketed, <= 4% relative error) otherwise.
+  /// records are skipped — neither has a meaningful latency). The means
+  /// read the streaming sums, which AddRecord accumulates in record
+  /// order. TailLatency is exact (record-based) when records were kept,
+  /// and bucketed (<= 4% relative error) otherwise.
   double MeanLatency() const;
   double TailLatency(double percentile) const;
   double MeanSpan() const;

@@ -16,10 +16,6 @@
 namespace nashdb {
 namespace {
 
-std::unique_ptr<Fragmenter> MakeGreedy() {
-  return std::make_unique<GreedyFragmenter>();
-}
-
 /// True when `params` and `fragments` are the packing inputs `config` was
 /// packed from: packing keeps the params and the fragment list it is
 /// given and decides only each fragment's `replicas`.
@@ -105,13 +101,8 @@ ClusterConfig DecideAndPack(const ReplicationParams& params,
 }
 
 NashDbSystem::NashDbSystem(Dataset dataset, const NashDbOptions& options)
-    : NashDbSystem(std::move(dataset), options, &MakeGreedy) {}
-
-NashDbSystem::NashDbSystem(Dataset dataset, const NashDbOptions& options,
-                           std::unique_ptr<Fragmenter> (*fragmenter_factory)())
     : dataset_(std::move(dataset)),
       options_(options),
-      fragmenter_factory_(fragmenter_factory),
       estimator_(std::make_unique<TupleValueEstimator>(options.window_scans)) {
   NASHDB_CHECK_GT(options_.block_tuples, 0u);
   NASHDB_CHECK_GT(options_.node_disk, 0u);
@@ -130,9 +121,6 @@ std::size_t NashDbSystem::MaxFragsFor(TupleCount table_size) const {
   std::size_t max_frags = static_cast<std::size_t>(
       (table_size + options_.block_tuples - 1) / options_.block_tuples);
   if (max_frags == 0) max_frags = 1;
-  if (options_.max_frags_cap > 0) {
-    max_frags = std::min(max_frags, options_.max_frags_cap);
-  }
   return max_frags;
 }
 
@@ -218,20 +206,13 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
   }
   for (const TableSpec* table : tables) {
     auto& fragmenter = fragmenters_[table->id];
-    if (!fragmenter) fragmenter = fragmenter_factory_();
+    if (!fragmenter) fragmenter = std::make_unique<GreedyFragmenter>();
   }
   const std::size_t threads = options_.reconfig_threads == 0
                                   ? ThreadPool::DefaultThreads()
                                   : options_.reconfig_threads;
   if (!pool_ && threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 
-  const std::uint64_t dc_runs_before =
-      collect ? metrics::Registry::Global().CounterValue("frag.dp_dc_runs")
-              : 0;
-  const std::uint64_t quad_runs_before =
-      collect
-          ? metrics::Registry::Global().CounterValue("frag.dp_quadratic_runs")
-          : 0;
   // Per-task wall times and Eq. 4 errors land in private slots (the tasks
   // run concurrently) and are folded into the trace after the join.
   std::vector<double> task_ms(collect ? tables.size() : 0, 0.0);
@@ -299,12 +280,6 @@ ClusterConfig NashDbSystem::BuildFromSnapshot(EstimatorSnapshot snap) {
       trace.thread_utilization =
           busy_ms / (static_cast<double>(threads) * trace.frag_ms);
     }
-    trace.frag_dc_runs = static_cast<std::size_t>(
-        metrics::Registry::Global().CounterValue("frag.dp_dc_runs") -
-        dc_runs_before);
-    trace.frag_quadratic_runs = static_cast<std::size_t>(
-        metrics::Registry::Global().CounterValue("frag.dp_quadratic_runs") -
-        quad_runs_before);
     metrics::Observe("frag.refragment_ms", trace.frag_ms);
     metrics::SetGauge("frag.thread_utilization", trace.thread_utilization);
   }

@@ -46,9 +46,6 @@ struct NashDbOptions {
   /// Average fragment size target, in tuples ("disk block" of §5.1);
   /// maxFrags(table) = ceil(table_size / block_tuples).
   TupleCount block_tuples = 50'000;
-  /// Hard cap on fragments per table (0 = none). Protects the optimal
-  /// DP's O(k m^2) cost when it is plugged in as the fragmenter.
-  std::size_t max_frags_cap = 0;
   /// Node economics (node_cost is rent per reconfiguration period).
   Money node_cost = 10.0;
   TupleCount node_disk = 2'000'000;
@@ -71,12 +68,9 @@ struct NashDbOptions {
 class NashDbSystem : public DistributionSystem {
  public:
   /// `dataset` declares every table (fragmenting needs sizes even for
-  /// tables with no windowed scans). The fragmenter defaults to the greedy
-  /// split/merge algorithm (§5.3); pass a factory to substitute another
-  /// (e.g. OptimalFragmenter for small databases).
+  /// tables with no windowed scans). Every table is fragmented by the
+  /// greedy split/merge algorithm (§5.3).
   NashDbSystem(Dataset dataset, const NashDbOptions& options);
-  NashDbSystem(Dataset dataset, const NashDbOptions& options,
-               std::unique_ptr<Fragmenter> (*fragmenter_factory)());
 
   std::string_view name() const override { return "NashDB"; }
   void Observe(const Query& query) override;
@@ -125,13 +119,12 @@ class NashDbSystem : public DistributionSystem {
 
   Dataset dataset_;
   NashDbOptions options_;
-  std::unique_ptr<Fragmenter> (*fragmenter_factory_)();
   std::unique_ptr<TupleValueEstimator> estimator_;
-  /// One (stateful) fragmenter instance per table, so greedy split/merge
-  /// state survives across reconfigurations. Pre-created for every table
-  /// before the parallel refragmentation loop; each task touches only its
-  /// own table's entry.
-  std::map<TableId, std::unique_ptr<Fragmenter>> fragmenters_;
+  /// One (stateful) fragmenter per table, so greedy split/merge state
+  /// survives across reconfigurations. Pre-created for every table before
+  /// the parallel refragmentation loop; each task touches only its own
+  /// table's entry.
+  std::map<TableId, std::unique_ptr<GreedyFragmenter>> fragmenters_;
   /// Workers for the per-table refragmentation fan-out; created lazily on
   /// the first BuildConfig when reconfig_threads resolves to > 1.
   std::unique_ptr<ThreadPool> pool_;

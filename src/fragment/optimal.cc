@@ -257,8 +257,7 @@ FragmentationScheme OptimalFragmenter::Refragment(
   if (k == 1) {
     path = {0, m};
   } else if (algorithm == Algorithm::kQuadratic) {
-    // Which solver ran (after kAuto resolution) — the per-reconfiguration
-    // trace diffs these to report the kAuto split per round.
+    // Which solver ran (after kAuto resolution).
     metrics::Count("frag.dp_quadratic_runs");
     metrics::ScopedTimerMs timer("frag.dp_ms");
     path = SolveQuadratic(seg_err, m, k);

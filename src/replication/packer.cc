@@ -5,15 +5,13 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 
 namespace nashdb {
 namespace {
 
 /// The one BFFD processing order: decreasing replica count, ties broken by
-/// decreasing size for tighter packing, then by id for determinism. A
-/// strict total order (the id tie-break), which is what lets the per-table
-/// parallel sort + merge below reproduce the single global sort exactly.
+/// decreasing size for tighter packing, then by id for determinism (a
+/// strict total order, so the order is unique).
 struct BffdLess {
   const std::vector<FragmentInfo>* frags;
   bool operator()(FlatFragmentId a, FlatFragmentId b) const {
@@ -24,50 +22,6 @@ struct BffdLess {
     return a < b;
   }
 };
-
-/// Sorts fragment ids into BFFD order: per-table fan-out over `pool`, then
-/// a k-way merge of the sorted slices under the same comparator. Because
-/// BffdLess is a strict total order over ids, merging the per-table sorted
-/// runs yields exactly the sequence a single global sort would — the
-/// parallelism is invisible in the output.
-std::vector<FlatFragmentId> SortBffdOrder(
-    const std::vector<FragmentInfo>& frags, ThreadPool* pool) {
-  // Bucket ids by table, preserving ascending id order within each bucket.
-  std::vector<TableId> tables;
-  for (const FragmentInfo& f : frags) tables.push_back(f.table);
-  std::sort(tables.begin(), tables.end());
-  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
-  std::vector<std::vector<FlatFragmentId>> buckets(tables.size());
-  for (FlatFragmentId id = 0; id < frags.size(); ++id) {
-    const std::size_t b = static_cast<std::size_t>(
-        std::lower_bound(tables.begin(), tables.end(), frags[id].table) -
-        tables.begin());
-    buckets[b].push_back(id);
-  }
-
-  ParallelFor(pool, buckets.size(), [&](std::size_t b) {
-    std::sort(buckets[b].begin(), buckets[b].end(), BffdLess{&frags});
-  });
-
-  // k-way merge: repeatedly take the comparator-least head. Table counts
-  // are small, so a linear head scan beats heap bookkeeping.
-  std::vector<FlatFragmentId> order;
-  order.reserve(frags.size());
-  std::vector<std::size_t> head(buckets.size(), 0);
-  const BffdLess less{&frags};
-  while (order.size() < frags.size()) {
-    std::size_t best = buckets.size();
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      if (head[b] >= buckets[b].size()) continue;
-      if (best == buckets.size() ||
-          less(buckets[b][head[b]], buckets[best][head[best]])) {
-        best = b;
-      }
-    }
-    order.push_back(buckets[best][head[best]++]);
-  }
-  return order;
-}
 
 /// Segment (max) tree over per-node remaining capacity answering "first
 /// node with remaining >= need" in O(log nodes) — the first-fit scan of
@@ -143,8 +97,7 @@ class FirstFitTree {
 }  // namespace
 
 Result<ClusterConfig> PackReplicasBffd(const ReplicationParams& params,
-                                       std::vector<FragmentInfo> fragments,
-                                       ThreadPool* pool) {
+                                       std::vector<FragmentInfo> fragments) {
   metrics::ScopedTimerMs timer("transition.pack_ms");
   if (params.node_disk == 0) {
     return Status::InvalidArgument("node_disk must be positive");
@@ -158,8 +111,9 @@ Result<ClusterConfig> PackReplicasBffd(const ReplicationParams& params,
 
   ClusterConfig config(params, std::move(fragments));
 
-  const std::vector<FlatFragmentId> order =
-      SortBffdOrder(config.fragments(), pool);
+  std::vector<FlatFragmentId> order(config.fragments().size());
+  std::iota(order.begin(), order.end(), FlatFragmentId{0});
+  std::sort(order.begin(), order.end(), BffdLess{&config.fragments()});
 
   // First fit with a capacity tree: semantically the historical scan
   // "first node where Fits && !Holds, else AddNode", with Fits answered by

@@ -9,8 +9,6 @@
 
 namespace nashdb {
 
-class ThreadPool;
-
 /// Packs the decided replicas onto the fewest nodes using the Best First
 /// Fit Decreasing heuristic of [45] (paper §6, "Replica Allocation"):
 /// fragments are processed in decreasing order of replica count; each
@@ -19,22 +17,17 @@ class ThreadPool;
 /// appended. This is the class-constrained bin packing problem (NP-hard);
 /// BFFD has an approximation factor of 2.
 ///
-/// Scale: the decreasing-order sort fans out per table over `pool` (each
-/// table's slice sorted with the one global comparator, then k-way merged
-/// under the same comparator — the comparator is a strict total order, so
-/// the merged order is *identical* to the historical single sort), and the
-/// first-fit scan runs on a segment tree over per-node remaining capacity
-/// (first node with room in O(log nodes) instead of O(nodes)). Both are
-/// pure accelerations: the packed configuration is bit-identical to the
-/// original serial O(fragments x nodes) implementation for every input,
-/// with or without a pool. Pass nullptr to stay serial.
+/// Scale: the first-fit scan runs on a segment tree over per-node
+/// remaining capacity (first node with room in O(log nodes) instead of
+/// O(nodes)), a pure acceleration: the packed configuration is
+/// bit-identical to the original O(fragments x nodes) scan for every
+/// input.
 ///
 /// Preconditions: every fragment's replicas are already decided
 /// (DecideReplication) and every fragment fits a single node
 /// (Size(f) <= node_disk). Returns InvalidArgument otherwise.
 Result<ClusterConfig> PackReplicasBffd(const ReplicationParams& params,
-                                       std::vector<FragmentInfo> fragments,
-                                       ThreadPool* pool = nullptr);
+                                       std::vector<FragmentInfo> fragments);
 
 /// Materializes a ClusterConfig from an explicit placement plan:
 /// `node_fragments[m]` lists the fragments stored on node m. Each

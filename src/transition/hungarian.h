@@ -27,9 +27,9 @@ struct CostMatrix {
 /// algorithm with potentials, O(n^3) ([23, 43] in the paper).
 ///
 /// This is the planner's *dense* solver: materializing the full n x n
-/// matrix and running O(n^3) is only done at or below the kAuto
-/// dense_threshold (transition/planner.h). Above it PlanTransition uses
-/// the sparse successive-shortest-paths solver
+/// matrix and running O(n^3) is only done at or below kDensePlanMaxNodes
+/// (transition/planner.h). Above it PlanTransition uses the sparse
+/// successive-shortest-paths solver
 /// (transition/sparse_matching.h); both price edges from the shared
 /// transition/edge_cost.h graph, so their total costs are bit-identical.
 ///

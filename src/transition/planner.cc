@@ -50,13 +50,16 @@ void SolveEdgeFree(const TransitionGraph& graph, TransitionPlan* plan) {
   metrics::Count("transition.edge_free_plans");
 }
 
-/// Dense path: the paper's dummy-padded Kuhn–Munkres, with the row-major
-/// matrix materialized from the shared sparse graph (identical integer
-/// weights to the sparse path by construction).
-void SolveDense(const TransitionGraph& graph, TransitionPlan* plan) {
+}  // namespace
+
+/// The row-major matrix is materialized from the shared sparse graph
+/// (identical integer weights to the sparse path by construction).
+TransitionPlan PlanDense(const TransitionGraph& graph) {
+  TransitionPlan plan;
+  plan.stats.graph_edges = graph.edges.size();
   if (graph.edges.empty()) {
-    SolveEdgeFree(graph, plan);
-    return;
+    SolveEdgeFree(graph, &plan);
+    return plan;
   }
   const std::size_t n = std::max(graph.n_old, graph.n_new);
   const CostMatrix cost = DenseCostMatrix(graph);
@@ -71,22 +74,24 @@ void SolveDense(const TransitionGraph& graph, TransitionPlan* plan) {
   // column j >= n_new: every move names at least one real node.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = matching.assignment[i];
-    AddMove(graph, i, j, static_cast<TupleCount>(cost(i, j)), plan);
+    AddMove(graph, i, j, static_cast<TupleCount>(cost(i, j)), &plan);
   }
   metrics::Count("transition.dense_solves");
+  return plan;
 }
 
-/// Sparse path: successive shortest paths over the positive-overlap graph
-/// only. Canonical move order: new nodes ascending (matched or fresh),
-/// then decommissioned old nodes ascending.
-void SolveSparse(const TransitionGraph& graph, TransitionPlan* plan) {
+/// Canonical move order: new nodes ascending (matched or fresh), then
+/// decommissioned old nodes ascending.
+TransitionPlan PlanSparse(const TransitionGraph& graph) {
+  TransitionPlan plan;
+  plan.stats.graph_edges = graph.edges.size();
   SparseMatchingResult matching;
   {
     metrics::ScopedTimerMs solve_timer("transition.solve_ms");
     matching = SolveMaxOverlapMatching(graph);
   }
-  plan->stats.used_sparse = true;
-  plan->stats.solver_iterations = matching.iterations;
+  plan.stats.used_sparse = true;
+  plan.stats.solver_iterations = matching.iterations;
 
   std::vector<bool> old_used(graph.n_old, false);
   for (NodeId j = 0; j < graph.n_new; ++j) {
@@ -96,7 +101,7 @@ void SolveSparse(const TransitionGraph& graph, TransitionPlan* plan) {
     if (i == kInvalidNode) {
       move.old_node = kInvalidNode;
       move.transfer_tuples = graph.new_total[j];
-      ++plan->nodes_added;
+      ++plan.nodes_added;
     } else {
       old_used[i] = true;
       move.old_node = i;
@@ -113,8 +118,8 @@ void SolveSparse(const TransitionGraph& graph, TransitionPlan* plan) {
           << "sparse plan: matched pair without an overlap edge";
       move.transfer_tuples = graph.new_total[j] - it->overlap;
     }
-    plan->total_transfer_tuples += move.transfer_tuples;
-    plan->moves.push_back(move);
+    plan.total_transfer_tuples += move.transfer_tuples;
+    plan.moves.push_back(move);
   }
   for (NodeId i = 0; i < graph.n_old; ++i) {
     if (old_used[i]) continue;
@@ -122,42 +127,27 @@ void SolveSparse(const TransitionGraph& graph, TransitionPlan* plan) {
     move.old_node = i;
     move.new_node = kInvalidNode;
     move.transfer_tuples = 0;
-    ++plan->nodes_removed;
-    plan->moves.push_back(move);
+    ++plan.nodes_removed;
+    plan.moves.push_back(move);
   }
   // Exactness cross-check, integer arithmetic end to end: total cost ==
   // bootstrap-everything minus the matching's kept overlap.
-  NASHDB_CHECK(plan->total_transfer_tuples ==
+  NASHDB_CHECK(plan.total_transfer_tuples ==
                graph.TotalNewTuples() - matching.total_overlap)
       << "sparse plan: per-move costs disagree with the matching objective";
   metrics::Count("transition.sparse_solves");
   metrics::Observe("transition.solver_iterations",
                    static_cast<double>(matching.iterations));
-}
-
-}  // namespace
-
-TransitionPlan PlanTransition(const ClusterConfig& old_config,
-                              const ClusterConfig& new_config) {
-  return PlanTransition(old_config, new_config, nullptr);
+  return plan;
 }
 
 TransitionPlan PlanTransition(const ClusterConfig& old_config,
                               const ClusterConfig& new_config,
                               const std::vector<bool>* old_node_dead) {
-  return PlanTransition(old_config, new_config, old_node_dead,
-                        TransitionPlannerOptions{});
-}
-
-TransitionPlan PlanTransition(const ClusterConfig& old_config,
-                              const ClusterConfig& new_config,
-                              const std::vector<bool>* old_node_dead,
-                              const TransitionPlannerOptions& options) {
   metrics::ScopedTimerMs timer("transition.plan_ms");
   const std::size_t n_old = old_config.node_count();
   const std::size_t n_new = new_config.node_count();
-  TransitionPlan plan;
-  if (n_old == 0 && n_new == 0) return plan;
+  if (n_old == 0 && n_new == 0) return TransitionPlan{};
 
   // Both solvers price their edges from this one graph — the single
   // source of truth for the §7 weight formula (transition/edge_cost.h).
@@ -166,19 +156,12 @@ TransitionPlan PlanTransition(const ClusterConfig& old_config,
     metrics::ScopedTimerMs build_timer("transition.graph_build_ms");
     graph = BuildTransitionGraph(old_config, new_config, old_node_dead);
   }
-  plan.stats.graph_edges = graph.edges.size();
   metrics::Observe("transition.sparse_edges",
                    static_cast<double>(graph.edges.size()));
 
-  const bool use_sparse =
-      options.solver == TransitionSolver::kSparse ||
-      (options.solver == TransitionSolver::kAuto &&
-       std::max(n_old, n_new) > options.dense_threshold);
-  if (use_sparse) {
-    SolveSparse(graph, &plan);
-  } else {
-    SolveDense(graph, &plan);
-  }
+  TransitionPlan plan = std::max(n_old, n_new) > kDensePlanMaxNodes
+                            ? PlanSparse(graph)
+                            : PlanDense(graph);
   metrics::Count("transition.plans");
   metrics::Count("transition.planned_transfer_tuples",
                  plan.total_transfer_tuples);

@@ -1,6 +1,7 @@
 #ifndef NASHDB_TRANSITION_PLANNER_H_
 #define NASHDB_TRANSITION_PLANNER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -8,6 +9,8 @@
 #include "replication/cluster_config.h"
 
 namespace nashdb {
+
+struct TransitionGraph;
 
 /// One old-node → new-node move in a transition plan.
 struct NodeTransition {
@@ -27,7 +30,7 @@ struct TransitionPlan {
   std::size_t nodes_added = 0;
   std::size_t nodes_removed = 0;
 
-  /// How the plan was computed (filled by PlanTransition; purely
+  /// How the plan was computed (filled by PlanDense and PlanSparse; purely
   /// informational — ValidatePlan ignores it).
   struct SolverStats {
     bool used_sparse = false;          ///< sparse SSP vs dense Hungarian.
@@ -37,56 +40,43 @@ struct TransitionPlan {
   SolverStats stats;
 };
 
-/// Which matching solver PlanTransition runs. Both are exact: they
-/// price every edge from the one shared §7 weight function
-/// (transition/edge_cost.h) and produce bit-identical total transfer
-/// costs; only the tie-break among equal-cost plans differs (see
-/// DESIGN.md "Scalable control plane").
-enum class TransitionSolver {
-  /// Dense Hungarian at or below TransitionPlannerOptions::dense_threshold
-  /// nodes, sparse successive-shortest-paths above it.
-  kAuto,
-  /// Dense O(n^3) Kuhn–Munkres on the dummy-padded matrix (the paper's
-  /// formulation, verbatim). A graph with no edge (a bootstrap, or every
-  /// old node dead) has identical rows, and gets the solver's plan in
-  /// closed form, O(n log n), without running it.
-  kDense,
-  /// Sparse successive-shortest-paths over the positive-overlap graph —
-  /// near-linear when overlaps are local, the only tractable choice at
-  /// thousands of nodes.
-  kSparse,
-};
-
-struct TransitionPlannerOptions {
-  TransitionSolver solver = TransitionSolver::kAuto;
-  /// kAuto runs dense Hungarian when max(|V|, |V'|) <= this (identical
-  /// plans to the historical implementation, cheap at this size) and the
-  /// sparse solver beyond it.
-  std::size_t dense_threshold = 256;
-};
+/// PlanTransition solves dense at max(|V|, |V'|) <= this many nodes and
+/// sparse above it (DESIGN.md §15.2). Dense is cheap at this size and
+/// keeps the plans, move order included, of the historical
+/// implementation; above it the O(n^3) matrix is what the sparse solver
+/// exists to avoid.
+inline constexpr std::size_t kDensePlanMaxNodes = 256;
 
 /// Computes the optimal (minimum data transfer) transition from `old_config`
 /// to `new_config` by min-weight perfect matching on the bipartite
-/// old-node/new-node graph with dummy vertices padding the smaller side.
-/// Solver choice per TransitionPlannerOptions (default kAuto).
-TransitionPlan PlanTransition(const ClusterConfig& old_config,
-                              const ClusterConfig& new_config);
-
-/// Failure-aware variant: `old_node_dead[m]` marks old nodes that are
-/// crashed at transition time. A dead machine's data cannot be copied
-/// from (nor does it survive a match), so its holdings are priced as
-/// empty — matching it to a new node costs that node's full data, exactly
-/// like provisioning a fresh replacement. Passing nullptr (or an
-/// all-false vector) is identical to the two-argument overload.
+/// old-node/new-node graph with dummy vertices padding the smaller side
+/// (paper §7), with the solver kDensePlanMaxNodes picks.
+///
+/// Failure awareness: `old_node_dead[m]` marks old nodes that are crashed
+/// at transition time. A dead machine's data cannot be copied from (nor
+/// does it survive a match), so its holdings are priced as empty —
+/// matching it to a new node costs that node's full data, exactly like
+/// provisioning a fresh replacement. nullptr (or an all-false vector)
+/// marks none.
 TransitionPlan PlanTransition(const ClusterConfig& old_config,
                               const ClusterConfig& new_config,
-                              const std::vector<bool>* old_node_dead);
+                              const std::vector<bool>* old_node_dead = nullptr);
 
-/// Full-control overload: failure awareness plus explicit solver choice.
-TransitionPlan PlanTransition(const ClusterConfig& old_config,
-                              const ClusterConfig& new_config,
-                              const std::vector<bool>* old_node_dead,
-                              const TransitionPlannerOptions& options);
+/// The two solvers PlanTransition picks between, each from the one
+/// §7 graph (transition/edge_cost.h), so both price every edge alike and
+/// their total transfer costs are bit-identical; only the tie-break among
+/// equal-cost plans differs (DESIGN.md §15.2). Tests and benches call them
+/// directly, each as the other's oracle.
+///
+/// PlanDense: the paper's dummy-padded O(n^3) Kuhn–Munkres, verbatim. A
+/// graph with no edge (a bootstrap, or every old node dead) has identical
+/// rows, and gets the solver's plan in closed form, O(n log n), without
+/// running it (DESIGN.md §15.8).
+TransitionPlan PlanDense(const TransitionGraph& graph);
+/// PlanSparse: successive shortest paths over the positive-overlap edges
+/// only — near-linear when overlaps are local, the only tractable choice
+/// at thousands of nodes.
+TransitionPlan PlanSparse(const TransitionGraph& graph);
 
 }  // namespace nashdb
 

@@ -178,9 +178,6 @@ TEST(NashDbSystemTest, MaxFragsFollowsBlockRule) {
   opts.block_tuples = 1000;
   NashDbSystem sys(OneTable(10500), opts);
   EXPECT_EQ(sys.MaxFragsFor(10500), 11u);
-  opts.max_frags_cap = 5;
-  NashDbSystem capped(OneTable(10500), opts);
-  EXPECT_EQ(capped.MaxFragsFor(10500), 5u);
 }
 
 TEST(NashDbSystemTest, ResetForgetsWorkload) {

@@ -365,6 +365,14 @@ std::uint64_t HistogramCount(const std::string& js, const std::string& name) {
   return SnapshotNumber(js, "\"" + name + "\": {\"count\": ");
 }
 
+/// As CounterValue, for a counter a run records only when its event
+/// happens: 0 when the snapshot has no such counter.
+std::uint64_t EventCount(const std::string& js, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  if (js.find(key) == std::string::npos) return 0;
+  return SnapshotNumber(js, key);
+}
+
 // Two metrics-on runs of different workloads in one process: each run's
 // routing.* metrics count exactly its own queries and reads — a metric
 // handle kept past its run, or one that drops or double-counts, breaks
@@ -401,6 +409,59 @@ TEST(MetricsIntegrationTest, RoutingMetricsArePerRun) {
     EXPECT_EQ(HistogramCount(js, "routing.queue_wait_s"),
               CounterValue(js, "routing.requests"));
     EXPECT_GE(CounterValue(js, "routing.requests"), completed);
+  }
+}
+
+// A faulted run's transition metrics against its result, at build
+// windows 0 and 600 s, each with and without adaptive mode. Scripted
+// crashes, a partition and stochastic crashes with recovery trigger
+// emergency repairs, and interrupted transfers are re-sent. Every applied
+// transition but the bootstrap records one transfer window; every
+// published round, applied or skipped, records one round time and one
+// stall, and an emergency repair is not a round.
+TEST(MetricsIntegrationTest, TransitionMetricsMatchTheRun) {
+  TpchOptions topts;
+  topts.db_gb = 3.0;
+  topts.num_queries = 120;
+  topts.arrival_span_s = 6.0 * 3600.0;
+  const Workload wl = MakeTpchWorkload(topts);
+  for (const double window_s : {0.0, 600.0}) {
+    for (const bool adaptive : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "window " << window_s << " s"
+                                      << (adaptive ? ", adaptive" : ""));
+      NashDbSystem sys(wl.dataset, EngineOptions());
+      MaxOfMinsRouter router;
+      DriverOptions dopts = FastSim();
+      dopts.prewarm_scans = 10;
+      dopts.collect_metrics = true;
+      dopts.online_build_window_s = window_s;
+      dopts.adaptive_reconfigure = adaptive;
+      dopts.faults.spec = *FaultSpec::Parse(
+          "crash@2000:n0;crash@5000:n1:for=1800;partition@9000:n2:for=1200;"
+          "mttf=5400;mttr=1800;pinterrupt=0.3");
+      dopts.faults.seed = 7;
+      const RunResult r = RunWorkload(wl, &sys, &router, dopts);
+      const std::string& js = r.metrics_json;
+      ASSERT_GT(r.emergency_repairs, 0u);
+      ASSERT_GT(r.transitions, 1 + r.emergency_repairs);
+      if (adaptive) {
+        EXPECT_GT(r.transitions_skipped, 0u);
+      }
+
+      EXPECT_EQ(CounterValue(js, "sim.transitions"), r.transitions);
+      EXPECT_EQ(EventCount(js, "sim.transitions_skipped"),
+                r.transitions_skipped);
+      EXPECT_EQ(CounterValue(js, "faults.emergency_repairs"),
+                r.emergency_repairs);
+      EXPECT_EQ(CounterValue(js, "faults.repair_transfer_tuples"),
+                r.repair_transfer_tuples);
+      EXPECT_EQ(HistogramCount(js, "sim.transfer_window_s"),
+                r.transitions - 1);
+      const std::uint64_t rounds = r.transitions - 1 - r.emergency_repairs +
+                                   r.transitions_skipped;
+      EXPECT_EQ(HistogramCount(js, "sim.reconfig_round_ms"), rounds);
+      EXPECT_EQ(HistogramCount(js, "sim.reconfig_stall_s"), rounds);
+    }
   }
 }
 

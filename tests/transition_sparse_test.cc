@@ -1,9 +1,10 @@
 // Property tests for the scalable control plane (DESIGN.md "Scalable
-// control plane"): the sparse successive-shortest-paths matcher must be
-// bit-identical in total plan cost to the dense Hungarian solver on every
-// instance, the parallel BFFD packer must produce the same configuration
-// as the historical serial scan, and the streaming validators must report
-// the same verdict (and the same first error) with and without a pool.
+// control plane"): the sparse successive-shortest-paths plan must be
+// bit-identical in total cost to the dense Hungarian plan on every
+// instance, PlanTransition must pick between them by size alone, the
+// BFFD packer must produce the same configuration as the historical
+// linear scan, and the streaming validators must report the same verdict
+// (and the same first error) with and without a pool.
 
 #include <algorithm>
 #include <cstddef>
@@ -72,21 +73,28 @@ ClusterConfig RandomConfig(Rng& rng, std::size_t tables,
   return std::move(config).value();
 }
 
+// The sparse plan of an instance, planned on its §7 graph directly.
+TransitionPlan SparsePlan(const ClusterConfig& old_config,
+                          const ClusterConfig& new_config,
+                          const std::vector<bool>* dead = nullptr) {
+  return PlanSparse(BuildTransitionGraph(old_config, new_config, dead));
+}
+
+// The dense plan of an instance, planned on its §7 graph directly.
+TransitionPlan DensePlan(const ClusterConfig& old_config,
+                         const ClusterConfig& new_config,
+                         const std::vector<bool>* dead = nullptr) {
+  return PlanDense(BuildTransitionGraph(old_config, new_config, dead));
+}
+
 // Runs both solvers on the same instance and asserts the exactness
 // contract: identical total transfer cost (integers, so bit-identical),
 // both plans validated, and consistent added/removed bookkeeping.
 void CheckSolversAgree(const ClusterConfig& old_config,
                        const ClusterConfig& new_config,
                        const std::vector<bool>* dead, const char* what) {
-  TransitionPlannerOptions dense_opts;
-  dense_opts.solver = TransitionSolver::kDense;
-  TransitionPlannerOptions sparse_opts;
-  sparse_opts.solver = TransitionSolver::kSparse;
-
-  const TransitionPlan dense =
-      PlanTransition(old_config, new_config, dead, dense_opts);
-  const TransitionPlan sparse =
-      PlanTransition(old_config, new_config, dead, sparse_opts);
+  const TransitionPlan dense = DensePlan(old_config, new_config, dead);
+  const TransitionPlan sparse = SparsePlan(old_config, new_config, dead);
 
   EXPECT_FALSE(dense.stats.used_sparse) << what;
   EXPECT_TRUE(sparse.stats.used_sparse) << what;
@@ -181,10 +189,7 @@ TEST(SparseMatchingPropertyTest, AllNewNodes) {
   const ClusterConfig target = RandomConfig(rng, 2, 300, 10, 40, 2, 100);
   CheckSolversAgree(empty, target, nullptr, "all-new");
 
-  TransitionPlannerOptions sparse_opts;
-  sparse_opts.solver = TransitionSolver::kSparse;
-  const TransitionPlan plan =
-      PlanTransition(empty, target, nullptr, sparse_opts);
+  const TransitionPlan plan = SparsePlan(empty, target);
   const TransitionGraph graph = BuildTransitionGraph(empty, target, nullptr);
   EXPECT_EQ(plan.total_transfer_tuples, graph.TotalNewTuples());
   EXPECT_EQ(plan.nodes_added, target.node_count());
@@ -198,10 +203,7 @@ TEST(SparseMatchingPropertyTest, FullDecommission) {
   ClusterConfig empty;
   CheckSolversAgree(old_config, empty, nullptr, "full-decommission");
 
-  TransitionPlannerOptions sparse_opts;
-  sparse_opts.solver = TransitionSolver::kSparse;
-  const TransitionPlan plan =
-      PlanTransition(old_config, empty, nullptr, sparse_opts);
+  const TransitionPlan plan = SparsePlan(old_config, empty);
   EXPECT_EQ(plan.total_transfer_tuples, 0u);
   EXPECT_EQ(plan.nodes_removed, old_config.node_count());
   EXPECT_EQ(plan.nodes_added, 0u);
@@ -224,10 +226,7 @@ TEST(SparseMatchingPropertyTest, ZeroFragmentConfigs) {
       BuildConfigFromPlacement(Params(100), frags, {{0}, {1}, {2}});
   CheckSolversAgree(*old_config, *new_config, nullptr, "zero-fragment");
 
-  TransitionPlannerOptions sparse_opts;
-  sparse_opts.solver = TransitionSolver::kSparse;
-  const TransitionPlan plan =
-      PlanTransition(*old_config, *new_config, nullptr, sparse_opts);
+  const TransitionPlan plan = SparsePlan(*old_config, *new_config);
   EXPECT_EQ(plan.total_transfer_tuples, 0u);
   EXPECT_EQ(plan.stats.graph_edges, 0u);
 }
@@ -236,12 +235,8 @@ TEST(SparseMatchingPropertyTest, SolverIsDeterministic) {
   Rng rng(31);
   const ClusterConfig old_config = RandomConfig(rng, 2, 400, 10, 50, 2, 120);
   const ClusterConfig new_config = RandomConfig(rng, 2, 400, 10, 50, 2, 120);
-  TransitionPlannerOptions sparse_opts;
-  sparse_opts.solver = TransitionSolver::kSparse;
-  const TransitionPlan a =
-      PlanTransition(old_config, new_config, nullptr, sparse_opts);
-  const TransitionPlan b =
-      PlanTransition(old_config, new_config, nullptr, sparse_opts);
+  const TransitionPlan a = SparsePlan(old_config, new_config);
+  const TransitionPlan b = SparsePlan(old_config, new_config);
   ASSERT_EQ(a.moves.size(), b.moves.size());
   for (std::size_t i = 0; i < a.moves.size(); ++i) {
     EXPECT_EQ(a.moves[i].old_node, b.moves[i].old_node) << i;
@@ -250,22 +245,19 @@ TEST(SparseMatchingPropertyTest, SolverIsDeterministic) {
   }
 }
 
-// ------------------------------------------------------- kAuto selector
+// ------------------------------------------------- the size rule
 
 TEST(SparseMatchingPropertyTest, AutoSelectorIsDenseBelowThreshold) {
-  // At or below the threshold kAuto must be *bit-identical in moves* to
-  // the historical dense solver, not merely equal in cost.
+  // At or below kDensePlanMaxNodes PlanTransition must be *bit-identical
+  // in moves* to the historical dense solver, not merely equal in cost.
   Rng rng(41);
   const ClusterConfig old_config = RandomConfig(rng, 2, 300, 10, 40, 2, 100);
   const ClusterConfig new_config = RandomConfig(rng, 2, 300, 10, 40, 2, 100);
   ASSERT_LE(std::max(old_config.node_count(), new_config.node_count()),
-            TransitionPlannerOptions{}.dense_threshold);
+            kDensePlanMaxNodes);
 
   const TransitionPlan automatic = PlanTransition(old_config, new_config);
-  TransitionPlannerOptions dense_opts;
-  dense_opts.solver = TransitionSolver::kDense;
-  const TransitionPlan dense =
-      PlanTransition(old_config, new_config, nullptr, dense_opts);
+  const TransitionPlan dense = DensePlan(old_config, new_config);
 
   EXPECT_FALSE(automatic.stats.used_sparse);
   ASSERT_EQ(automatic.moves.size(), dense.moves.size());
@@ -279,20 +271,17 @@ TEST(SparseMatchingPropertyTest, AutoSelectorIsDenseBelowThreshold) {
 }
 
 TEST(SparseMatchingPropertyTest, AutoSelectorGoesSparseAboveThreshold) {
+  // Above kDensePlanMaxNodes PlanTransition runs the sparse solver, at
+  // the dense plan's cost.
   Rng rng(42);
-  const ClusterConfig old_config = RandomConfig(rng, 2, 300, 10, 40, 2, 100);
-  const ClusterConfig new_config = RandomConfig(rng, 2, 300, 10, 40, 2, 100);
-  TransitionPlannerOptions opts;
-  opts.solver = TransitionSolver::kAuto;
-  opts.dense_threshold = 1;  // force the sparse path on a tiny instance
-  const TransitionPlan plan =
-      PlanTransition(old_config, new_config, nullptr, opts);
+  const ClusterConfig old_config = RandomConfig(rng, 4, 4000, 20, 60, 2, 60);
+  const ClusterConfig new_config = RandomConfig(rng, 4, 4000, 20, 60, 2, 60);
+  ASSERT_GT(std::max(old_config.node_count(), new_config.node_count()),
+            kDensePlanMaxNodes);
+  const TransitionPlan plan = PlanTransition(old_config, new_config);
   EXPECT_TRUE(plan.stats.used_sparse);
 
-  TransitionPlannerOptions dense_opts;
-  dense_opts.solver = TransitionSolver::kDense;
-  const TransitionPlan dense =
-      PlanTransition(old_config, new_config, nullptr, dense_opts);
+  const TransitionPlan dense = DensePlan(old_config, new_config);
   EXPECT_EQ(plan.total_transfer_tuples, dense.total_transfer_tuples);
 }
 
@@ -330,9 +319,9 @@ TEST(SparseMatchingPropertyTest, MatchingIsInjectiveAndSkipsZeroOverlap) {
   }
 }
 
-// ----------------------------------------------------- parallel packing
+// ------------------------------------------------------------ packing
 
-// The historical serial BFFD loop, kept as a golden reference: fragments
+// The historical linear BFFD loop, kept as a golden reference: fragments
 // in (replicas desc, size desc, id asc) order, each replica on the first
 // node in list order that fits and does not already hold the fragment.
 Result<ClusterConfig> ReferencePack(const ReplicationParams& params,
@@ -385,9 +374,8 @@ void ExpectSameConfig(const ClusterConfig& a, const ClusterConfig& b,
   }
 }
 
-TEST(ParallelPackPropertyTest, PoolAndSerialAreBitIdentical) {
+TEST(BffdPackPropertyTest, MatchesReferencePack) {
   Rng rng(61);
-  ThreadPool pool(4);
   for (int trial = 0; trial < 12; ++trial) {
     const std::size_t tables = 1 + rng.Uniform(4);
     const TupleCount table_size = 100 + rng.Uniform(900);
@@ -395,14 +383,11 @@ TEST(ParallelPackPropertyTest, PoolAndSerialAreBitIdentical) {
     const TupleCount disk = 100 + rng.Uniform(200);
     const std::string what = "pack trial " + std::to_string(trial);
 
-    auto serial = PackReplicasBffd(Params(disk), frags, nullptr);
-    auto pooled = PackReplicasBffd(Params(disk), frags, &pool);
+    auto packed = PackReplicasBffd(Params(disk), frags);
     auto golden = ReferencePack(Params(disk), frags);
-    ASSERT_TRUE(serial.ok()) << what;
-    ASSERT_TRUE(pooled.ok()) << what;
+    ASSERT_TRUE(packed.ok()) << what;
     ASSERT_TRUE(golden.ok()) << what;
-    ExpectSameConfig(*serial, *pooled, what.c_str());
-    ExpectSameConfig(*serial, *golden, what.c_str());
+    ExpectSameConfig(*packed, *golden, what.c_str());
   }
 }
 
