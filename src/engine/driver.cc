@@ -4,14 +4,17 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "cluster/faults.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/spsc_ring.h"
 #include "common/stats.h"
 #include "engine/config_epoch.h"
 #include "engine/data_plane.h"
@@ -165,6 +168,61 @@ class VectorQueryStream : public QueryStream {
  private:
   const Workload& workload_;
   std::size_t next_ = 0;
+};
+
+/// Runs QueryStream::Next ahead of the admission loop on a producer
+/// thread of its own (DESIGN.md §11). The thread starts at construction
+/// and is joined at destruction; Next hands the queries over in the
+/// stream's order through a ring of kStreamAheadSlots slots. The producer
+/// never calls the stream's Next again after a false, and an exception
+/// it throws ends the stream there and is rethrown by Next.
+class StreamAhead {
+ public:
+  explicit StreamAhead(QueryStream* stream)
+      : thread_([this, stream] { Produce(stream); }) {}
+
+  ~StreamAhead() {
+    ring_.Cancel();
+    thread_.join();
+  }
+
+  StreamAhead(const StreamAhead&) = delete;
+  StreamAhead& operator=(const StreamAhead&) = delete;
+
+  /// The stream's next query; false once the stream ended. `*out`'s
+  /// previous contents go back to the ring, whose slots the stream
+  /// refills in place.
+  bool Next(TimedQuery* out) {
+    TimedQuery* front = ring_.Front();
+    if (front == nullptr) {
+      if (error_) std::rethrow_exception(error_);
+      return false;
+    }
+    std::swap(*out, *front);
+    ring_.Pop();
+    return true;
+  }
+
+ private:
+  void Produce(QueryStream* stream) {
+    try {
+      for (;;) {
+        TimedQuery& slot = ring_.Back();
+        if (ring_.cancelled() || !stream->Next(&slot)) break;
+        ring_.Push();
+      }
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+    ring_.Close();
+  }
+
+  SpscRing<TimedQuery, kStreamAheadSlots> ring_;
+  /// Written by the producer before it closes the ring; read by Next
+  /// once the ring is closed and empty.
+  std::exception_ptr error_;
+  /// Declared last: the producer starts once the ring exists.
+  std::thread thread_;
 };
 
 /// Simulated seconds between two reconfiguration boundaries: the
@@ -649,22 +707,35 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   // the materialized path always had. Only the prewarm prefix is ever
   // buffered, so streaming runs stay constant-memory.
   std::deque<TimedQuery> lookahead;
+  bool stream_ended = false;
   if (!options.warmup_observe && options.prewarm_scans > 0) {
     std::size_t fed = 0;
     TimedQuery tq;
-    while (fed < options.prewarm_scans && stream->Next(&tq)) {
+    while (fed < options.prewarm_scans) {
+      if (!stream->Next(&tq)) {
+        stream_ended = true;
+        break;
+      }
       system->Observe(tq.query);
       fed += tq.query.scans.size();
       lookahead.push_back(std::move(tq));
     }
   }
+  // The admission loop reads the prewarmed prefix, then the stream: its
+  // first query on this thread when there is no prewarm, and the rest
+  // from the producer that starts after the run's first admission, so
+  // nothing of the pipeline exists during setup (DESIGN.md §11).
+  std::optional<StreamAhead> ahead;
   const auto next_query = [&](TimedQuery* out) {
     if (!lookahead.empty()) {
       *out = std::move(lookahead.front());
       lookahead.pop_front();
       return true;
     }
-    return stream->Next(out);
+    if (ahead) return ahead->Next(out);
+    if (stream_ended) return false;
+    stream_ended = !stream->Next(out);
+    return !stream_ended;
   };
 
   std::unique_ptr<ConfigEpoch> bootstrap =
@@ -682,10 +753,14 @@ RunResult RunStream(QueryStream* stream, DistributionSystem* system,
   for (TimedQuery tq; next_query(&tq);) {
     control.AdvanceTo(tq.arrival);
     const ConfigEpoch& epoch = control.epoch();
-    if (plane.Shed(tq, epoch.epoch())) continue;
-    if (!options.warmup_observe) system->Observe(tq.query);
-    plane.Admit(tq, epoch);
+    if (!plane.Shed(tq, epoch.epoch())) {
+      if (!options.warmup_observe) system->Observe(tq.query);
+      plane.Admit(tq, epoch);
+    }
+    if (!ahead && !stream_ended) ahead.emplace(stream);
   }
+  // Joins the producer, which has ended the stream.
+  ahead.reset();
   // The last publish flushes the pending block against the outgoing epoch
   // first.
   control.Finish();

@@ -293,9 +293,13 @@ struct RunResult {
 /// Concurrency contract (thread-safety audit, DESIGN.md §9): the driver
 /// loop is serial — it owns the ClusterSim, FaultScheduler, and config
 /// exclusively, so none of them are annotated. Concurrency lives behind
-/// BuildConfig (the system's internal ThreadPool fan-out) and the metrics
+/// BuildConfig (the system's internal ThreadPool fan-out), the metrics
 /// registry, both of which carry NASHDB_GUARDED_BY annotations checked by
-/// Clang's -Wthread-safety. In NASHDB_VALIDATE builds the loop
+/// Clang's -Wthread-safety, and the two pipeline stages of DESIGN.md §11:
+/// after the run's first admission the stream's Next runs on a producer
+/// thread (one call at a time, joined before the run returns), and a
+/// system may hand its Observe work to a thread of its own (NashDB's
+/// estimator worker). In NASHDB_VALIDATE builds the loop
 /// additionally CHECKs ValidateConfig/ValidatePlan (engine/validate.h)
 /// after the bootstrap, every periodic round, and every emergency repair.
 /// The background build of a round (BuildConfigAsync) reads only its own
@@ -313,6 +317,10 @@ RunResult RunWorkload(const Workload& workload, DistributionSystem* system,
 /// DriverOptions::keep_records = false for constant-memory runs.
 RunResult RunQueryStream(QueryStream* stream, DistributionSystem* system,
                          ScanRouter* router, const DriverOptions& options);
+
+/// Queries the driver's producer thread may run ahead of the admission
+/// loop: the slots of its ring (DESIGN.md §11).
+inline constexpr std::size_t kStreamAheadSlots = 1024;
 
 }  // namespace nashdb
 

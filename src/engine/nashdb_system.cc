@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <iterator>
 #include <map>
 #include <tuple>
@@ -113,8 +114,57 @@ NashDbSystem::NashDbSystem(Dataset dataset, const NashDbOptions& options)
   }
 }
 
+NashDbSystem::~NashDbSystem() { StopWorker(); }
+
 void NashDbSystem::Observe(const Query& query) {
-  estimator_->AddQuery(query);
+  // The first admission after a build starts the worker (DESIGN.md §11).
+  if (hand_off_ && !scans_) StartWorker();
+  ScanRing* const ring = scans_.get();
+  std::uint64_t added = 0;
+  for (const Scan& scan : query.scans) {
+    if (scan.range.empty()) continue;
+    ++added;
+    if (ring != nullptr) {
+      ring->Back() = scan;
+      ring->Push();
+    } else {
+      estimator_->AddScanUncounted(scan);
+    }
+  }
+  if (added == 0) return;
+  // The estimator evicts one scan for each scan added to a full window.
+  const std::uint64_t room = options_.window_scans - window_fill_;
+  const std::uint64_t evicted = added > room ? added - room : 0;
+  window_fill_ += added - evicted;
+  scans_added_.Inc(added);
+  if (evicted > 0) scans_evicted_.Inc(evicted);
+}
+
+void NashDbSystem::StartWorker() {
+  scans_ = std::make_unique<ScanRing>();
+  worker_ = std::thread([this] {
+    try {
+      while (const Scan* scan = scans_->Front()) {
+        estimator_->AddScanUncounted(*scan);
+        scans_->Pop();
+      }
+    } catch (const std::exception& e) {
+      NASHDB_CHECK(false) << "estimator worker: " << e.what();
+    }
+  });
+}
+
+void NashDbSystem::Drain() {
+  if (!scans_) return;
+  scans_->Drain(
+      [this](const Scan& scan) { estimator_->AddScanUncounted(scan); });
+}
+
+void NashDbSystem::StopWorker() {
+  if (!scans_) return;
+  scans_->Close();
+  worker_.join();
+  scans_.reset();
 }
 
 std::size_t NashDbSystem::MaxFragsFor(TupleCount table_size) const {
@@ -134,7 +184,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-NashDbSystem::EstimatorSnapshot NashDbSystem::SnapshotEstimator() const {
+NashDbSystem::EstimatorSnapshot NashDbSystem::SnapshotEstimator() {
+  Drain();
+  // From the first build on, Observe hands its scans to the worker.
+  hand_off_ = true;
   EstimatorSnapshot snap;
   snap.window_scans = estimator_->window_scans();
   snap.window.assign(estimator_->window().begin(), estimator_->window().end());
@@ -369,8 +422,11 @@ void NashDbSystem::NoteAppliedConfig(const ClusterConfig& config) {
 }
 
 void NashDbSystem::Reset() {
+  StopWorker();
   estimator_ =
       std::make_unique<TupleValueEstimator>(options_.window_scans);
+  hand_off_ = false;
+  window_fill_ = 0;
   fragmenters_.clear();
   last_config_.reset();
   last_build_fixed_point_ = false;

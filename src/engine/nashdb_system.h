@@ -5,8 +5,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/spsc_ring.h"
 #include "common/thread_pool.h"
 #include "engine/system.h"
 #include "fragment/fragmenter.h"
@@ -65,20 +68,39 @@ struct NashDbOptions {
 /// BuildConfig() runs the full §4-§6 pipeline and emits a cluster
 /// configuration in Nash equilibrium (up to the min_replicas availability
 /// floor).
+///
+/// After a build, the estimator belongs to a worker thread (DESIGN.md
+/// §11): Observe counts the query's scans and hands them over through a
+/// bounded ring, and every reader of the estimator (a build's snapshot,
+/// estimator(), Reset, the destructor) drains the worker first, so it
+/// reads exactly the scans observed before it. The worker starts at the
+/// first Observe after a build and stops at Reset or destruction. Not
+/// movable: the worker holds `this`.
 class NashDbSystem : public DistributionSystem {
  public:
   /// `dataset` declares every table (fragmenting needs sizes even for
   /// tables with no windowed scans). Every table is fragmented by the
   /// greedy split/merge algorithm (§5.3).
   NashDbSystem(Dataset dataset, const NashDbOptions& options);
+  /// Stops the worker.
+  ~NashDbSystem() override;
+
+  NashDbSystem(const NashDbSystem&) = delete;
+  NashDbSystem& operator=(const NashDbSystem&) = delete;
 
   std::string_view name() const override { return "NashDB"; }
+  /// Counts the query's non-empty scans in value.scans_added and
+  /// value.scans_evicted on the calling thread (so a metrics snapshot
+  /// needs no drain) and applies them to the estimator: inline before the
+  /// first build since construction or Reset (the prewarm), through the
+  /// worker after it.
   void Observe(const Query& query) override;
   ClusterConfig BuildConfig() override;
-  /// Online-reconfiguration entry point (DESIGN.md §12): snapshots the
-  /// estimator on the calling thread (window copy + materialized value
-  /// profiles — the only state Observe() mutates), then runs the §5-§6
-  /// pipeline on a detached std::async thread, which still fans
+  /// Online-reconfiguration entry point (DESIGN.md §12): drains the
+  /// worker and snapshots the estimator on the calling thread (window
+  /// copy + materialized value profiles — the only state Observe()
+  /// mutates), then runs the §5-§6 pipeline on a detached std::async
+  /// thread, which still fans
   /// per-table refragmentation out over the internal ThreadPool.
   /// BuildConfig() and the future's result are bit-identical for the
   /// same estimator state. Contract as in DistributionSystem: one build
@@ -92,8 +114,17 @@ class NashDbSystem : public DistributionSystem {
   void NoteAppliedConfig(const ClusterConfig& config) override;
   void Reset() override;
 
-  const TupleValueEstimator& estimator() const { return *estimator_; }
+  /// The estimator with every observed scan applied (drains the worker).
+  /// Valid until the next Observe or Reset.
+  const TupleValueEstimator& estimator() {
+    Drain();
+    return *estimator_;
+  }
   const NashDbOptions& options() const { return options_; }
+
+  /// Scan slots of the estimator worker's ring; Observe publishes half a
+  /// ring at once, and a drain applies the unpublished rest inline.
+  static constexpr std::size_t kScanRingSlots = 1024;
 
   /// maxFrags for one table under the block-size rule.
   std::size_t MaxFragsFor(TupleCount table_size) const;
@@ -114,12 +145,29 @@ class NashDbSystem : public DistributionSystem {
     std::size_t estimator_bytes = 0;
   };
 
-  EstimatorSnapshot SnapshotEstimator() const;
+  using ScanRing = SpscRing<Scan, kScanRingSlots>;
+
+  void StartWorker();
+  /// Returns once every observed scan is applied: the published ones by
+  /// the worker, the rest inline on the calling thread.
+  void Drain();
+  /// Applies every observed scan and joins the worker.
+  void StopWorker();
+  EstimatorSnapshot SnapshotEstimator();
   ClusterConfig BuildFromSnapshot(EstimatorSnapshot snap);
 
   Dataset dataset_;
   NashDbOptions options_;
   std::unique_ptr<TupleValueEstimator> estimator_;
+  /// Set by a build's snapshot, cleared by Reset: the next Observe
+  /// starts the worker.
+  bool hand_off_ = false;
+  /// Scans in the estimator's window once every observed scan is applied
+  /// (min(|W|, scans observed since Reset)): what Observe counts
+  /// evictions from.
+  std::size_t window_fill_ = 0;
+  metrics::CounterHandle scans_added_{"value.scans_added"};
+  metrics::CounterHandle scans_evicted_{"value.scans_evicted"};
   /// One (stateful) fragmenter per table, so greedy split/merge state
   /// survives across reconfigurations. Pre-created for every table before
   /// the parallel refragmentation loop; each task touches only its own
@@ -142,6 +190,11 @@ class NashDbSystem : public DistributionSystem {
   /// first needs it, since only builds with metrics on audit).
   std::size_t last_ideal_replicas_ = 0;
   std::optional<NashReport> last_audit_;
+  /// The worker's ring and thread, set while the worker runs; the worker
+  /// applies the scans it reads to `*estimator_` and touches nothing
+  /// else. Declared last, after everything the worker reads.
+  std::unique_ptr<ScanRing> scans_;
+  std::thread worker_;
 };
 
 }  // namespace nashdb

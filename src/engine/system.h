@@ -21,6 +21,11 @@ class DistributionSystem {
   virtual std::string_view name() const = 0;
 
   /// Feeds one incoming query's scans into the system's statistics.
+  /// Called on the driver's thread. A system may defer the work to a
+  /// thread of its own (NashDbSystem's estimator worker, DESIGN.md §11)
+  /// as long as every build sees exactly the queries observed before it
+  /// and any metric the driver snapshots at the end of a run is counted
+  /// by the time Observe returns.
   virtual void Observe(const Query& query) = 0;
 
   /// Computes a fresh cluster configuration from current statistics.

@@ -11,6 +11,13 @@ TupleValueEstimator::TupleValueEstimator(std::size_t window_size)
 
 void TupleValueEstimator::AddScan(const Scan& scan) {
   if (scan.range.empty()) return;
+  if (buffer_.size() == window_size_) scans_evicted_.Inc();
+  AddScanUncounted(scan);
+  scans_added_.Inc();
+}
+
+void TupleValueEstimator::AddScanUncounted(const Scan& scan) {
+  if (scan.range.empty()) return;
   if (buffer_.size() == window_size_) {
     const Scan& oldest = buffer_.front();
     auto it = tables_.find(oldest.table);
@@ -19,12 +26,10 @@ void TupleValueEstimator::AddScan(const Scan& scan) {
                           oldest.NormalizedPrice());
     if (it->second.empty()) tables_.erase(it);
     buffer_.pop_front();
-    scans_evicted_.Inc();
   }
   buffer_.push_back(scan);
   tables_[scan.table].AddScan(scan.range.start, scan.range.end,
                               scan.NormalizedPrice());
-  scans_added_.Inc();
 }
 
 void TupleValueEstimator::AddQuery(const Query& query) {

@@ -41,8 +41,14 @@ class TupleValueEstimator {
   TupleValueEstimator& operator=(TupleValueEstimator&&) = default;
 
   /// Records one scan; evicts the oldest scan first if the window is full.
-  /// Empty scans are ignored.
+  /// Empty scans are ignored. Counts the scan in value.scans_added and an
+  /// eviction in value.scans_evicted.
   void AddScan(const Scan& scan);
+
+  /// AddScan without the two counters, for an owner that counts on
+  /// another thread: NashDbSystem counts each scan where it is observed
+  /// and applies it on its estimator worker (DESIGN.md §11).
+  void AddScanUncounted(const Scan& scan);
 
   /// Records every scan of `query` (the scan router sees whole queries).
   void AddQuery(const Query& query);

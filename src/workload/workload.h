@@ -48,7 +48,11 @@ struct Workload {
 /// Pull-based query source for streaming runs (DESIGN.md §13): queries
 /// are produced on demand in nondecreasing arrival order, so a
 /// 10⁷–10⁸-query scenario never materializes its workload.
-/// Implementations are consumed serially (by the driver loop).
+/// The driver calls Next one call at a time, never again after a false,
+/// and every call finishes before the run returns; but from the run's
+/// first admission on, the calls come from the driver's producer thread
+/// (DESIGN.md §11). An implementation must therefore not share mutable
+/// state with the thread running the driver while the run lasts.
 class QueryStream {
  public:
   virtual ~QueryStream() = default;

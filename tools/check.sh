@@ -2,15 +2,20 @@
 # Repo health check: builds and runs the tier-1 suite plus the chaos
 # scenario gates (ctest -L scenario, DESIGN.md 13) in a plain build,
 # then the tier-1 suite again under each sanitizer — thread (data races
-# in the multithreaded reconfiguration pipeline; also one full scenario
-# run), address (heap errors in the fault-injection / retry paths), and
-# undefined (UB anywhere).
+# in the multithreaded reconfiguration pipeline and the admission
+# pipeline's two stages; also one full scenario run), address (heap
+# errors in the fault-injection / retry paths), and undefined (UB
+# anywhere).
 #
 # Usage: tools/check.sh [--quick | --static | --bench-smoke]
 #   --quick    in the sanitizer passes, run only the targeted labels
-#              (ctest -L 'tsan|online|transition' for TSan,
-#              -L 'faults|value|control' for ASan/UBSan) instead of the
-#              full suite. The online label marks the online
+#              (ctest -L 'tsan|online|transition' for TSan, less the
+#              wall-clock OnlineReconfigStallTest; -L
+#              'faults|value|control' for ASan/UBSan) instead of the
+#              full suite. The tsan label marks the concurrency suites,
+#              among them pipeline_test (the stream's producer thread
+#              and NashDB's estimator worker racing the admission loop,
+#              DESIGN.md 11); the online label marks the online
 #              reconfiguration suites (background builds racing the
 #              admission loop, DESIGN.md 12); the transition label marks
 #              the control-plane matching / packing / validation suites
@@ -300,29 +305,45 @@ echo "== scenario gates (ctest -L scenario) =="
 ctest --test-dir build -L scenario --no-tests=error --output-on-failure \
       -j "${JOBS}"
 
-# sanitized_pass NAME SANITIZE_VALUE QUICK_LABEL [ENV=VAL ...]
+# sanitized_pass NAME SANITIZE_VALUE QUICK_LABEL QUICK_EXCLUDE [ENV=VAL ...]
+# QUICK_EXCLUDE, when not empty, is a ctest -E regex of tests the quick
+# pass leaves out of QUICK_LABEL.
 sanitized_pass() {
-  local name="$1" sanitize="$2" quick_label="$3"
-  shift 3
+  local name="$1" sanitize="$2" quick_label="$3" quick_exclude="$4"
+  shift 4
   echo
   echo "== ${name}-sanitized build =="
   cmake -B "build-${name}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNASHDB_SANITIZE="${sanitize}" >/dev/null
   cmake --build "build-${name}" -j "${JOBS}"
   local label="tier1"
+  local exclude=()
   if [[ "${QUICK}" == "1" ]]; then
     label="${quick_label}"
+    if [[ -n "${quick_exclude}" ]]; then
+      exclude=(-E "${quick_exclude}")
+    fi
   fi
   env "$@" ctest --test-dir "build-${name}" -L "${label}" \
+      ${exclude[@]+"${exclude[@]}"} \
       --no-tests=error --output-on-failure -j "${JOBS}"
 }
 
-sanitized_pass tsan thread 'tsan|online|transition'
+# The quick TSan pass leaves out OnlineReconfigStallTest: its four runs
+# are a wall-clock comparison of window 0 against window 900 that takes
+# ~8 minutes under TSan and races nothing the rest of the online label
+# does not (OnlineReconfigWindowTest's 900 s windows, the online golden
+# suite) — nor the nashdb_sim --build-window run below. The plain tier-1
+# pass and the full TSan pass still run it.
+sanitized_pass tsan thread 'tsan|online|transition' \
+    'OnlineReconfigStallTest'
 
 # Online reconfiguration under TSan (DESIGN.md 12): the driver runs a
 # fault scenario with background epoch builds (BuildConfigAsync racing
-# the admission loop for a 600 s window at every boundary). Races here
-# would never surface in the single-threaded tier-1 tests.
+# the admission loop for a 600 s window at every boundary), while the
+# stream's producer thread and NashDB's estimator worker (DESIGN.md 11)
+# run beside the admission loop; the tsan-labelled pipeline_test races
+# those two stages on their own.
 echo
 echo "== TSan online reconfiguration run (--build-window --faults) =="
 cmake --build build-tsan -j "${JOBS}" --target nashdb_sim
@@ -333,18 +354,19 @@ echo "online reconfiguration: clean under TSan"
 
 # One full chaos scenario under TSan: correlated rack failure with
 # emergency repair — fault delivery, coverage-gap retries, and repair
-# transitions all race the reconfiguration thread pool here and nowhere
-# in the single-threaded tier-1 tests. (streaming_10m is deliberately
-# not run under TSan; its 10^7 queries would take tens of minutes.)
+# transitions run beside the reconfiguration thread pool and the two
+# pipeline stages for a whole scenario, which no tier-1 test does.
+# (streaming_10m is deliberately not run under TSan; its 10^7 queries
+# would take tens of minutes.)
 echo
 echo "== TSan scenario run (rack_failure.scn) =="
 ./build-tsan/tools/nashdb_sim --scenario=scenarios/rack_failure.scn \
     >/dev/null
 echo "scenario engine: clean under TSan"
 
-sanitized_pass asan address 'faults|value|control' \
+sanitized_pass asan address 'faults|value|control' '' \
     ASAN_OPTIONS=halt_on_error=1
-sanitized_pass ubsan undefined 'faults|value|control' \
+sanitized_pass ubsan undefined 'faults|value|control' '' \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 echo
